@@ -47,6 +47,18 @@ def pack_indices(n: int, indices) -> np.ndarray:
     return words
 
 
+def pack_rows(n: int, rows: np.ndarray, indices: np.ndarray,
+              count: int) -> np.ndarray:
+    """Stack of ``count`` masks; mask rows[k] has bit indices[k] set."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"vertex id out of range 0..{n - 1}")
+    words = np.zeros((count, word_count(n)), dtype=np.uint64)
+    np.bitwise_or.at(words, (rows, idx >> 6),
+                     np.left_shift(_U1, (idx & 63).astype(np.uint64)))
+    return words
+
+
 def members(words: np.ndarray, n: int) -> np.ndarray:
     """Sorted array of set bit positions below n."""
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")[:n]

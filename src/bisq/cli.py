@@ -22,6 +22,7 @@ from . import audit, params
 from .connectivity import is_connected
 from .edge_estimator import run_pipeline
 from .edge_sampler import OK, sample_edges_batch
+from .errors import BisqError
 from .graph import (Graph, dump_edge_list, exact_connected, gen_family,
                     gen_gnp, load_edge_list)
 from .oracle import BisOracle
@@ -58,14 +59,25 @@ class RunConfig:
                 raise ValueError(f"constant {name} must be positive")
 
 
+_GNP_KEYS = frozenset({"n", "p", "seed"})
+_FAMILY_KEYS = frozenset({"n", "a", "b", "k", "size", "sizes", "inner", "p",
+                          "seed"})
+
+
 def parse_gen_spec(spec: str) -> Graph:
-    """Build a graph from "kind:key=value,..." (e.g. gnp:n=1024,p=0.01)."""
+    """Build a graph from "kind:key=value,..." (e.g. gnp:n=1024,p=0.01).
+
+    Raises ValueError on an unknown key or a gnp spec without n.
+    """
     kind, _, rest = spec.partition(":")
+    allowed = _GNP_KEYS if kind == "gnp" else _FAMILY_KEYS
     kw: dict = {}
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
             key = key.strip()
+            if key not in allowed:
+                raise ValueError(f"--gen {kind}: unknown key {key!r}")
             if key == "sizes":
                 kw[key] = [int(x) for x in val.split("+")]
             elif key in ("p",):
@@ -75,6 +87,8 @@ def parse_gen_spec(spec: str) -> Graph:
             else:
                 kw[key] = int(val)
     if kind == "gnp":
+        if "n" not in kw:
+            raise ValueError("--gen gnp: missing n")
         return gen_gnp(kw["n"], kw.get("p", 0.5), kw.get("seed", 0))
     return gen_family(kind, **kw)
 
@@ -413,7 +427,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "audit":
             grid = [int(x) for x in args.n_grid.split(",")]
             return cmd_audit(cfg, grid)
-    except (ValueError, OSError) as exc:
+    except (BisqError, ValueError, OSError) as exc:
         print(f"bisq: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -10,7 +10,6 @@ neighbor candidate.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -66,15 +65,14 @@ class NeighborTable:
     pools: dict = field(default_factory=dict)   # (rep, cell) -> vertex pool
 
 
-def _group_cells(assignment_row: np.ndarray):
-    """Yield (cell_id, positions) for nonempty cells, cell id ascending."""
+def _group_cells(assignment_row: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(cell_id, positions) for nonempty cells, cell id ascending."""
     order = np.argsort(assignment_row, kind="stable")
     sorted_cells = assignment_row[order]
     boundaries = np.nonzero(np.diff(sorted_cells))[0] + 1
     starts = np.concatenate(([0], boundaries))
     ends = np.concatenate((boundaries, [sorted_cells.size]))
-    for s, e in zip(starts, ends):
-        yield int(sorted_cells[s]), order[s:e]
+    return [(int(sorted_cells[s]), order[s:e]) for s, e in zip(starts, ends)]
 
 
 def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
@@ -101,36 +99,38 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
     ns = NsParams.create(n, epsilon, params.deg_delta_inner(n), profile,
                          constants)
     full = bitset.full_words(n)
-    delta_ser = params.ser_delta(n, epsilon, constants)
-    ser_reps = max(1, math.ceil(
-        params.ser_reps(delta_ser, constants) * constants.ser_pool_scale))
+    ser_reps = params.ser_pool_reps(n, epsilon, constants)
 
     with oracle.round():
         for t in range(schedule.reps):
             planes = bitset.nested_rate_masks(
                 rng_for(seed, "deg-planes", t), full, ns.levels, ns.reps)
-            groups = list(_group_cells(schedule.assignment[t]))
-            parts = []
+            groups = _group_cells(schedule.assignment[t])
+            cell_rows = np.repeat(np.arange(len(groups)),
+                                  [positions.size for _, positions in groups])
+            cell_ids = members[np.concatenate(
+                [positions for _, positions in groups])]
+            lefts = bitset.pack_rows(n, cell_rows, cell_ids, len(groups))
+            bases = bitset.trim_tail(~lefts, n)
+            parts = list(zip(lefts, bases))
             recoveries = []
-            for cell_id, positions in groups:
-                ids = members[positions]
-                left = bitset.pack_indices(n, ids)
-                base = bitset.trim_tail(~left, n)
-                parts.append((left, base))
-                if extended:
+            if extended:
+                for (cell_id, _), left, base in zip(groups, lefts, bases):
                     recoveries.append(build_neighbor_recovery(
                         n, VertexSet(n, left), VertexSet(n, base), ser_reps,
                         (seed, "deg-ser", t, cell_id), tag=tag + "-ser"))
             plan = QueryPlan(n, [SharedSubsampleBlock(tag, planes, parts)])
             for rec in recoveries:
                 plan.add(rec.block)
-            answers = oracle.submit(plan)
-            ns_answers = answers[0].reshape(len(parts), ns.reps * ns.levels)
+            ns_answers, *ser_answers = oracle.submit(plan)
+            # (parts, levels, reps) copy: summing its contiguous last axis
+            # is ~2x faster than reducing the middle axis in place
+            level_counts = np.ascontiguousarray(
+                ns_answers.reshape(len(parts), ns.reps, ns.levels)
+                .transpose(0, 2, 1)).sum(axis=2, dtype=np.int64)
+            del ns_answers   # the largest array; free it before the next plan
             for gi, (cell_id, positions) in enumerate(groups):
-                counts = NsCounts(
-                    counts=ns_answers[gi].reshape(ns.reps, ns.levels)
-                    .sum(axis=0).astype(np.int64),
-                    reps=ns.reps)
+                counts = NsCounts(counts=level_counts[gi], reps=ns.reps)
                 try:
                     est = decode_ns(counts, ns)
                 except NsDecodeError:
@@ -141,7 +141,7 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                 t_min[positions[better]] = t
                 if extended:
                     pools[(t, cell_id)] = recoveries[gi].decode_pool(
-                        answers[1 + gi])
+                        ser_answers[gi])
 
     failed = ~np.isfinite(d_hat)
     d_hat[failed] = float(n)   # sentinel, flagged
@@ -200,9 +200,7 @@ def predict_sketch_queries(n: int, subset_size: int, epsilon: float, seed,
     ns_size = params.ns_plan_size(n, min(epsilon, 0.5),
                                   params.deg_delta_inner(n), profile,
                                   constants)
-    delta_ser = params.ser_delta(n, epsilon, constants)
-    ser_reps = max(1, math.ceil(
-        params.ser_reps(delta_ser, constants) * constants.ser_pool_scale))
+    ser_reps = params.ser_pool_reps(n, epsilon, constants)
     total = 0
     for t in range(schedule.reps):
         for _cell, positions in _group_cells(schedule.assignment[t]):

@@ -6,10 +6,12 @@ submitted in plans (batches of blocks); a plan built without looking at
 any prior answer costs one adaptivity round, which callers express with
 ``with oracle.round(): ...`` scopes.
 
-Blocks come in three shapes so the planners can hand over structured
-subsample masks instead of one row per query; evaluation is exact and
-equivalent to answering every materialized (L, R) row separately, which
-`iter_rows` exposes for verification.
+Blocks come in four types (explicit rows, one-left subsample masks,
+shared subsample planes for many parts, side-refined subsample masks) so
+the planners can hand over structured subsample masks instead of one row
+per query; evaluation is exact and equivalent to answering every
+materialized (L, R) row separately, which `iter_rows` exposes for
+verification.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import bitset
-from .errors import DisjointnessError
+from .errors import DisjointnessError, PlanError
 from .graph import Graph, VertexSet
 
 # below this support size the oracle answers from the support side,
@@ -168,55 +170,69 @@ class SubsampleBlock:
 class SharedSubsampleBlock:
     """Many (left, base) pairs sharing one stack of subsample planes.
 
-    ``planes`` has shape (reps, levels, w) over the full vertex domain;
+    ``planes`` has shape (reps, levels, w) over the full vertex domain and
+    must be nested within each repetition (level i+1 a subset of level i);
     the materialized row for part p is planes[r, i] & base_p.  Row index:
     p * reps * levels + r * levels + i.
+
+    Evaluation uses survival depths (the max-rank idea of Flajolet-Martin
+    and HyperLogLog): depth[u, r] is the deepest level whose plane holds
+    u, or -1.  Nesting makes u present at every level up to its depth, so
+    row (p, r, i) hits an edge iff the largest depth over part p's support
+    Gamma(left_p) ∩ base_p is at least i.  One max per (part, rep) answers
+    all of that repetition's levels.
     """
 
-    __slots__ = ("tag", "planes", "parts", "_planes_t")
+    __slots__ = ("tag", "planes", "parts")
 
     def __init__(self, tag: str, planes: np.ndarray,
                  parts: list[tuple[np.ndarray, np.ndarray]]):
         self.tag = tag
         self.planes = planes
         self.parts = parts
-        self._planes_t = None
 
     def n_queries(self) -> int:
         return len(self.parts) * self.planes.shape[0] * self.planes.shape[1]
 
     def validate(self) -> None:
+        if (self.planes[:, 1:] & ~self.planes[:, :-1]).any():
+            raise PlanError(
+                f"block {self.tag!r}: planes are not nested within a rep")
         for pi, (left, base) in enumerate(self.parts):
             if (left & base).any():
                 raise DisjointnessError(
                     f"block {self.tag!r}: part {pi} left overlaps base")
 
-    def planes_t(self) -> np.ndarray:
-        if self._planes_t is None:
-            self._planes_t = np.ascontiguousarray(
-                self.planes.transpose(2, 0, 1))
-        return self._planes_t
+    def _depth_table(self, n: int) -> np.ndarray:
+        """Survival depths, int8 of shape (n, reps); -1 where u is absent.
+
+        Built one level at a time, so the transient is reps x n bytes;
+        accumulating rep-major and transposing once is ~4x faster than
+        adding each level through a transposed view.
+        """
+        reps, levels, _ = self.planes.shape
+        depth = np.full((reps, n), -1, dtype=np.int8)
+        for i in range(levels):
+            held = np.unpackbits(self.planes[:, i].view(np.uint8), axis=1,
+                                 bitorder="little")[:, :n]
+            depth += held.view(np.int8)
+        return np.ascontiguousarray(depth.T)
 
     def evaluate(self, graph: Graph) -> np.ndarray:
         reps, levels, _ = self.planes.shape
-        out = np.empty((len(self.parts), reps * levels), dtype=np.uint8)
+        n = graph.n
+        top = np.full((len(self.parts), reps), -1, dtype=np.int8)
+        depth = None
         for pi, (left, base) in enumerate(self.parts):
             support = graph.neighborhood_words(
-                bitset.members(left, graph.n)) & base
-            n_sup = bitset.popcount(support)
-            if n_sup == 0:
-                out[pi] = 1
-            elif n_sup <= _SUPPORT_DENSE_CUTOFF:
-                ids = bitset.members(support, graph.n)
-                hit = np.zeros((reps, levels), dtype=bool)
-                pt = self.planes_t()
-                for u in ids:
-                    hit |= (pt[u >> 6] >> np.uint64(u & 63)) & np.uint64(1) != 0
-                out[pi] = (~hit).astype(np.uint8).ravel()
-            else:
-                hit = _subsample_hits(self.planes, support)
-                out[pi] = (~hit).astype(np.uint8).ravel()
-        return out.ravel()
+                bitset.members(left, n)) & base
+            ids = bitset.members(support, n)
+            if ids.size:
+                if depth is None:
+                    depth = self._depth_table(n)
+                top[pi] = depth[ids].max(axis=0)
+        level = np.arange(levels, dtype=np.int8)
+        return (level > top[:, :, None]).view(np.uint8).ravel()
 
     def row_words(self, part: int, rep: int, level: int) -> np.ndarray:
         return self.planes[rep, level] & self.parts[part][1]

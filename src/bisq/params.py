@@ -105,6 +105,12 @@ def ser_rows_per_rep(domain: int) -> int:
     return 2 * ser_bits(domain) + 2
 
 
+def ser_pool_reps(n: int, epsilon: float, constants: Constants) -> int:
+    """Recovery repetitions per degree-sketch cell, scaled for pool mode."""
+    base = ser_reps(ser_delta(n, epsilon, constants), constants)
+    return max(1, int(math.ceil(base * constants.ser_pool_scale)))
+
+
 def ser_plan_size(domain: int, delta: float, constants: Constants) -> int:
     return ser_levels(domain) * ser_reps(delta, constants) * ser_rows_per_rep(domain)
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from bisq.cli import main, parse_gen_spec
 
 
@@ -145,6 +147,21 @@ def test_bad_arguments_exit_nonzero():
     assert code == 2
     code2, _ = run_cli(["estimate"])   # no graph source
     assert code2 == 2
+
+
+def test_bad_inputs_exit_cleanly(tmp_path, capsys):
+    # bad graph inputs give one "bisq: ..." line and exit 2, no traceback
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1\nx y\n")
+    cases = [["--gen", "gnp:p=0.1"], ["--gen", "gnp:n=16,q=3"],
+             ["--gen", "star:n=5,seed=1,colour=red"], ["--graph", str(bad)]]
+    for source in cases:
+        code, _ = run_cli(["estimate"] + source)
+        assert code == 2, source
+        err = capsys.readouterr().err
+        assert err.startswith("bisq: ") and err.count("\n") == 1, err
+    with pytest.raises(ValueError, match="missing n"):
+        parse_gen_spec("gnp:p=0.1")
 
 
 def test_console_entry_point():

@@ -122,7 +122,7 @@ def test_bis_count_equals_phase_sum():
 
 def test_shared_planes_block_rows_match_single_queries():
     # the sketch's shared-plane blocks must answer exactly as their
-    # materialized (L, R) rows would, across both evaluation strategies
+    # materialized (L, R) rows would, on sparse and dense supports
     from bisq import bitset
     from bisq.oracle import SharedSubsampleBlock
 
@@ -142,6 +142,66 @@ def test_shared_planes_block_rows_match_single_queries():
             expect = fresh.bis(VertexSet(96, lw.copy()),
                                VertexSet(96, rw.copy()))
             assert int(ans) == expect
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(65, 200), st.floats(0.0, 0.5), st.integers(1, 4),
+       st.integers(1, 7), st.integers(0, 3), st.integers(0, 10 ** 6))
+def test_shared_depth_kernel_matches_single_queries(n, p, reps, levels,
+                                                    extra, seed):
+    # n past a word boundary leaves tail bits; level 0 is a random subset,
+    # so some vertices have depth -1.  Part 0 is an isolated vertex (empty
+    # support); part 1 is a hub adjacent to all but it (support > 48).
+    from bisq import bitset
+    from bisq.oracle import SharedSubsampleBlock
+
+    rng = rng_for("depth-kernel", seed)
+    iso, hub = rng.choice(n, size=2, replace=False)
+    edges = [(u, v) for u, v in gen_gnp(n, p, seed).edges()
+             if iso not in (u, v)]
+    edges += [(hub, v) for v in range(n) if v not in (hub, iso)]
+    g = Graph.from_edges(n, edges)
+    plane0 = bitset.pack_indices(n, np.nonzero(rng.random(n) < 0.9)[0])
+    planes = bitset.nested_rate_masks(rng, plane0, levels, reps)
+    parts = []
+    for left_ids in ([iso], [hub]):
+        left = bitset.pack_indices(n, left_ids)
+        parts.append((left, bitset.trim_tail(~left, n)))
+    for _ in range(extra):
+        side = rng.integers(0, 3, size=n)   # 0: left, 1: base, 2: neither
+        parts.append((bitset.pack_indices(n, np.nonzero(side == 0)[0]),
+                      bitset.pack_indices(n, np.nonzero(side == 1)[0])))
+    block = SharedSubsampleBlock("t", planes, parts)
+    o = BisOracle(g)
+    answers = o.submit(QueryPlan(n, [block]))[0]
+    assert o.ledger.bis_count == block.n_queries() == answers.size
+    assert o.ledger.phases == {"t": block.n_queries()}
+    assert answers[:reps * levels].all()   # empty support never hits
+    hub_support = g.neighborhood_words(np.array([hub])) & parts[1][1]
+    assert bitset.popcount(hub_support) > 48
+    fresh = BisOracle(g)
+    for ans, (lw, rw) in zip(answers, block.iter_rows()):
+        assert int(ans) == fresh.bis(VertexSet(n, lw.copy()),
+                                     VertexSet(n, rw.copy()))
+
+
+def test_shared_block_rejects_unnested_planes():
+    from bisq import bitset
+    from bisq.errors import PlanError
+    from bisq.oracle import SharedSubsampleBlock
+
+    n = 70
+    planes = bitset.nested_rate_masks(rng_for("unnested"),
+                                      bitset.full_words(n), 3, 2)
+    planes[1, 0] &= ~bitset.pack_indices(n, [66])
+    planes[1, 2] |= bitset.pack_indices(n, [66])
+    left = bitset.pack_indices(n, [0])
+    block = SharedSubsampleBlock("t", planes,
+                                 [(left, bitset.trim_tail(~left, n))])
+    o = BisOracle(gen_gnp(n, 0.1, seed=1))
+    with pytest.raises(PlanError):
+        o.submit(QueryPlan(n, [block]))
+    assert o.ledger.bis_count == 0
 
 
 def test_or_query_via_bis():
