@@ -5,7 +5,7 @@ exact query and adaptivity-round accounting."""
 from .graph import (Graph, VertexSet, exact_connected, exact_components,
                     exact_neighborhood_size, gen_family, gen_gnp,
                     load_edge_list, dump_edge_list)
-from .oracle import BisOracle, QueryLedger, QueryPlan, or_query_via_bis
+from .oracle import BisOracle, QueryLedger, QueryPlan
 from .params import Constants, FAST, PAPER
 from .nbr_size import NsParams, NsCounts, plan_ns, decode_ns, estimate_ns
 from .element_recovery import (SerPlan, SerOutcome, plan_ser, decode_ser,
@@ -17,7 +17,7 @@ from .edge_estimator import (LevelSchedule, LevelSamples, AnalysisOracle,
                              build_schedule, draw_levels, coarse_estimate,
                              refine, estimate_edges, run_pipeline)
 from .edge_sampler import SamplerOutput, sample_edge, sample_edges_batch
-from .connectivity import (SuperGraph, contract, is_connected,
-                           round1_neighbor_sampling, supergraph_oracle)
+from .connectivity import (SuperGraph, SupernodeOracle, contract,
+                           is_connected, round1_neighbor_sampling)
 
 __version__ = "0.1.0"

@@ -25,23 +25,11 @@ def ser_planned_queries(domain: int, delta: float,
     return params.ser_plan_size(domain, delta, constants)
 
 
-def _nominal_schedule(n: int, epsilon: float, profile: str):
-    if profile == params.PAPER:
-        eps_scaled = epsilon / (600.0 * math.log(params.log2_raw(n))
-                                / math.log(1.0 / epsilon))
-    else:
-        eps_scaled = epsilon
-    gamma = 1.0 / (1.0 - eps_scaled)
-    buckets = max(1, int(math.ceil(2.0 / eps_scaled)))
-    top = int(math.ceil(math.log(n) / math.log(gamma) / buckets)) + 1
-    return eps_scaled, top
-
-
 def estimator_planned_queries(n: int, epsilon: float,
                               profile: str = params.PAPER,
                               constants: Constants = Constants()) -> int:
     """Nominal estimator plan size: levels x reps x cells x inner NS plan."""
-    eps_scaled, top = _nominal_schedule(n, epsilon, profile)
+    eps_scaled, _, _, top = params.level_ladder(n, epsilon, profile)
     reps = params.deg_reps(n)
     cells = params.deg_parts(n, eps_scaled, False, constants)
     inner = params.ns_plan_size(n, min(eps_scaled, 0.5),
@@ -111,9 +99,7 @@ def ratio_band(rows: list[AuditRow]) -> float:
 
 def round1_planned_queries(n: int, constants: Constants = Constants()) -> int:
     """Dry-run size of the connectivity round-1 recovery plan."""
-    target = params.neighbor_sample_target(n, constants)
-    delta = 1.0 / max(2, n) ** 4
-    reps = max(params.ser_reps(delta, constants), target)
+    reps = params.round1_reps(n, constants)
     domain = n - 1
     return n * params.ser_levels(domain) * reps * params.ser_rows_per_rep(domain)
 

@@ -3,24 +3,24 @@
 Round 1 recovers a pool of uniform neighbors per vertex and contracts the
 connected components of the recovered edges into supernodes.  If more
 than one supernode remains, round 2 runs the near-uniform edge sampler on
-the contracted graph (queryable through the same oracle by expanding
-supernodes to their blocks) and unions the sampled superedges.  Recovered
-edges are always real edges, so a "disconnected" verdict is never wrong;
-only "connected" can be missed.
+the contracted graph and unions the sampled superedges.  The contracted
+graph has one vertex per supernode and a superedge wherever a base edge
+joins two blocks; round 2 queries it through a plain oracle on the base
+ledger.  Intra-block edges never cross a cut between supernode sets, so
+its answers are exactly the base oracle's on the expanded sets.
+Recovered edges are always real edges, so a "disconnected" verdict is
+never wrong; only "connected" can be missed.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 import numpy as np
 
 from . import bitset, params
 from .edge_sampler import OK, sample_edges_batch
 from .element_recovery import build_neighbor_recovery
-from .graph import VertexSet
-from .oracle import (BisOracle, DenseBlock, QueryLedger, QueryPlan,
-                     SharedSubsampleBlock, SidesSubsampleBlock,
-                     SubsampleBlock)
+from .graph import Graph, VertexSet
+from .oracle import BisOracle, QueryPlan
 from .params import Constants
 
 
@@ -65,8 +65,7 @@ def round1_neighbor_sampling(oracle: BisOracle, seed,
     """
     n = oracle.n
     target = params.neighbor_sample_target(n, constants)
-    delta = 1.0 / max(2, n) ** 4
-    reps = max(params.ser_reps(delta, constants), target)
+    reps = params.round1_reps(n, constants)
     full = VertexSet.full(n)
     edges: set = set()
     recs = []
@@ -107,92 +106,47 @@ def contract(edges: set, n: int) -> SuperGraph:
                       blocks=[np.array(b, dtype=np.int64) for b in blocks])
 
 
-class SupernodeOracle:
-    """Oracle over the contracted graph, answered by the base oracle.
+def contracted_graph(graph: Graph, sg: SuperGraph) -> Graph:
+    """The p-vertex graph with superedge (a, b) iff a base edge joins the
+    blocks of a and b; intra-block edges become self-loops and are dropped.
 
-    A supernode-set query expands each side to the union of its blocks;
-    blocks are disjoint and intra-block edges never cross the cut, so the
-    translated answer is exact.  Queries charge the base ledger.
+    Rows are ORed per block over the rows sorted by supernode, then the
+    unpacked (p, n) bits are ORed per block over the columns, so the
+    transient is p x n bytes.
+    """
+    p = sg.p
+    order = np.concatenate(sg.blocks)
+    starts = np.cumsum([0] + [b.size for b in sg.blocks[:-1]])
+    rows = np.bitwise_or.reduceat(graph.adj_words[order], starts, axis=0)
+    bits = np.unpackbits(rows.view(np.uint8), axis=1,
+                         bitorder="little")[:, :sg.n]
+    adj = np.logical_or.reduceat(bits[:, order], starts, axis=1)
+    np.fill_diagonal(adj, False)
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    words = np.zeros((p, bitset.word_count(p) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return Graph(p, words.view(np.uint64))
+
+
+class SupernodeOracle(BisOracle):
+    """Round-2 oracle: a plain BisOracle over the contracted graph.
+
+    Blocks are disjoint and intra-block edges never cross a cut between
+    supernode sets, so a supernode query (L, R) has a crossing edge in the
+    base graph iff it has a superedge in the contracted graph: answers
+    equal those of the base oracle on L and R expanded to their blocks.
+    Each supernode query is charged as one query on the base ledger; the
+    round scope is this oracle's own, so a plan submitted after round 1
+    closed costs one further round.  The contraction uses only the
+    algorithm's own round-1 partition.
     """
 
     def __init__(self, base: BisOracle, sg: SuperGraph):
-        self.base = base
-        self.sg = sg
-        self.n = sg.p
-        w_base = bitset.word_count(sg.n)
-        self.block_words = np.zeros((sg.p, w_base), dtype=np.uint64)
-        for sid, block in enumerate(sg.blocks):
-            self.block_words[sid] = bitset.pack_indices(sg.n, block)
-
-    @property
-    def ledger(self) -> QueryLedger:
-        return self.base.ledger
-
-    @contextmanager
-    def round(self):
-        with self.base.round():
-            yield self
-
-    def _expand_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Translate packed supernode masks to packed base-vertex masks."""
-        p = self.sg.p
-        flags = np.unpackbits(rows.view(np.uint8), axis=1,
-                              bitorder="little")[:, :p]
-        out = np.zeros((rows.shape[0], self.block_words.shape[1]),
-                       dtype=np.uint64)
-        for i in range(rows.shape[0]):
-            sel = np.nonzero(flags[i])[0]
-            if sel.size:
-                out[i] = np.bitwise_or.reduce(self.block_words[sel], axis=0)
-        return out
-
-    def _translate_block(self, block):
-        if isinstance(block, DenseBlock):
-            return DenseBlock(block.tag, self._expand_rows(block.left),
-                              self._expand_rows(block.right),
-                              block.rows_per_group)
-        if isinstance(block, SubsampleBlock):
-            reps, levels, _ = block.masks.shape
-            rows = self._expand_rows(block.masks.reshape(reps * levels, -1))
-            left = self._expand_rows(block.left[None, :])[0]
-            base = self._expand_rows(block.base[None, :])[0]
-            return SubsampleBlock(block.tag, left, base,
-                                  rows.reshape(reps, levels, -1))
-        if isinstance(block, SidesSubsampleBlock):
-            reps, levels, _ = block.masks.shape
-            rows = self._expand_rows(block.masks.reshape(reps * levels, -1))
-            return SidesSubsampleBlock(
-                block.tag,
-                self._expand_rows(block.left[None, :])[0],
-                self._expand_rows(block.base[None, :])[0],
-                rows.reshape(reps, levels, -1),
-                self._expand_rows(block.sides))
-        if isinstance(block, SharedSubsampleBlock):
-            reps, levels, _ = block.planes.shape
-            planes = self._expand_rows(block.planes.reshape(reps * levels, -1))
-            parts = [(self._expand_rows(l[None, :])[0],
-                      self._expand_rows(b[None, :])[0])
-                     for l, b in block.parts]
-            return SharedSubsampleBlock(
-                block.tag, planes.reshape(reps, levels, -1), parts)
-        raise TypeError(f"cannot translate block type {type(block)!r}")
+        super().__init__(contracted_graph(base.graph, sg), base.ledger)
 
     def submit(self, plan: QueryPlan) -> list[np.ndarray]:
-        plan.validate()   # contract checked in supernode space
-        translated = QueryPlan(self.sg.n,
-                               [self._translate_block(b) for b in plan.blocks])
-        return self.base.submit(translated)
-
-    def bis(self, left: VertexSet, right: VertexSet, tag: str = "sup") -> int:
-        base_l = VertexSet(self.sg.n,
-                           self._expand_rows(left.words[None, :])[0])
-        base_r = VertexSet(self.sg.n,
-                           self._expand_rows(right.words[None, :])[0])
-        return self.base.bis(base_l, base_r, tag=tag)
-
-
-def supergraph_oracle(base: BisOracle, sg: SuperGraph) -> SupernodeOracle:
-    return SupernodeOracle(base, sg)
+        # its own entry point, so round-2 batches can be timed apart
+        return super().submit(plan)
 
 
 @dataclass
@@ -225,7 +179,7 @@ def is_connected(oracle: BisOracle, seed,
                                   rounds=delta["round_count"],
                                   bis_count=delta["bis_count"],
                                   round1_edges=len(edges))
-    sup = supergraph_oracle(oracle, sg)
+    sup = SupernodeOracle(oracle, sg)
     k = params.superedge_sample_count(n, constants)
     outputs = sample_edges_batch(sup, k, epsilon, (seed, "round2"),
                                  profile, constants)

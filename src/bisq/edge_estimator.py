@@ -73,15 +73,8 @@ def build_schedule(n: int, epsilon: float, seed, profile: str = params.FAST,
         raise ValueError("epsilon must lie in (0, 1/2]")
     if n < 2:
         raise ValueError("n must be >= 2")
-    if profile == params.PAPER:
-        eps_scaled = epsilon / (600.0 * math.log(params.log2_raw(n))
-                                / math.log(1.0 / epsilon))
-    else:
-        eps_scaled = epsilon   # documented fast-profile deviation
-    gamma = 1.0 / (1.0 - eps_scaled)
-    buckets = max(1, int(math.ceil(2.0 / eps_scaled)))
+    eps_scaled, gamma, buckets, top = params.level_ladder(n, epsilon, profile)
     shift = int(rng_for(seed, "shift").integers(0, buckets))
-    top = int(math.ceil(math.log(n) / math.log(gamma) / buckets)) + 1
     return LevelSchedule(n=n, epsilon_input=epsilon, eps_scaled=eps_scaled,
                          gamma=gamma, buckets=buckets, shift=shift,
                          top_level=top, profile=profile)
@@ -127,20 +120,18 @@ def coarse_estimate(oracle: BisOracle, seed, tag: str = "coarse") -> float:
     b_words = bitset.trim_tail(~a_words.copy(), n)
     n_rates = params.coarse_rate_count(n)
     reps = params.coarse_reps(n)
-    lefts = np.empty((n_rates * reps, a_words.size), dtype=np.uint64)
+    w = a_words.size
+    lefts = np.empty((n_rates, reps, w), dtype=np.uint64)
     rights = np.empty_like(lefts)
-    row = 0
     for i in range(n_rates):
+        # per repetition, `half` plane pairs thin A and B alternately; one
+        # draw per rate consumes the stream in the row-by-row order
         half = (i + 1) // 2
-        for _ in range(reps):
-            la, lb = a_words, b_words
-            for _k in range(half):
-                la = la & bitset.random_planes(rng, a_words.size)
-                lb = lb & bitset.random_planes(rng, a_words.size)
-            lefts[row] = la
-            rights[row] = lb
-            row += 1
-    plan = QueryPlan(n, [DenseBlock(tag, lefts, rights, rows_per_group=1)])
+        planes = bitset.random_planes(rng, (reps, half, 2, w))
+        lefts[i] = a_words & np.bitwise_and.reduce(planes[:, :, 0], axis=1)
+        rights[i] = b_words & np.bitwise_and.reduce(planes[:, :, 1], axis=1)
+    plan = QueryPlan(n, [DenseBlock(tag, lefts.reshape(-1, w),
+                                    rights.reshape(-1, w), rows_per_group=1)])
     answers = oracle.submit(plan)[0].reshape(n_rates, reps)
     edge_freq = 1.0 - answers.mean(axis=1)
     hits = np.nonzero(edge_freq >= 0.5)[0]

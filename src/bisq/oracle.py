@@ -400,11 +400,3 @@ class BisOracle:
         self.ledger.charge(tag, 1, batches=1, rounds=rounds)
         return answer
 
-
-def or_query_via_bis(oracle: BisOracle, left: VertexSet,
-                     r_subset: VertexSet, tag: str = "or") -> int:
-    """Edge-subset OR query for pairs L x R_subset, as exactly one query.
-
-    Returns 1 iff Gamma(L) ∩ R_subset is empty.
-    """
-    return oracle.bis(left, r_subset, tag=tag)

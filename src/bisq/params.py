@@ -115,6 +115,26 @@ def ser_plan_size(domain: int, delta: float, constants: Constants) -> int:
     return ser_levels(domain) * ser_reps(delta, constants) * ser_rows_per_rep(domain)
 
 
+# -- edge-estimator level ladder -------------------------------------------
+
+def level_ladder(n: int, epsilon: float,
+                 profile: str) -> tuple[float, float, int, int]:
+    """Scaled epsilon, gamma, bucket count B and top level L of the ladder.
+
+    The paper profile rescales epsilon by its loglog factor; the fast
+    profile uses epsilon as given (a documented deviation).
+    """
+    if profile == PAPER:
+        eps_scaled = epsilon / (600.0 * math.log(log2_raw(n))
+                                / math.log(1.0 / epsilon))
+    else:
+        eps_scaled = epsilon
+    gamma = 1.0 / (1.0 - eps_scaled)
+    buckets = max(1, int(math.ceil(2.0 / eps_scaled)))
+    top = int(math.ceil(math.log(n) / math.log(gamma) / buckets)) + 1
+    return eps_scaled, gamma, buckets, top
+
+
 # -- coarse whole-graph bootstrap --------------------------------------------
 
 def coarse_rate_count(n: int) -> int:
@@ -133,6 +153,12 @@ def coarse_plan_size(n: int) -> int:
 
 def neighbor_sample_target(n: int, constants: Constants) -> int:
     return int(math.ceil(constants.c_nb * log2_raw(n) ** 2))
+
+
+def round1_reps(n: int, constants: Constants) -> int:
+    """Recovery repetitions per vertex in connectivity round 1."""
+    delta = 1.0 / max(2, n) ** 4
+    return max(ser_reps(delta, constants), neighbor_sample_target(n, constants))
 
 
 def superedge_sample_count(n: int, constants: Constants) -> int:

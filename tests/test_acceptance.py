@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from bisq import (BisOracle, VertexSet, contract, estimate_degrees,
-                  estimate_ns, exact_connected, exact_neighborhood_size,
-                  gen_family, gen_gnp, is_connected, run_pipeline,
-                  sample_edges_batch, supergraph_oracle)
+from bisq import (BisOracle, SupernodeOracle, VertexSet, contract,
+                  estimate_degrees, estimate_ns, exact_connected,
+                  exact_neighborhood_size, gen_family, gen_gnp,
+                  is_connected, run_pipeline, sample_edges_batch)
 from bisq import audit
 from bisq.edge_sampler import OK
 from bisq.element_recovery import answer_plan, decode_ser, plan_ser
@@ -327,7 +327,7 @@ def test_criterion_10_oracle_equivalence():
     sample = {all_edges[i] for i in rng.choice(len(all_edges), size=25,
                                                replace=False)}
     sg = contract(sample, g.n)
-    sup = supergraph_oracle(BisOracle(g), sg)
+    sup = SupernodeOracle(BisOracle(g), sg)
     explicit = set()
     for u, v in all_edges:
         a, b = int(sg.supernode_of[u]), int(sg.supernode_of[v])

@@ -1,6 +1,12 @@
-from bisq import (BisOracle, VertexSet, contract, exact_connected,
-                  gen_family, gen_gnp, is_connected,
-                  round1_neighbor_sampling, supergraph_oracle)
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from bisq import (BisOracle, QueryPlan, SupernodeOracle, VertexSet, contract,
+                  exact_connected, gen_family, gen_gnp, is_connected,
+                  round1_neighbor_sampling)
+from bisq import bitset
+from bisq.oracle import (DenseBlock, SharedSubsampleBlock,
+                         SidesSubsampleBlock, SubsampleBlock)
 from bisq.params import Constants
 from bisq.seeding import rng_for
 
@@ -50,7 +56,7 @@ def test_supergraph_oracle_matches_explicit_superedges():
     sample = {all_edges[i] for i in rng.choice(len(all_edges), size=60,
                                                replace=False)}
     sg = contract(sample, g.n)
-    sup = supergraph_oracle(BisOracle(g), sg)
+    sup = SupernodeOracle(BisOracle(g), sg)
     explicit = set()
     for u, v in all_edges:
         a, b = int(sg.supernode_of[u]), int(sg.supernode_of[v])
@@ -75,7 +81,7 @@ def test_supergraph_oracle_matches_explicit_superedges():
 def test_supergraph_adjacent_and_nonadjacent():
     g = gen_family("components", k=2, sizes=[4, 4], inner="clique")
     sg = contract({(0, 1), (4, 5)}, 8)
-    sup = supergraph_oracle(BisOracle(g), sg)
+    sup = SupernodeOracle(BisOracle(g), sg)
     a = int(sg.supernode_of[0])
     b = int(sg.supernode_of[4])
     # the two contracted pairs live in different real components
@@ -84,6 +90,73 @@ def test_supergraph_adjacent_and_nonadjacent():
     c = int(sg.supernode_of[2])
     assert sup.bis(VertexSet.from_indices(sg.p, [a]),
                    VertexSet.from_indices(sg.p, [c])) == 0
+
+
+def _disjoint_pair(rng, p):
+    """Random disjoint (left, right) masks over 0..p-1."""
+    side = rng.integers(0, 3, size=p)
+    return (bitset.pack_indices(p, np.nonzero(side == 0)[0]),
+            bitset.pack_indices(p, np.nonzero(side == 1)[0]))
+
+
+def _supernode_plan(rng, p, reps, levels):
+    """One block of each type, in supernode space."""
+    w = bitset.word_count(p)
+    groups = [_disjoint_pair(rng, p) for _ in range(3)]
+    lefts = np.array([left for left, _ in groups])
+    rights = np.array([right & bitset.random_planes(rng, w)
+                       for _, right in groups for _ in range(2)])
+    left, base = _disjoint_pair(rng, p)
+    masks = bitset.nested_rate_masks(rng, base, levels, reps)
+    planes = bitset.nested_rate_masks(rng, bitset.full_words(p), levels, reps)
+    sides = bitset.trim_tail(bitset.random_planes(rng, (4, w)), p)
+    return QueryPlan(p, [
+        DenseBlock("dense", lefts, rights, rows_per_group=2),
+        SubsampleBlock("sub", left, base, masks),
+        SharedSubsampleBlock("shared", planes,
+                             [_disjoint_pair(rng, p) for _ in range(3)]),
+        SidesSubsampleBlock("sides", left, base, masks, sides)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(20, 150), st.floats(0.02, 0.3), st.floats(0.0, 1.0),
+       st.integers(1, 3), st.integers(1, 4), st.integers(0, 10 ** 6))
+def test_contracted_oracle_matches_base_on_expanded_rows(n, density, kept,
+                                                        reps, levels, seed):
+    g = gen_gnp(n, density, seed)
+    rng = rng_for(("contracted", seed))
+    all_edges = g.edges()
+    size = int(kept * len(all_edges))
+    sample = {all_edges[i] for i in rng.choice(len(all_edges), size=size,
+                                               replace=False)}
+    sg = contract(sample, n)
+    base = BisOracle(g)
+    sup = SupernodeOracle(base, sg)
+    assert sup.ledger is base.ledger
+    plan = _supernode_plan(rng, sg.p, reps, levels)
+    before = base.ledger.snapshot()
+    answers = np.concatenate(sup.submit(plan))
+    delta = base.ledger.delta(before)
+    assert delta["bis_count"] == plan.size() == answers.size
+    assert delta["batch_count"] == 1 and delta["round_count"] == 1
+    assert delta["phases"] == plan.phase_counts()
+
+    def expand(mask):
+        ids = bitset.members(mask, sg.p)
+        return VertexSet.from_indices(
+            n, np.nonzero(np.isin(sg.supernode_of, ids))[0])
+
+    truth = BisOracle(g)
+    expect = [truth.bis(expand(left), expand(right))
+              for left, right in plan.iter_rows()]
+    assert answers.tolist() == expect
+
+
+def test_contracted_graph_without_recovered_edges_is_the_base_graph():
+    g = gen_gnp(70, 0.1, seed=13)
+    sup = SupernodeOracle(BisOracle(g), contract(set(), g.n))
+    assert sup.n == g.n
+    assert np.array_equal(sup.graph.adj_words, g.adj_words)
 
 
 def test_connected_path():
@@ -100,7 +173,8 @@ def test_disconnected_components_every_seed():
         o = BisOracle(g)
         rep = is_connected(o, seed=("dis", seed), constants=CONN_C)
         assert not rep.connected
-        assert rep.rounds <= 2
+        # round 1 leaves at least two supernodes, so round 2 always runs
+        assert rep.rounds == 2 and o.ledger.round_count == 2
 
 
 def test_complete_graph_one_round():

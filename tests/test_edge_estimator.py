@@ -6,10 +6,13 @@ import pytest
 from bisq import (AnalysisOracle, BisOracle, build_schedule,
                   coarse_estimate, draw_levels, estimate_edges, gen_family,
                   gen_gnp, refine, run_pipeline)
+from bisq import bitset, params
 from bisq.degree_est import DegreeTable
-from bisq.edge_estimator import recovery_threshold, refine_pass_count
+from bisq.edge_estimator import (_pack_bool, recovery_threshold,
+                                 refine_pass_count)
 from bisq.graph import Graph
 from bisq.params import Constants, FAST, PAPER
+from bisq.seeding import rng_for
 
 EST_C = Constants(c_T=8.0, c2=4.0, c_lambda=4.0)
 
@@ -94,6 +97,35 @@ def test_coarse_sandwich_gnp():
         if g.m <= m0 <= 64 * math.log2(1024) ** 2 * g.m:
             ok += 1
     assert ok >= 38
+
+
+def test_coarse_plan_matches_row_by_row_draws():
+    # reference: one w-word plane per draw, row by row, alternating A and B
+    class PlanRecorder:
+        n = 130
+
+        def submit(self, plan):
+            self.plan = plan
+            return [np.ones(plan.size(), dtype=np.uint8)]
+
+    rec = PlanRecorder()
+    coarse_estimate(rec, seed=3)
+    block = rec.plan.blocks[0]
+    n = rec.n
+    rng = rng_for(3, "coarse")
+    a_words = _pack_bool(rng.random(n) < 0.5)
+    b_words = bitset.trim_tail(~a_words.copy(), n)
+    row = 0
+    for i in range(params.coarse_rate_count(n)):
+        for _ in range(params.coarse_reps(n)):
+            la, lb = a_words, b_words
+            for _k in range((i + 1) // 2):
+                la = la & bitset.random_planes(rng, a_words.size)
+                lb = lb & bitset.random_planes(rng, a_words.size)
+            assert np.array_equal(block.left[row], la)
+            assert np.array_equal(block.right[row], lb)
+            row += 1
+    assert row == block.n_queries()
 
 
 def _empty_tables(n, schedule):

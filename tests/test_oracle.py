@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisq import (BisOracle, Graph, QueryPlan, VertexSet, gen_gnp,
-                  exact_neighborhood_size, or_query_via_bis)
+                  exact_neighborhood_size)
 from bisq.errors import DisjointnessError
 from bisq.graph import gen_family
 from bisq.oracle import DenseBlock
@@ -208,8 +208,8 @@ def test_or_query_via_bis():
     g = gen_family("star", n=5)
     o = BisOracle(g)
     L = VertexSet.from_indices(5, [0])
-    assert or_query_via_bis(o, L, VertexSet.from_indices(5, [1, 2])) == 0
-    assert or_query_via_bis(o, L, VertexSet.empty(5)) == 1
+    assert o.bis(L, VertexSet.from_indices(5, [1, 2]), tag="or") == 0
+    assert o.bis(L, VertexSet.empty(5), tag="or") == 1
     assert o.ledger.bis_count == 2  # exactly one query each
 
 
