@@ -59,6 +59,15 @@ def pack_rows(n: int, rows: np.ndarray, indices: np.ndarray,
     return words
 
 
+def pack_bool(flags: np.ndarray) -> np.ndarray:
+    """Packed words of boolean flags over the last axis, tail bits zero."""
+    packed = np.packbits(flags, axis=-1, bitorder="little")
+    words = np.zeros(packed.shape[:-1] + (word_count(flags.shape[-1]) * 8,),
+                     dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view(np.uint64)
+
+
 def members(words: np.ndarray, n: int) -> np.ndarray:
     """Sorted array of set bit positions below n."""
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")[:n]

@@ -106,14 +106,8 @@ def load_graph(cfg: RunConfig) -> Graph:
 # per-trial workers (module level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-def _rebuild(payload) -> Graph:
-    n, edges = payload
-    return Graph.from_edges(n, [tuple(e) for e in edges])
-
-
 def _estimate_trial(args):
-    payload, cfg, i = args
-    g = _rebuild(payload)
+    g, cfg, i = args
     oracle = BisOracle(g)
     result = run_pipeline(oracle, cfg.epsilon, (cfg.seed, "trial", i),
                           cfg.profile, cfg.constants)
@@ -137,8 +131,7 @@ def _estimate_trial(args):
 
 
 def _sample_trial(args):
-    payload, cfg, i = args
-    g = _rebuild(payload)
+    g, cfg, i = args
     oracle = BisOracle(g)
     outputs = sample_edges_batch(oracle, cfg.count, cfg.epsilon,
                                  (cfg.seed, "trial", i), cfg.profile,
@@ -175,8 +168,7 @@ def _sample_trial(args):
 
 
 def _connectivity_trial(args):
-    payload, cfg, i = args
-    g = _rebuild(payload)
+    g, cfg, i = args
     oracle = BisOracle(g)
     rep = is_connected(oracle, (cfg.seed, "trial", i), cfg.constants,
                        cfg.epsilon, cfg.profile)
@@ -192,8 +184,8 @@ def _connectivity_trial(args):
     return rec
 
 
-def _run_trials(fn, payload, cfg: RunConfig):
-    jobs = [(payload, cfg, i) for i in range(cfg.trials)]
+def _run_trials(fn, g: Graph, cfg: RunConfig):
+    jobs = [(g, cfg, i) for i in range(cfg.trials)]
     workers = int(os.environ.get("BISQ_THREADS", "1"))
     if workers > 1 and cfg.trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -249,8 +241,7 @@ def cmd_generate(args) -> int:
 
 def cmd_estimate(cfg: RunConfig) -> int:
     g = load_graph(cfg)
-    payload = (g.n, g.edges())
-    records = _run_trials(_estimate_trial, payload, cfg)
+    records = _run_trials(_estimate_trial, g, cfg)
     lines = [_dump(r) for r in records]
     summary = {"command": "estimate", "trials": cfg.trials,
                "mean_bis_count": float(np.mean([r["bis_count"] for r in records])),
@@ -269,8 +260,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 def cmd_sample(cfg: RunConfig) -> int:
     g = load_graph(cfg)
-    payload = (g.n, g.edges())
-    results = _run_trials(_sample_trial, payload, cfg)
+    results = _run_trials(_sample_trial, g, cfg)
     lines = []
     summaries = []
     for samples, summary in results:
@@ -298,8 +288,7 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def cmd_connectivity(cfg: RunConfig) -> int:
     g = load_graph(cfg)
-    payload = (g.n, g.edges())
-    records = _run_trials(_connectivity_trial, payload, cfg)
+    records = _run_trials(_connectivity_trial, g, cfg)
     lines = [_dump(r) for r in records]
     summary = {"command": "connectivity", "trials": cfg.trials,
                "mean_bis_count": float(np.mean(

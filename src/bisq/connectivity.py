@@ -122,10 +122,7 @@ def contracted_graph(graph: Graph, sg: SuperGraph) -> Graph:
                          bitorder="little")[:, :sg.n]
     adj = np.logical_or.reduceat(bits[:, order], starts, axis=1)
     np.fill_diagonal(adj, False)
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    words = np.zeros((p, bitset.word_count(p) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return Graph(p, words.view(np.uint64))
+    return Graph(p, bitset.pack_bool(adj))
 
 
 class SupernodeOracle(BisOracle):

@@ -88,16 +88,8 @@ def draw_levels(n: int, schedule: LevelSchedule, seed) -> LevelSamples:
     for j in range(1, schedule.top_level + 1):
         step = schedule.rate(1) if j == 1 else schedule.gamma ** -schedule.buckets
         current = current & (rng.random(n) < step)
-        sets.append(VertexSet(n, bitset.trim_tail(_pack_bool(current), n)))
+        sets.append(VertexSet(n, bitset.pack_bool(current)))
     return LevelSamples(sets=sets)
-
-
-def _pack_bool(flags: np.ndarray) -> np.ndarray:
-    packed = np.packbits(flags, bitorder="little")
-    pad = bitset.word_count(flags.size) * 8 - packed.size
-    if pad:
-        packed = np.pad(packed, (0, pad))
-    return packed.view(np.uint64).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +108,7 @@ def coarse_estimate(oracle: BisOracle, seed, tag: str = "coarse") -> float:
     n = oracle.n
     rng = rng_for(seed, "coarse")
     side_a = rng.random(n) < 0.5
-    a_words = _pack_bool(side_a)
+    a_words = bitset.pack_bool(side_a)
     b_words = bitset.trim_tail(~a_words.copy(), n)
     n_rates = params.coarse_rate_count(n)
     reps = params.coarse_reps(n)
@@ -305,15 +297,6 @@ def estimate_edges(oracle: BisOracle, epsilon: float, seed,
                    constants: Constants = Constants()) -> float:
     """Non-adaptive edge-count estimate; one adaptivity round."""
     return run_pipeline(oracle, epsilon, seed, profile, constants).m_hat
-
-
-def estimate_edges_median(oracle: BisOracle, epsilon: float, seed,
-                          runs: int, profile: str = params.FAST,
-                          constants: Constants = Constants()) -> float:
-    """Median of independent runs (success amplification; off by default)."""
-    values = [estimate_edges(oracle, epsilon, (seed, "amplify", i), profile,
-                             constants) for i in range(runs)]
-    return float(np.median(values))
 
 
 # ---------------------------------------------------------------------------

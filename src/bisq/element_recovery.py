@@ -35,18 +35,14 @@ def _side_masks(domain: int, positions_words_n: int,
     ``position_ids[k]`` is the word-space id carrying domain index k.
     """
     bits = params.ser_bits(domain)
-    w = bitset.word_count(positions_words_n)
-    sides = np.empty((2 * bits + 2, w), dtype=np.uint64)
-    full = bitset.pack_indices(positions_words_n, position_ids)
-    sides[0] = full
-    idx = np.arange(domain, dtype=np.int64)
-    for b in range(bits):
-        hi = (idx >> b) & 1 == 1
-        sides[1 + b] = bitset.pack_indices(positions_words_n, position_ids[hi])
-        sides[1 + bits + b] = bitset.pack_indices(
-            positions_words_n, position_ids[~hi])
-    sides[-1] = full
-    return sides
+    b = np.arange(bits, dtype=np.int64)
+    hi = (np.arange(domain, dtype=np.int64)[:, None] >> b) & 1
+    side_rows = np.where(hi == 1, 1 + b, 1 + bits + b)     # (domain, bits)
+    rows = np.concatenate([np.zeros(domain, dtype=np.int64), side_rows.ravel(),
+                           np.full(domain, 2 * bits + 1, dtype=np.int64)])
+    ids = np.concatenate([position_ids, np.repeat(position_ids, bits),
+                          position_ids])
+    return bitset.pack_rows(positions_words_n, rows, ids, 2 * bits + 2)
 
 
 @dataclass
@@ -98,8 +94,9 @@ def answer_plan(plan: SerPlan, x_words: np.ndarray) -> np.ndarray:
     return (~hit).astype(np.uint8).transpose(1, 0, 2).ravel()
 
 
-def _decode_hits(hit: np.ndarray, bits: int, domain: int) -> list:
-    """Accepted (level, rep, index) triples, one per repetition, scan order.
+def _decode_hits(hit: np.ndarray, bits: int,
+                 domain: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accepted (levels, reps, index) arrays, one entry per repetition.
 
     ``hit`` has shape (levels, reps, 2*bits+2).  Within a repetition the
     subsamples are nested, so every accepting level of one repetition
@@ -120,24 +117,19 @@ def _decode_hits(hit: np.ndarray, bits: int, domain: int) -> list:
         index = (hi.astype(np.int64)
                  << np.arange(bits, dtype=np.int64)).sum(axis=2)
         accept = whole & verify & isolated & (index < domain)
-    any_accept = accept.any(axis=0)
-    first_level = accept.argmax(axis=0)
-    reps_idx = np.nonzero(any_accept)[0]
-    levels_idx = first_level[reps_idx]
+    reps_idx = np.nonzero(accept.any(axis=0))[0]
+    levels_idx = accept.argmax(axis=0)[reps_idx]
     order = np.lexsort((reps_idx, levels_idx))
-    out = []
-    for k in order:
-        r = int(reps_idx[k])
-        l = int(levels_idx[k])
-        out.append((l, r, int(index[l, r])))
-    return out
+    levels_idx, reps_idx = levels_idx[order], reps_idx[order]
+    return levels_idx, reps_idx, index[levels_idx, reps_idx]
 
 
 def decode_ser(plan: SerPlan, answers: np.ndarray) -> SerOutcome:
     """Decode aligned answers; failure yields recovered=None, never a guess."""
     nq = 2 * plan.bits + 2
     hit = 1 - answers.reshape(plan.levels, plan.reps, nq)
-    pool = _decode_hits(hit, plan.bits, plan.domain)
+    hits = _decode_hits(hit, plan.bits, plan.domain)
+    pool = list(zip(*(a.tolist() for a in hits)))
     if not pool:
         return SerOutcome(recovered=None, level_used=None, pool=[])
     level, _, index = pool[0]
@@ -161,9 +153,8 @@ class NeighborRecovery:
         """Recovered vertices in scan order (independent uniform draws)."""
         nq = 2 * self.bits + 2
         hit = 1 - answers.reshape(self.levels, self.reps, nq)
-        triples = _decode_hits(hit, self.bits, self.r_members.size)
-        return np.array([self.r_members[idx] for _, _, idx in triples],
-                        dtype=np.int64)
+        _, _, index = _decode_hits(hit, self.bits, self.r_members.size)
+        return self.r_members[index]
 
 
 def build_neighbor_recovery(n: int, left: VertexSet, right: VertexSet,

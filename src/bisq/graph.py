@@ -100,27 +100,31 @@ class Graph:
         self._check_invariants()
 
     def _check_invariants(self) -> None:
-        for v in range(self.n):
-            if bitset.contains(self.adj_words[v], v):
-                raise ValueError(f"self-loop at vertex {v}")
-        # symmetry: adjacency bit matrix must equal its transpose
         bits = np.unpackbits(self.adj_words.view(np.uint8), axis=1,
                              bitorder="little")[:, : self.n]
+        loops = np.flatnonzero(bits.diagonal())
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {loops[0]}")
+        # symmetry: adjacency bit matrix must equal its transpose
         if not np.array_equal(bits, bits.T):
             raise ValueError("adjacency is not symmetric")
 
+    def __reduce__(self):
+        # rebuild through __init__ so an unpickled graph is read-only too
+        return Graph, (self.n, self.adj_words)
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = np.zeros((n, bitset.word_count(n)), dtype=np.uint64)
-        one = np.uint64(1)
-        for u, v in edges:
+        e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
+        if bad.any():
+            u, v = e[np.argmax(bad)].tolist()
             if u == v:
                 raise ValueError(f"self-loop ({u},{v})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u, v >> 6] |= one << np.uint64(v & 63)
-            adj[v, u >> 6] |= one << np.uint64(u & 63)
-        return cls(n, adj)
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
+        return cls(n, bitset.pack_rows(n, rows, cols, n))
 
     def degree(self, v: int) -> int:
         return int(self._degrees[v])
@@ -197,17 +201,11 @@ def gen_gnp(n: int, p: float, seed=0) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = rng_for(seed, "gnp", n)
-    adj = np.zeros((n, bitset.word_count(n)), dtype=np.uint64)
-    if p > 0.0:
-        tri = rng.random((n, n)) < p
-        tri = np.triu(tri, k=1)
-        sym = tri | tri.T
-        packed = np.packbits(sym, axis=1, bitorder="little")
-        pad = bitset.word_count(n) * 8 - packed.shape[1]
-        if pad:
-            packed = np.pad(packed, ((0, 0), (0, pad)))
-        adj = packed.view(np.uint64)
-    return Graph(n, adj.copy())
+    if p == 0.0:
+        return Graph(n, np.zeros((n, bitset.word_count(n)), dtype=np.uint64))
+    tri = rng.random((n, n)) < p
+    tri = np.triu(tri, k=1)
+    return Graph(n, bitset.pack_bool(tri | tri.T))
 
 
 def _block_edges(kind: str, size: int, offset: int, p: float,

@@ -25,10 +25,6 @@ from . import bitset
 from .errors import DisjointnessError, PlanError
 from .graph import Graph, VertexSet
 
-# below this support size the oracle answers from the support side,
-# touching N columns instead of full mask rows
-_SUPPORT_DENSE_CUTOFF = 48
-
 
 class QueryLedger:
     """Counts of queries, batches, and adaptivity rounds, by phase label."""
@@ -154,7 +150,7 @@ class SubsampleBlock:
     def evaluate(self, graph: Graph) -> np.ndarray:
         support = graph.neighborhood_words(
             bitset.members(self.left, graph.n)) & self.base
-        hit = _subsample_hits(self.masks, support)
+        hit = (self.masks & support).any(axis=-1)
         return (~hit).astype(np.uint8).ravel()
 
     def row_words(self, rep: int, level: int) -> np.ndarray:
@@ -251,6 +247,11 @@ class SidesSubsampleBlock:
     Row for (level l, rep r, side q) is masks[r, l] & sides[q]; row index
     l * reps * n_sides + r * n_sides + q.  Used by the single-element
     recovery plans, where sides are the bit-slice sets of the domain.
+
+    Evaluation reads only the support Gamma(left) ∩ base: it gathers the
+    mask and side bits of the k support vertices, and row (l, r, q) hits
+    iff some support vertex is held by both masks[r, l] and sides[q], so
+    one (reps * levels, k) @ (k, n_sides) product counts every row's hits.
     """
 
     __slots__ = ("tag", "left", "base", "masks", "sides")
@@ -273,28 +274,16 @@ class SidesSubsampleBlock:
                 f"block {self.tag!r}: left overlaps the sampled base set")
 
     def evaluate(self, graph: Graph) -> np.ndarray:
-        reps, levels, w = self.masks.shape
-        nq = self.sides.shape[0]
+        reps, levels, _ = self.masks.shape
         support = graph.neighborhood_words(
             bitset.members(self.left, graph.n)) & self.base
         ids = bitset.members(support, graph.n)
-        n_sup = ids.size
-        if n_sup == 0:
-            return np.ones(levels * reps * nq, dtype=np.uint8)
-        if n_sup <= _SUPPORT_DENSE_CUTOFF:
-            incl = np.empty((n_sup, reps, levels), dtype=np.float32)
-            smem = np.empty((n_sup, nq), dtype=np.float32)
-            for k, u in enumerate(ids):
-                wu, bu = u >> 6, np.uint64(u & 63)
-                incl[k] = (self.masks[:, :, wu] >> bu) & np.uint64(1)
-                smem[k] = (self.sides[:, wu] >> bu) & np.uint64(1)
-            flat = incl.reshape(n_sup, -1)                 # (N, reps*levels)
-            counts = flat.T @ smem                         # (reps*levels, nq)
-            hit = counts.reshape(reps, levels, nq) > 0.5
-            hit = hit.transpose(1, 0, 2)                   # (levels, reps, nq)
-        else:
-            rows = self.masks[:, :, None, :] & (self.sides & support)[None, None, :, :]
-            hit = rows.any(axis=3).transpose(1, 0, 2)
+        byte, shift = ids >> 3, (ids & 7).astype(np.uint8)
+        held = (self.masks.view(np.uint8)[:, :, byte] >> shift) & 1
+        inside = (self.sides.view(np.uint8)[:, byte] >> shift) & 1
+        counts = (held.reshape(reps * levels, -1).astype(np.float32)
+                  @ inside.T.astype(np.float32))
+        hit = (counts > 0.5).reshape(reps, levels, -1).transpose(1, 0, 2)
         return (~hit).astype(np.uint8).ravel()
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -303,14 +292,6 @@ class SidesSubsampleBlock:
             for r in range(reps):
                 for q in range(self.sides.shape[0]):
                     yield self.left, self.masks[r, l] & self.sides[q]
-
-
-def _subsample_hits(masks: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Per-row edge-hit flags for masks of shape (..., w) against support."""
-    return (masks & support).any(axis=-1)
-
-
-PlanBlock = (DenseBlock, SubsampleBlock, SharedSubsampleBlock, SidesSubsampleBlock)
 
 
 class QueryPlan:

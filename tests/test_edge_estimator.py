@@ -8,8 +8,7 @@ from bisq import (AnalysisOracle, BisOracle, build_schedule,
                   gen_gnp, refine, run_pipeline)
 from bisq import bitset, params
 from bisq.degree_est import DegreeTable
-from bisq.edge_estimator import (_pack_bool, recovery_threshold,
-                                 refine_pass_count)
+from bisq.edge_estimator import recovery_threshold, refine_pass_count
 from bisq.graph import Graph
 from bisq.params import Constants, FAST, PAPER
 from bisq.seeding import rng_for
@@ -113,7 +112,7 @@ def test_coarse_plan_matches_row_by_row_draws():
     block = rec.plan.blocks[0]
     n = rec.n
     rng = rng_for(3, "coarse")
-    a_words = _pack_bool(rng.random(n) < 0.5)
+    a_words = bitset.pack_bool(rng.random(n) < 0.5)
     b_words = bitset.trim_tail(~a_words.copy(), n)
     row = 0
     for i in range(params.coarse_rate_count(n)):

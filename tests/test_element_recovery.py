@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from bisq import (BisOracle, VertexSet, gen_family, gen_gnp, plan_ser,
                   decode_ser, answer_plan, uniform_neighbor_of_set)
 from bisq import bitset
-from bisq.element_recovery import build_neighbor_recovery
+from bisq.element_recovery import _side_masks, build_neighbor_recovery
 from bisq.oracle import QueryPlan
-from bisq.params import Constants, ser_plan_size
+from bisq.params import Constants, ser_bits, ser_plan_size
 from bisq.seeding import rng_for
 
 
@@ -180,3 +180,21 @@ def test_certificate_soundness_property(domain, data):
             assert out.recovered in support
     else:
         assert out.recovered is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 70), st.integers(0, 10 ** 6))
+def test_side_masks_match_per_bit_packing(domain, spare, seed):
+    # reference: one pack_indices call per side, as the masks were built
+    # before they became a single pack_rows call
+    n = domain + spare
+    ids = np.sort(rng_for("sides", seed).choice(n, domain, replace=False))
+    bits = ser_bits(domain)
+    ref = np.empty((2 * bits + 2, bitset.word_count(n)), dtype=np.uint64)
+    ref[0] = ref[-1] = bitset.pack_indices(n, ids)
+    idx = np.arange(domain)
+    for b in range(bits):
+        hi = (idx >> b) & 1 == 1
+        ref[1 + b] = bitset.pack_indices(n, ids[hi])
+        ref[1 + bits + b] = bitset.pack_indices(n, ids[~hi])
+    assert np.array_equal(_side_masks(domain, n, ids), ref)

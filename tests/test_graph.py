@@ -1,9 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bisq import bitset
 from bisq import (Graph, VertexSet, dump_edge_list, exact_connected,
                   exact_neighborhood_size, gen_family, gen_gnp,
                   load_edge_list)
@@ -123,6 +125,36 @@ def test_adjacency_immutable():
     g = gen_gnp(16, 0.2, seed=1)
     with pytest.raises(ValueError):
         g.adj_words[0, 0] = np.uint64(1)
+
+
+def test_unpickled_graph_is_read_only():
+    g = gen_gnp(70, 0.2, seed=3)
+    h = pickle.loads(pickle.dumps(g))
+    assert h.n == g.n and h.m == g.m
+    assert np.array_equal(h.adj_words, g.adj_words)
+    with pytest.raises(ValueError):
+        h.adj_words[0, 0] = np.uint64(1)
+    assert not h.degrees.flags.writeable
+
+
+def test_from_edges_names_first_bad_edge():
+    with pytest.raises(ValueError, match=r"edge \(2,5\) out of range"):
+        Graph.from_edges(4, [(0, 1), (2, 5), (3, 3)])
+    with pytest.raises(ValueError, match=r"self-loop \(3,3\)"):
+        Graph.from_edges(4, [(0, 1), (3, 3), (2, 5)])
+    with pytest.raises(ValueError, match=r"edge \(-1,2\) out of range"):
+        Graph.from_edges(4, [(-1, 2)])
+    assert Graph.from_edges(0, []).n == 0
+
+
+def test_pack_bool_matches_pack_indices():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 63, 64, 65, 130):
+        flags = rng.random((3, n)) < 0.4
+        words = bitset.pack_bool(flags)
+        assert words.shape == (3, bitset.word_count(n))
+        for row, f in zip(words, flags):
+            assert np.array_equal(row, bitset.pack_indices(n, np.nonzero(f)[0]))
 
 
 @settings(max_examples=30, deadline=None)

@@ -204,6 +204,62 @@ def test_shared_block_rejects_unnested_planes():
     assert o.ledger.bis_count == 0
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(66, 160), st.floats(0.0, 0.3), st.integers(1, 4),
+       st.integers(2, 48), st.integers(0, 10 ** 6))
+def test_sides_block_matches_single_queries(n, p, reps, few, seed):
+    # recovery blocks with support sizes 0, 1, `few` (<= 48) and > 48,
+    # plus two domain-1 blocks (bits = 0), one with an empty support
+    from bisq import bitset
+    from bisq.element_recovery import build_neighbor_recovery
+
+    rng = rng_for("sides-kernel", seed)
+    iso, one, mid, hub = (int(v) for v in rng.choice(n, 4, replace=False))
+    edges = [(u, v) for u, v in gen_gnp(n, p, seed).edges()
+             if iso not in (u, v)]
+    others = [v for v in range(n) if v not in (iso, mid, hub)]
+    edges += [(mid, int(v)) for v in rng.choice(others, 48, replace=False)]
+    edges += [(hub, v) for v in range(n) if v not in (hub, iso)]
+    g = Graph.from_edges(n, edges)
+
+    def right_with_support(v, k):
+        nbrs = g.neighbors(v)
+        rest = np.setdiff1d(np.arange(n), np.append(nbrs, v))
+        ids = np.concatenate([rng.choice(nbrs, k, replace=False),
+                              rest[rng.random(rest.size) < 0.5]])
+        return VertexSet.from_indices(n, ids)
+
+    cases = [(iso, VertexSet.from_indices(n, [one, mid])),
+             (one, right_with_support(one, 1)),
+             (mid, right_with_support(mid, few)),
+             (hub, VertexSet.full(n).difference(
+                 VertexSet.from_indices(n, [hub]))),
+             (iso, VertexSet.from_indices(n, [hub])),
+             (hub, VertexSet.from_indices(n, [one]))]
+    blocks = []
+    for k, (v, right) in enumerate(cases):
+        left = VertexSet.from_indices(n, [v])
+        blocks.append(build_neighbor_recovery(
+            n, left, right, reps, (seed, k), tag=f"b{k}").block)
+    sizes = [bitset.popcount(g.neighborhood_words(np.array([v])) & r.words)
+             for v, r in cases]
+    assert sizes[:3] == [0, 1, few] and sizes[3] > 48
+    assert sizes[4:] == [0, 1]
+    assert blocks[4].sides.shape[0] == 2        # domain 1: whole, verify
+
+    o = BisOracle(g)
+    answers = o.submit(QueryPlan(n, blocks))
+    assert o.ledger.bis_count == sum(b.n_queries() for b in blocks)
+    assert o.ledger.phases == {b.tag: b.n_queries() for b in blocks}
+    assert answers[0].all() and answers[4].all()   # empty support
+    fresh = BisOracle(g)
+    for block, ans in zip(blocks, answers):
+        assert ans.size == block.n_queries()
+        for a, (lw, rw) in zip(ans, block.iter_rows()):
+            assert int(a) == fresh.bis(VertexSet(n, lw.copy()),
+                                       VertexSet(n, rw.copy()))
+
+
 def test_or_query_via_bis():
     g = gen_family("star", n=5)
     o = BisOracle(g)
