@@ -13,10 +13,10 @@ from .element_recovery import (SerPlan, SerOutcome, plan_ser, decode_ser,
 from .degree_est import (DegreeTable, NeighborTable, estimate_degrees,
                          estimate_degrees_with_neighbors,
                          predict_sketch_queries)
-from .edge_estimator import (LevelSchedule, LevelSamples, AnalysisOracle,
+from .edge_estimator import (LevelSchedule, AnalysisOracle,
                              build_schedule, draw_levels, coarse_estimate,
                              refine, estimate_edges, run_pipeline)
-from .edge_sampler import SamplerOutput, sample_edge, sample_edges_batch
+from .edge_sampler import SamplerOutput, sample_edges_batch
 from .connectivity import (SuperGraph, SupernodeOracle, contract,
                            is_connected, round1_neighbor_sampling)
 

@@ -229,7 +229,7 @@ def cmd_generate(args) -> int:
     if args.kind == "gnp":
         g = gen_gnp(args.n, args.p, args.seed)
     else:
-        g = gen_family(args.kind, seed=args.seed, p=args.p or 0.5, **kw)
+        g = gen_family(args.kind, seed=args.seed, p=args.p, **kw)
     text = dump_edge_list(g)
     if args.out:
         with open(args.out, "w") as fh:
@@ -310,7 +310,8 @@ def cmd_audit(cfg: RunConfig, n_grid: list[int]) -> int:
     for row in audit.ns_audit(n_grid, cfg.epsilon, cfg.delta, c):
         lines.append(_dump({"audit": "ns", "n": row.n, "planned": row.planned,
                             "target": row.target, "ratio": row.ratio}))
-    for row in audit.estimator_audit(n_grid, cfg.epsilon, c):
+    est_rows = audit.estimator_audit(n_grid, cfg.epsilon, c)
+    for row in est_rows:
         lines.append(_dump({"audit": "estimator", "n": row.n,
                             "planned": row.planned, "target": row.target,
                             "ratio": row.ratio}))
@@ -318,7 +319,6 @@ def cmd_audit(cfg: RunConfig, n_grid: list[int]) -> int:
         lines.append(_dump({"audit": "ser", "domain": row.n,
                             "planned": row.planned, "target": row.target,
                             "ratio": row.ratio}))
-    est_rows = audit.estimator_audit(n_grid, cfg.epsilon, c)
     lines.append(_dump({"audit": "summary",
                         "estimator_ratio_band": audit.ratio_band(est_rows)}))
     _emit(lines, cfg.out)

@@ -4,13 +4,16 @@ Each repetition assigns the vertices of S to random cells; the
 neighborhood size of each nonempty cell (against everything outside it)
 upper-bounds the degree of each of its members up to the other members'
 degree mass, and the minimum over repetitions tightens the overestimate.
-Extended mode additionally recovers, per cell, a pool of uniform members
-of the cell's outside neighborhood, giving each vertex a near-uniform
-neighbor candidate.
+Extended mode additionally plans, per cell, the recovery of uniform
+members of the cell's outside neighborhood.  A cell's pool is decoded
+only when its estimate improves some member's minimum; that member then
+points at the pool (``pool_id``), so each vertex ends with exactly one
+pool, the one from the repetition that set its estimate.  Its first
+entry is the vertex's near-uniform neighbor candidate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from . import bitset, params
@@ -59,10 +62,10 @@ class DegreeTable:
 @dataclass
 class NeighborTable:
     vertices: np.ndarray
-    neighbor: np.ndarray     # candidate uniform neighbor, -1 when absent
-    cell_size: np.ndarray    # size of the chosen repetition's cell
-    cell_of: np.ndarray      # cell id at the chosen repetition
-    pools: dict = field(default_factory=dict)   # (rep, cell) -> vertex pool
+    neighbor: np.ndarray     # first entry of the vertex's pool, -1 when absent
+    cell_size: np.ndarray    # size of the vertex's cell at t_min, 0 if none
+    pool_id: np.ndarray      # index into pools, -1 where t_min is -1
+    pools: list              # decoded pools, one per improving cell
 
 
 def _group_cells(assignment_row: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -83,15 +86,16 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
     size = int(members.size)
     d_hat = np.full(size, np.inf)
     t_min = np.full(size, -1, dtype=np.int64)
-    pools: dict = {}
+    cell_size = np.zeros(size, dtype=np.int64)
+    pool_id = np.full(size, -1, dtype=np.int64)
+    pools: list = []
     if size == 0:
         table = DegreeTable(vertices=members, d_hat=d_hat, t_min=t_min,
                             failed=np.zeros(0, dtype=bool))
         if extended:
             return table, NeighborTable(
-                vertices=members, neighbor=np.full(0, -1, dtype=np.int64),
-                cell_size=np.zeros(0, dtype=np.int64),
-                cell_of=np.full(0, -1, dtype=np.int64), pools=pools)
+                vertices=members, neighbor=pool_id.copy(),
+                cell_size=cell_size, pool_id=pool_id, pools=pools)
         return table, None
 
     schedule = PartitionSchedule.build(size, n, epsilon, extended, seed,
@@ -129,19 +133,21 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                 ns_answers.reshape(len(parts), ns.reps, ns.levels)
                 .transpose(0, 2, 1)).sum(axis=2, dtype=np.int64)
             del ns_answers   # the largest array; free it before the next plan
-            for gi, (cell_id, positions) in enumerate(groups):
+            for gi, (_, positions) in enumerate(groups):
                 counts = NsCounts(counts=level_counts[gi], reps=ns.reps)
                 try:
                     est = decode_ns(counts, ns)
                 except NsDecodeError:
                     est = np.inf   # one bad repetition cannot sink the min
                 est = min(est, float(n - positions.size))
-                better = est < d_hat[positions]
-                d_hat[positions[better]] = est
-                t_min[positions[better]] = t
-                if extended:
-                    pools[(t, cell_id)] = recoveries[gi].decode_pool(
-                        ser_answers[gi])
+                improved = positions[est < d_hat[positions]]
+                d_hat[improved] = est
+                t_min[improved] = t
+                if extended and improved.size:
+                    # a cell that improves no member is never read
+                    pool_id[improved] = len(pools)
+                    cell_size[improved] = positions.size
+                    pools.append(recoveries[gi].decode_pool(ser_answers[gi]))
 
     failed = ~np.isfinite(d_hat)
     d_hat[failed] = float(n)   # sentinel, flagged
@@ -150,21 +156,11 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
     if not extended:
         return table, None
 
-    neighbor = np.full(size, -1, dtype=np.int64)
-    cell_size = np.zeros(size, dtype=np.int64)
-    cell_of = np.full(size, -1, dtype=np.int64)
-    for i in range(size):
-        t = int(t_min[i])
-        if t < 0:
-            continue
-        cell = int(schedule.assignment[t, i])
-        cell_of[i] = cell
-        cell_size[i] = int((schedule.assignment[t] == cell).sum())
-        pool = pools.get((t, cell))
-        if pool is not None and pool.size:
-            neighbor[i] = int(pool[0])
-    ntable = NeighborTable(vertices=members, neighbor=neighbor,
-                           cell_size=cell_size, cell_of=cell_of, pools=pools)
+    # the trailing -1 is what pool_id -1 picks
+    heads = np.array([p[0] if p.size else -1 for p in pools] + [-1],
+                     dtype=np.int64)
+    ntable = NeighborTable(vertices=members, neighbor=heads[pool_id],
+                           cell_size=cell_size, pool_id=pool_id, pools=pools)
     return table, ntable
 
 

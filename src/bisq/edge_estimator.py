@@ -54,18 +54,6 @@ class LevelSchedule:
         return 1.0 if j == 0 else self.gamma ** (-self.mu(j))
 
 
-@dataclass
-class LevelSamples:
-    """Nested vertex samples S_0 ⊇ S_1 ⊇ ... ⊇ S_L."""
-    sets: list
-
-    def __getitem__(self, j: int) -> VertexSet:
-        return self.sets[j]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
 def build_schedule(n: int, epsilon: float, seed, profile: str = params.FAST,
                    constants: Constants = Constants()) -> LevelSchedule:
     """Scale epsilon per profile, draw the random shift, size the ladder."""
@@ -80,8 +68,12 @@ def build_schedule(n: int, epsilon: float, seed, profile: str = params.FAST,
                          top_level=top, profile=profile)
 
 
-def draw_levels(n: int, schedule: LevelSchedule, seed) -> LevelSamples:
-    """Nested draw: S_1 from V at rate gamma^-mu(1), then thin by gamma^-B."""
+def draw_levels(n: int, schedule: LevelSchedule, seed) -> list[VertexSet]:
+    """Nested samples S_0 ⊇ S_1 ⊇ ... ⊇ S_L.
+
+    S_0 is V; S_1 keeps each vertex at rate gamma^-mu(1), and each later
+    level thins the one before by gamma^-B.
+    """
     rng = rng_for(seed, "levels")
     sets = [VertexSet.full(n)]
     current = np.ones(n, dtype=bool)
@@ -89,7 +81,7 @@ def draw_levels(n: int, schedule: LevelSchedule, seed) -> LevelSamples:
         step = schedule.rate(1) if j == 1 else schedule.gamma ** -schedule.buckets
         current = current & (rng.random(n) < step)
         sets.append(VertexSet(n, bitset.pack_bool(current)))
-    return LevelSamples(sets=sets)
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +152,7 @@ def _norm_factor(schedule: LevelSchedule) -> float:
     return 0.5 if q > 0.9 else q
 
 
-def refine(tables: dict, samples: LevelSamples, schedule: LevelSchedule,
+def refine(tables: dict, samples: list[VertexSet], schedule: LevelSchedule,
            m_prev: float, m0: float, t: int, t_total: int,
            constants: Constants = Constants()) -> RefineState:
     """One pass: re-threshold sketched degrees against m_prev.  No queries.
@@ -227,7 +219,7 @@ class PipelineResult:
     m0: float
     refine_trace: list
     schedule: LevelSchedule
-    samples: LevelSamples
+    samples: list[VertexSet]
     tables: dict
     neighbor_tables: Optional[dict]
     final_state: RefineState
@@ -336,7 +328,7 @@ class AnalysisOracle:
                 return True
         return False
 
-    def x_value(self, v: int, samples: LevelSamples) -> float:
+    def x_value(self, v: int, samples: list[VertexSet]) -> float:
         lv = self.actual_level(v)
         if lv is None or v not in samples[lv]:
             return 0.0

@@ -3,12 +3,12 @@
 The pipeline (run with neighbor recovery) yields, after the last
 refinement pass, a recovered vertex set with weights proportional to the
 scaled degree estimates; the sampler draws a vertex by those weights and
-pairs it with a recovered uniform neighbor of its sketch cell.  Draws
-whose cell held more than one vertex are surfaced as failures instead of
-risking a pair that is not an edge; batch mode reuses one pipeline and
-spends the per-cell recovery pools so repeated draws get fresh neighbor
-randomness until a pool runs dry, after which entries are recycled
-uniformly.
+pairs it with an entry of the vertex's recovery pool, the one the degree
+sketch assigned it.  Draws of a vertex whose sketch cell held more than
+one vertex are surfaced as failures instead of risking a pair that is
+not an edge.  A batch reuses one pipeline and spends each vertex's pool
+in order, so repeated draws get fresh neighbor randomness until the pool
+runs dry, after which entries are recycled uniformly.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ NO_EDGES = "no_edges"
 FAILURE = "failure"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplerOutput:
     status: str
     edge: Optional[tuple[int, int]] = None   # (v_sampled, recovered neighbor)
@@ -37,13 +37,11 @@ class SamplerOutput:
 
 @dataclass
 class _DrawState:
-    """Everything needed to draw from a finished pipeline."""
+    """The draw table of a finished pipeline, one entry per vertex."""
     vertices: np.ndarray
-    levels: np.ndarray
     weights: np.ndarray
     cum: np.ndarray
-    pos: np.ndarray          # position of each vertex inside its level table
-    result: PipelineResult
+    pools: list              # recovery pool, None unless a nonempty singleton
 
 
 def _prepare(result: PipelineResult) -> Optional[_DrawState]:
@@ -55,75 +53,48 @@ def _prepare(result: PipelineResult) -> Optional[_DrawState]:
     if not keep.any():
         return None
     vertices = state.recovered[keep]
-    levels = state.levels[keep]
     weights = weights[keep]
-    pos = np.empty(vertices.size, dtype=np.int64)
-    for i, (v, j) in enumerate(zip(vertices, levels)):
-        table = result.tables[int(j)]
-        pos[i] = int(np.searchsorted(table.vertices, v))
-    return _DrawState(vertices=vertices, levels=levels, weights=weights,
-                      cum=np.cumsum(weights), pos=pos, result=result)
+    pools = []
+    for v, j in zip(vertices, state.levels[keep]):
+        ntable = result.neighbor_tables[int(j)]
+        p = int(np.searchsorted(ntable.vertices, v))
+        pid = int(ntable.pool_id[p])
+        # a shared cell may recover a member's neighbor that is not v's;
+        # its draws fail rather than emit a possible non-edge
+        usable = (pid >= 0 and ntable.cell_size[p] == 1
+                  and ntable.pools[pid].size > 0)
+        pools.append(ntable.pools[pid] if usable else None)
+    return _DrawState(vertices=vertices, weights=weights,
+                      cum=np.cumsum(weights), pools=pools)
 
 
 class _PoolCursor:
-    """Sequential, then recycled, consumption of per-cell recovery pools."""
+    """Sequential, then recycled, consumption of the draw table's pools."""
 
     def __init__(self, rng: np.random.Generator):
         self._next: dict = {}
         self._rng = rng
 
-    def take(self, pool: np.ndarray, key) -> Optional[int]:
-        if pool.size == 0:
-            return None
-        i = self._next.get(key, 0)
+    def take(self, pool: np.ndarray, idx: int) -> int:
+        i = self._next.get(idx, 0)
         if i < pool.size:
-            self._next[key] = i + 1
+            self._next[idx] = i + 1
             return int(pool[i])
         return int(pool[self._rng.integers(0, pool.size)])
 
 
-def _draw_one(ds: _DrawState, u: float, cursor: _PoolCursor) -> SamplerOutput:
-    idx = int(np.searchsorted(ds.cum, u * ds.cum[-1], side="right"))
-    idx = min(idx, ds.vertices.size - 1)
-    v = int(ds.vertices[idx])
-    j = int(ds.levels[idx])
+def _draw_one(ds: _DrawState, idx: int, cursor: _PoolCursor) -> SamplerOutput:
     weight = float(ds.weights[idx])
-    ntable = ds.result.neighbor_tables[j]
-    p = int(ds.pos[idx])
-    if ntable.cell_size[p] != 1:
-        # a shared cell may recover a member's neighbor that is not v's;
-        # fail rather than emit a possible non-edge
-        return SamplerOutput(status=FAILURE, weight=weight)
-    t = int(ds.result.tables[j].t_min[p])
-    if t < 0:
-        return SamplerOutput(status=FAILURE, weight=weight)
-    key = (j, t, int(ntable.cell_of[p]))
-    pool = ntable.pools.get((t, int(ntable.cell_of[p])))
+    pool = ds.pools[idx]
     if pool is None:
         return SamplerOutput(status=FAILURE, weight=weight)
-    u_vertex = cursor.take(pool, key)
-    if u_vertex is None:
-        return SamplerOutput(status=FAILURE, weight=weight)
-    return SamplerOutput(status=OK, edge=(v, u_vertex), weight=weight)
-
-
-def sample_edge(oracle: BisOracle, epsilon: float, seed,
-                profile: str = params.FAST,
-                constants: Constants = Constants()) -> SamplerOutput:
-    """Draw one edge from a pointwise near-uniform distribution; one round."""
-    result = run_pipeline(oracle, epsilon, seed, profile, constants,
-                          with_neighbors=True)
-    ds = _prepare(result)
-    if ds is None:
-        return SamplerOutput(status=NO_EDGES)
-    rng = rng_for(seed, "draw")
-    return _draw_one(ds, float(rng.random()), _PoolCursor(rng))
+    return SamplerOutput(status=OK, weight=weight,
+                         edge=(int(ds.vertices[idx]), cursor.take(pool, idx)))
 
 
 def sample_edges_batch(oracle: BisOracle, k: int, epsilon: float, seed,
                        profile: str = params.FAST,
-                       constants: Constants = Constants(),
-                       pipeline: Optional[PipelineResult] = None
+                       constants: Constants = Constants()
                        ) -> list[SamplerOutput]:
     """k draws with replacement sharing one pipeline; one round total.
 
@@ -132,12 +103,13 @@ def sample_edges_batch(oracle: BisOracle, k: int, epsilon: float, seed,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    result = pipeline if pipeline is not None else run_pipeline(
-        oracle, epsilon, seed, profile, constants, with_neighbors=True)
+    result = run_pipeline(oracle, epsilon, seed, profile, constants,
+                          with_neighbors=True)
     ds = _prepare(result)
     if ds is None:
-        return [SamplerOutput(status=NO_EDGES) for _ in range(k)]
+        return [SamplerOutput(status=NO_EDGES)] * k
     rng = rng_for(seed, "draw")
     cursor = _PoolCursor(rng)
-    draws = rng.random(k)
-    return [_draw_one(ds, float(u), cursor) for u in draws]
+    picks = np.searchsorted(ds.cum, rng.random(k) * ds.cum[-1], side="right")
+    picks = np.minimum(picks, ds.vertices.size - 1)
+    return [_draw_one(ds, idx, cursor) for idx in picks.tolist()]

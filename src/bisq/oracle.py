@@ -119,7 +119,8 @@ class SubsampleBlock:
     """One left set against nested subsample masks of a base set.
 
     ``masks`` has shape (reps, levels, w); row index r * levels + i maps
-    to the query (left, masks[r, i]).  Masks are already subsets of base.
+    to the query (left, masks[r, i] & base).  Planners draw masks inside
+    base, so the intersection only pins down what a row is.
     """
 
     __slots__ = ("tag", "left", "base", "masks")
@@ -154,13 +155,13 @@ class SubsampleBlock:
         return (~hit).astype(np.uint8).ravel()
 
     def row_words(self, rep: int, level: int) -> np.ndarray:
-        return self.masks[rep, level]
+        return self.masks[rep, level] & self.base
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         reps, levels, _ = self.masks.shape
         for r in range(reps):
             for i in range(levels):
-                yield self.left, self.masks[r, i]
+                yield self.left, self.masks[r, i] & self.base
 
 
 class SharedSubsampleBlock:
@@ -230,9 +231,6 @@ class SharedSubsampleBlock:
         level = np.arange(levels, dtype=np.int8)
         return (level > top[:, :, None]).view(np.uint8).ravel()
 
-    def row_words(self, part: int, rep: int, level: int) -> np.ndarray:
-        return self.planes[rep, level] & self.parts[part][1]
-
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         reps, levels, _ = self.planes.shape
         for left, base in self.parts:
@@ -244,9 +242,10 @@ class SharedSubsampleBlock:
 class SidesSubsampleBlock:
     """Subsample masks refined by fixed side masks (bit-decoding queries).
 
-    Row for (level l, rep r, side q) is masks[r, l] & sides[q]; row index
-    l * reps * n_sides + r * n_sides + q.  Used by the single-element
-    recovery plans, where sides are the bit-slice sets of the domain.
+    Row for (level l, rep r, side q) is masks[r, l] & base & sides[q];
+    row index l * reps * n_sides + r * n_sides + q.  Used by the
+    single-element recovery plans, where sides are the bit-slice sets of
+    the domain and masks are drawn inside base.
 
     Evaluation reads only the support Gamma(left) ∩ base: it gathers the
     mask and side bits of the k support vertices, and row (l, r, q) hits
@@ -261,7 +260,7 @@ class SidesSubsampleBlock:
         self.tag = tag
         self.left = left
         self.base = base
-        self.masks = masks          # (reps, levels, w), subsets of base
+        self.masks = masks          # (reps, levels, w)
         self.sides = sides          # (n_sides, w)
 
     def n_queries(self) -> int:
@@ -290,8 +289,9 @@ class SidesSubsampleBlock:
         reps, levels, _ = self.masks.shape
         for l in range(levels):
             for r in range(reps):
+                row = self.masks[r, l] & self.base
                 for q in range(self.sides.shape[0]):
-                    yield self.left, self.masks[r, l] & self.sides[q]
+                    yield self.left, row & self.sides[q]
 
 
 class QueryPlan:

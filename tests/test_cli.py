@@ -44,6 +44,22 @@ def test_generate_components(tmp_path):
     assert not ok and len(comps) == 3
 
 
+def test_generate_matches_gen_spec(tmp_path):
+    # --p 0 is a probability like any other, not a missing value
+    from bisq import load_edge_list
+    for p in ("0", "0.4"):
+        out = tmp_path / f"c{p}.txt"
+        code, _ = run_cli(["generate", "components", "--k", "2", "--size",
+                           "6", "--inner", "gnp", "--p", p, "--seed", "3",
+                           "--out", str(out)])
+        assert code == 0
+        g = load_edge_list(out.read_text())
+        spec = parse_gen_spec(f"components:k=2,size=6,inner=gnp,p={p},seed=3")
+        assert g.n == spec.n == 12
+        assert sorted(g.edges()) == sorted(spec.edges())
+        assert (g.m == 0) == (p == "0")
+
+
 def test_gen_spec_parsing():
     g = parse_gen_spec("components:k=2,sizes=4+6,inner=path")
     assert g.n == 10

@@ -3,6 +3,7 @@ import numpy as np
 from bisq import (BisOracle, VertexSet, estimate_degrees,
                   estimate_degrees_with_neighbors, gen_family, gen_gnp,
                   predict_sketch_queries)
+from bisq.degree_est import PartitionSchedule
 from bisq.graph import Graph
 from bisq.params import Constants, deg_parts, deg_reps
 
@@ -146,3 +147,46 @@ def test_heavy_vertex_neighbor_mostly_adjacent():
         if u < 0 or not g.has_edge(0, u):
             bad += 1
     assert bad <= 0.25 * runs
+
+
+def test_neighbor_table_one_pool_per_vertex():
+    # few cells, so the sketch mixes singleton and shared cells; vertices
+    # 0 and 3 are isolated, so a singleton pool of theirs must be empty
+    n = 96
+    c = Constants(c_T=8.0, c_lambda=0.002)
+    g = Graph.from_edges(n, [(u, v) for u, v in gen_gnp(n, 0.04, 21).edges()
+                             if u not in (0, 3) and v not in (0, 3)])
+    S = VertexSet.from_indices(n, list(range(0, n, 3)))
+    table, ntable = estimate_degrees_with_neighbors(
+        BisOracle(g), S, 0.3, seed=22, constants=c)
+    schedule = PartitionSchedule.build(S.members().size, n, 0.3, True, 22, c)
+    assert np.array_equal(ntable.pool_id < 0, table.t_min < 0)
+    singles = 0
+    for i, v in enumerate(ntable.vertices.tolist()):
+        row = schedule.assignment[table.t_min[i]]
+        assert ntable.cell_size[i] == (row == row[i]).sum()
+        pool = ntable.pools[ntable.pool_id[i]]
+        assert ntable.neighbor[i] == (pool[0] if pool.size else -1)
+        if ntable.cell_size[i] == 1:
+            singles += 1
+            assert all(g.has_edge(v, int(u)) for u in pool), (v, pool)
+    assert 0 < singles < ntable.vertices.size
+
+
+def test_neighbor_pools_only_for_improving_cells():
+    # on an edgeless graph the first repetition already estimates every
+    # degree at 0, so no later cell improves a member and only the first
+    # repetition's cells get pools
+    n = 64
+    g = Graph.from_edges(n, [])
+    S = VertexSet.from_indices(n, list(range(0, n, 2)))
+    table, ntable = estimate_degrees_with_neighbors(
+        BisOracle(g), S, 0.3, seed=5, constants=FAST_C)
+    schedule = PartitionSchedule.build(S.members().size, n, 0.3, True, 5,
+                                       FAST_C)
+    assert (table.d_hat == 0).all() and (table.t_min == 0).all()
+    cells = np.unique(schedule.assignment[0])
+    assert len(ntable.pools) == cells.size
+    assert sorted(set(ntable.pool_id.tolist())) == list(range(cells.size))
+    assert all(pool.size == 0 for pool in ntable.pools)
+    assert (ntable.neighbor == -1).all()

@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 from collections import Counter
 
 import numpy as np
+import pytest
 
-from bisq import BisOracle, gen_gnp, sample_edge, sample_edges_batch
-from bisq.edge_sampler import NO_EDGES, OK
+from bisq import BisOracle, gen_gnp, sample_edges_batch
+from bisq.edge_sampler import NO_EDGES, OK, SamplerOutput
 from bisq.graph import Graph
 from bisq.params import Constants
 
@@ -13,8 +16,17 @@ SAMP_C = Constants(c_T=8.0, c2=1.0, c_lambda=16.0, ser_pool_scale=4.0)
 def test_empty_graph_no_edges():
     g = Graph.from_edges(64, [])
     o = BisOracle(g)
-    out = sample_edge(o, 0.25, seed=1, constants=SAMP_C)
+    out = sample_edges_batch(o, 1, 0.25, seed=1, constants=SAMP_C)[0]
     assert out.status == NO_EDGES
+
+
+def test_empty_graph_batch_and_frozen_output():
+    g = Graph.from_edges(64, [])
+    outs = sample_edges_batch(BisOracle(g), 7, 0.25, seed=2, constants=SAMP_C)
+    assert len(outs) == 7
+    assert all(out == SamplerOutput(status=NO_EDGES) for out in outs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outs[0].status = OK
 
 
 def test_single_edge_graph():
@@ -22,7 +34,7 @@ def test_single_edge_graph():
     hits = 0
     for seed in range(15):
         o = BisOracle(g)
-        out = sample_edge(o, 0.25, seed=seed, constants=SAMP_C)
+        out = sample_edges_batch(o, 1, 0.25, seed=seed, constants=SAMP_C)[0]
         if out.status == OK:
             assert set(out.edge) == {0, 1}
             hits += 1
@@ -66,13 +78,19 @@ def test_triangle_uniform():
         assert abs(c / total - 1 / 3) <= 0.06, freq
 
 
-def test_batch_k1_matches_single_draw():
+def test_batch_draws_are_pinned():
+    # (status, edge) of every draw of one fixed batch; a rewrite of the
+    # draw path or of the sketch's pools must not move a single one
     g = gen_gnp(96, 0.03, seed=8)
-    o1, o2 = BisOracle(g), BisOracle(g)
-    single = sample_edge(o1, 0.25, seed=99, constants=SAMP_C)
-    batch = sample_edges_batch(o2, 1, 0.25, seed=99, constants=SAMP_C)[0]
-    assert single.status == batch.status
-    assert single.edge == batch.edge
+    outs = sample_edges_batch(BisOracle(g), 2000, 0.25, seed=99,
+                              constants=SAMP_C)
+    pairs = [(out.status, out.edge) for out in outs]
+    assert pairs[:4] == [(OK, (76, 93)), (OK, (26, 38)), (OK, (58, 91)),
+                         (OK, (81, 46))]
+    assert Counter(status for status, _ in pairs) == {OK: 2000}
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == ("74f5cfa5b3b9928f80fc2d346902a1cb"
+                      "2815a6635f814824f56ddaed5dd0ffc3")
 
 
 def test_repeat_vertex_gets_fresh_neighbor_randomness():
@@ -135,7 +153,7 @@ def test_near_uniform_small_graph():
 def test_sample_log_fields():
     g = gen_gnp(64, 0.03, seed=12)
     o = BisOracle(g)
-    out = sample_edge(o, 0.25, seed=13, constants=SAMP_C)
+    out = sample_edges_batch(o, 1, 0.25, seed=13, constants=SAMP_C)[0]
     if out.status == OK:
         v, u = out.edge
         assert 0 <= v < 64 and 0 <= u < 64

@@ -6,7 +6,7 @@ from bisq import (BisOracle, Graph, QueryPlan, VertexSet, gen_gnp,
                   exact_neighborhood_size)
 from bisq.errors import DisjointnessError
 from bisq.graph import gen_family
-from bisq.oracle import DenseBlock
+from bisq.oracle import DenseBlock, SidesSubsampleBlock, SubsampleBlock
 from bisq.seeding import rng_for
 
 
@@ -258,6 +258,30 @@ def test_sides_block_matches_single_queries(n, p, reps, few, seed):
         for a, (lw, rw) in zip(ans, block.iter_rows()):
             assert int(a) == fresh.bis(VertexSet(n, lw.copy()),
                                        VertexSet(n, rw.copy()))
+
+
+def test_subsample_rows_lie_inside_base():
+    # masks that reach outside base: a row is masks & base (& side), so
+    # evaluate, which reads only Gamma(left) ∩ base, agrees with a fresh
+    # bis on every iter_rows row
+    n = 70
+    g = gen_gnp(n, 0.1, seed=1)
+    left = VertexSet.from_indices(n, [0])
+    others = VertexSet.full(n).difference(left)
+    base = others.difference(VertexSet.from_indices(n, g.neighbors(0)))
+    masks = np.broadcast_to(others.words, (2, 3, others.words.size)).copy()
+    sides = np.stack([VertexSet.full(n).words, others.words])
+    blocks = [SubsampleBlock("sub", left.words, base.words, masks),
+              SidesSubsampleBlock("sides", left.words, base.words,
+                                  masks[:1], sides)]
+    o = BisOracle(g)
+    answers = o.submit(QueryPlan(n, blocks))
+    fresh = BisOracle(g)
+    for block, ans in zip(blocks, answers):
+        rows = [fresh.bis(VertexSet(n, lw.copy()), VertexSet(n, rw.copy()))
+                for lw, rw in block.iter_rows()]
+        assert ans.tolist() == rows == [1] * 6
+    assert np.array_equal(blocks[0].row_words(1, 2), base.words)
 
 
 def test_or_query_via_bis():
