@@ -74,6 +74,22 @@ def members(words: np.ndarray, n: int) -> np.ndarray:
     return np.nonzero(bits)[0].astype(np.int64)
 
 
+def members_rows(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, id) of every set bit below n in a (rows, w) stack of masks.
+
+    Pairs come row-major with ids ascending, as per-row ``members`` would
+    list them.  Only the nonzero words are unpacked, so the transient is
+    64 bytes per nonzero word rather than rows x n.
+    """
+    row, col = np.nonzero(words)
+    bits = np.unpackbits(words[row, col].view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    k, bit = np.nonzero(bits)
+    ids = col[k] * WORD_BITS + bit
+    keep = ids < n
+    return row[k][keep], ids[keep]
+
+
 def popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 

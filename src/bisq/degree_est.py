@@ -4,6 +4,11 @@ Each repetition assigns the vertices of S to random cells; the
 neighborhood size of each nonempty cell (against everything outside it)
 upper-bounds the degree of each of its members up to the other members'
 degree mass, and the minimum over repetitions tightens the overestimate.
+Each repetition submits one shared-plane block over all its cells and
+reads back the top survival depth per (cell, rep); a cell's no-edge count
+at level i is the number of reps whose top is below i, so the counts of
+every cell are one cumulative histogram of top + 1, decoded in one
+stacked ``decode_ns`` call.
 Extended mode additionally plans, per cell, the recovery of uniform
 members of the cell's outside neighborhood.  A cell's pool is decoded
 only when its estimate improves some member's minimum; that member then
@@ -17,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitset, params
-from .errors import NsDecodeError
 from .graph import VertexSet
-from .nbr_size import NsParams, decode_ns, NsCounts
+from .nbr_size import NsParams, counts_from_top, decode_ns
 from .oracle import BisOracle, QueryPlan, SharedSubsampleBlock
 from .element_recovery import build_neighbor_recovery
 from .params import Constants
@@ -51,6 +55,7 @@ class DegreeTable:
     d_hat: np.ndarray        # float64 estimates, min over repetitions
     t_min: np.ndarray        # repetition achieving the minimum, -1 if none
     failed: np.ndarray       # all repetitions failed; d_hat holds sentinel n
+    ns_failures: int = 0     # (repetition, cell) decodes that gave inf
 
     def lookup(self, v: int) -> float:
         i = int(np.searchsorted(self.vertices, v))
@@ -68,14 +73,9 @@ class NeighborTable:
     pools: list              # decoded pools, one per improving cell
 
 
-def _group_cells(assignment_row: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(cell_id, positions) for nonempty cells, cell id ascending."""
-    order = np.argsort(assignment_row, kind="stable")
-    sorted_cells = assignment_row[order]
-    boundaries = np.nonzero(np.diff(sorted_cells))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [sorted_cells.size]))
-    return [(int(sorted_cells[s]), order[s:e]) for s, e in zip(starts, ends)]
+def _cells(assignment_row: np.ndarray):
+    """Nonempty cells, id ascending: (ids, cell index per position, sizes)."""
+    return np.unique(assignment_row, return_inverse=True, return_counts=True)
 
 
 def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
@@ -89,6 +89,7 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
     cell_size = np.zeros(size, dtype=np.int64)
     pool_id = np.full(size, -1, dtype=np.int64)
     pools: list = []
+    ns_failures = 0
     if size == 0:
         table = DegreeTable(vertices=members, d_hat=d_hat, t_min=t_min,
                             failed=np.zeros(0, dtype=bool))
@@ -109,50 +110,41 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
         for t in range(schedule.reps):
             planes = bitset.nested_rate_masks(
                 rng_for(seed, "deg-planes", t), full, ns.levels, ns.reps)
-            groups = _group_cells(schedule.assignment[t])
-            cell_rows = np.repeat(np.arange(len(groups)),
-                                  [positions.size for _, positions in groups])
-            cell_ids = members[np.concatenate(
-                [positions for _, positions in groups])]
-            lefts = bitset.pack_rows(n, cell_rows, cell_ids, len(groups))
+            cell_ids, cell_of, sizes = _cells(schedule.assignment[t])
+            lefts = bitset.pack_rows(n, cell_of, members, cell_ids.size)
             bases = bitset.trim_tail(~lefts, n)
-            parts = list(zip(lefts, bases))
             recoveries = []
             if extended:
-                for (cell_id, _), left, base in zip(groups, lefts, bases):
+                for cell_id, left, base in zip(cell_ids.tolist(), lefts,
+                                               bases):
                     recoveries.append(build_neighbor_recovery(
                         n, VertexSet(n, left), VertexSet(n, base), ser_reps,
                         (seed, "deg-ser", t, cell_id), tag=tag + "-ser"))
-            plan = QueryPlan(n, [SharedSubsampleBlock(tag, planes, parts)])
+            plan = QueryPlan(n, [SharedSubsampleBlock(
+                tag, planes, list(zip(lefts, bases)))])
             for rec in recoveries:
                 plan.add(rec.block)
-            ns_answers, *ser_answers = oracle.submit(plan)
-            # (parts, levels, reps) copy: summing its contiguous last axis
-            # is ~2x faster than reducing the middle axis in place
-            level_counts = np.ascontiguousarray(
-                ns_answers.reshape(len(parts), ns.reps, ns.levels)
-                .transpose(0, 2, 1)).sum(axis=2, dtype=np.int64)
-            del ns_answers   # the largest array; free it before the next plan
-            for gi, (_, positions) in enumerate(groups):
-                counts = NsCounts(counts=level_counts[gi], reps=ns.reps)
-                try:
-                    est = decode_ns(counts, ns)
-                except NsDecodeError:
-                    est = np.inf   # one bad repetition cannot sink the min
-                est = min(est, float(n - positions.size))
-                improved = positions[est < d_hat[positions]]
-                d_hat[improved] = est
-                t_min[improved] = t
-                if extended and improved.size:
-                    # a cell that improves no member is never read
-                    pool_id[improved] = len(pools)
-                    cell_size[improved] = positions.size
-                    pools.append(recoveries[gi].decode_pool(ser_answers[gi]))
+            top, *ser_answers = oracle.submit(plan)
+            est = decode_ns(counts_from_top(top, ns), ns)
+            ns_failures += int(np.count_nonzero(est == np.inf))
+            # inf (a failed decode) cannot sink the min over repetitions
+            est = np.minimum(est, n - sizes)[cell_of]
+            improved = np.flatnonzero(est < d_hat)
+            d_hat[improved] = est[improved]
+            t_min[improved] = t
+            if extended and improved.size:
+                # a cell that improves no member is never read
+                gained, rank = np.unique(cell_of[improved],
+                                         return_inverse=True)
+                pool_id[improved] = len(pools) + rank
+                cell_size[improved] = sizes[cell_of[improved]]
+                pools.extend(recoveries[gi].decode_pool(ser_answers[gi])
+                             for gi in gained.tolist())
 
     failed = ~np.isfinite(d_hat)
     d_hat[failed] = float(n)   # sentinel, flagged
     table = DegreeTable(vertices=members, d_hat=d_hat, t_min=t_min,
-                        failed=failed)
+                        failed=failed, ns_failures=ns_failures)
     if not extended:
         return table, None
 
@@ -199,10 +191,10 @@ def predict_sketch_queries(n: int, subset_size: int, epsilon: float, seed,
     ser_reps = params.ser_pool_reps(n, epsilon, constants)
     total = 0
     for t in range(schedule.reps):
-        for _cell, positions in _group_cells(schedule.assignment[t]):
+        for cell_size in _cells(schedule.assignment[t])[2].tolist():
             total += ns_size
             if extended:
-                domain = n - positions.size
+                domain = n - cell_size
                 total += (params.ser_levels(domain) * ser_reps
                           * params.ser_rows_per_rep(domain))
     return total

@@ -3,7 +3,11 @@
 The plan subsamples R at geometric rates 2^-i and counts, per level, how
 many of T repetitions produce a no-edge answer against L.  Decoding finds
 the first level whose no-edge frequency clears a fixed threshold and
-inverts the closed form E[count]/T = (1 - 2^-i)^N.
+inverts the closed form E[count]/T = (1 - 2^-i)^N.  ``decode_ns`` takes
+one row of level counts or a stack of rows (one per cell of the degree
+sketch) and decodes a stack in one pass; its logarithms are ``math.log``
+values tabled by count and by level, so a row decodes to the same float
+alone or stacked.
 
 Sizes 0 and 1 decode exactly: an empty neighborhood answers 1 everywhere,
 and with a nonempty one the decoded value identifies size 1 because no
@@ -56,7 +60,11 @@ class NsParams:
 
 @dataclass
 class NsCounts:
-    """Per-level tallies of no-edge answers; counts[i] in 0..reps."""
+    """Per-level tallies of no-edge answers, in 0..reps.
+
+    ``counts`` has shape (levels,), or (..., levels) for a stack of
+    tallies that ``decode_ns`` decodes in one call.
+    """
     counts: np.ndarray
     reps: int
 
@@ -87,35 +95,66 @@ def counts_from_answers(answers: np.ndarray, ns: NsParams) -> NsCounts:
     return NsCounts(counts=counts, reps=ns.reps)
 
 
-def decode_ns(counts: NsCounts, ns: NsParams) -> float:
+def counts_from_top(top: np.ndarray, ns: NsParams) -> NsCounts:
+    """Stacked counts, (parts, levels), from a shared-plane block's top.
+
+    Row (p, r, i) answers 1 iff i > top[p, r], so the count at level i is
+    the number of reps with top + 1 <= i: a cumulative histogram of
+    top + 1 over 0..levels, one bincount for every part.
+    """
+    parts = top.shape[0]
+    bins = ns.levels + 1
+    hist = np.bincount((np.arange(parts)[:, None] * bins + top + 1).ravel(),
+                       minlength=parts * bins).reshape(parts, bins)
+    return NsCounts(counts=np.cumsum(hist, axis=1)[:, :ns.levels],
+                    reps=ns.reps)
+
+
+def decode_ns(counts: NsCounts, ns: NsParams) -> float | np.ndarray:
     """Invert the per-level counts into a size estimate.
 
-    Raises NsDecodeError when the selected level has a zero count (the
-    logarithm is undefined there); callers treat that as one failure
-    inside the delta budget.
+    ``counts.counts`` is one row of level counts or a stack of them,
+    shape (..., levels).  A row raises NsDecodeError when the selected
+    level has a zero count (the logarithm is undefined there); callers
+    treat that as one failure inside the delta budget.  A stack decodes
+    every row at once, gives ``inf`` for such rows and issues each
+    warning at most once.
+
+    The logarithms come from ``math.log`` tables indexed by count and by
+    level, and numpy's IEEE division of their entries equals Python's,
+    so a stacked row decodes bit-identically to the same row alone
+    (``np.log`` can differ from ``math.log`` in the last bit).
     """
     T = counts.reps
-    c = counts.counts
-    if c[0] == T:
-        return 0.0
+    shape = np.shape(counts.counts)
+    c = np.asarray(counts.counts).reshape(-1, shape[-1])
     threshold = (1.0 - ns.epsilon) * _THRESHOLD_BASE
-    low = np.nonzero(c / T < threshold)[0]
-    if low.size == 0:
+    decoding = c[:, 0] != T          # all-T rows decode to 0 silently
+    low = c / T < threshold
+    any_low = low.any(axis=1)
+    i_hat = ns.levels - np.argmax(low[:, ::-1], axis=1)
+    if (decoding & ~any_low).any():
         # unreachable with real answers (level 0 is deterministic); guard
         # for synthetic counts
         warnings.warn("no level under threshold; decoding at the top level")
-        i_hat = ns.levels - 1
-    else:
-        i_hat = int(low.max()) + 1
-        if i_hat >= ns.levels:
-            warnings.warn("threshold crossing at the top level; decoding there")
-            i_hat = ns.levels - 1
-    if c[i_hat] == 0:
-        raise NsDecodeError(f"zero count at decode level {i_hat}")
-    estimate = math.log(c[i_hat] / T) / math.log1p(-(2.0 ** -i_hat))
-    if estimate < _UNIT_CUTOFF:
-        return 1.0
-    return estimate
+    if (decoding & any_low & (i_hat >= ns.levels)).any():
+        warnings.warn("threshold crossing at the top level; decoding there")
+    i_hat = np.where(any_low, np.minimum(i_hat, ns.levels - 1),
+                     ns.levels - 1)
+    c_hat = c[np.arange(c.shape[0]), i_hat]
+    log_c = np.full(T + 1, -np.inf)     # count 0 decodes to inf
+    used = np.flatnonzero(np.bincount(c_hat, minlength=T + 1)[1:]) + 1
+    log_c[used] = [math.log(k / T) for k in used.tolist()]
+    log_q = np.array([np.nan] + [math.log1p(-(2.0 ** -i))
+                                 for i in range(1, ns.levels)])
+    estimate = log_c[c_hat] / log_q[i_hat]     # i_hat >= 1: levels >= 2
+    estimate[estimate < _UNIT_CUTOFF] = 1.0
+    estimate[~decoding] = 0.0
+    if len(shape) > 1:
+        return estimate.reshape(shape[:-1])
+    if estimate[0] == np.inf:
+        raise NsDecodeError(f"zero count at decode level {int(i_hat[0])}")
+    return float(estimate[0])
 
 
 def estimate_ns(oracle: BisOracle, left: VertexSet, right: VertexSet,

@@ -12,6 +12,12 @@ the planners can hand over structured subsample masks instead of one row
 per query; evaluation is exact and equivalent to answering every
 materialized (L, R) row separately, which `iter_rows` exposes for
 verification.
+
+A block's result is its answers, one uint8 per row in `iter_rows`
+order, except for a shared-plane block: its result is the int8 top
+survival depths of shape (parts, reps), and row (p, r, i) answers 1 iff
+i > top[p, r].  The degree sketch reads per-level counts from that
+summary directly, so the parts x reps x levels answers are never built.
 """
 from __future__ import annotations
 
@@ -176,8 +182,9 @@ class SharedSubsampleBlock:
     and HyperLogLog): depth[u, r] is the deepest level whose plane holds
     u, or -1.  Nesting makes u present at every level up to its depth, so
     row (p, r, i) hits an edge iff the largest depth over part p's support
-    Gamma(left_p) ∩ base_p is at least i.  One max per (part, rep) answers
-    all of that repetition's levels.
+    Gamma(left_p) ∩ base_p is at least i.  ``evaluate`` returns those
+    maxima, top of shape (parts, reps), instead of the answers: row
+    (p, r, i) answers 1 iff i > top[p, r], so top encodes every answer.
     """
 
     __slots__ = ("tag", "planes", "parts")
@@ -191,14 +198,25 @@ class SharedSubsampleBlock:
     def n_queries(self) -> int:
         return len(self.parts) * self.planes.shape[0] * self.planes.shape[1]
 
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lefts and bases as two (parts, w) arrays."""
+        w = self.planes.shape[2]
+        lefts = np.array([left for left, _ in self.parts],
+                         dtype=np.uint64).reshape(-1, w)
+        bases = np.array([base for _, base in self.parts],
+                         dtype=np.uint64).reshape(-1, w)
+        return lefts, bases
+
     def validate(self) -> None:
         if (self.planes[:, 1:] & ~self.planes[:, :-1]).any():
             raise PlanError(
                 f"block {self.tag!r}: planes are not nested within a rep")
-        for pi, (left, base) in enumerate(self.parts):
-            if (left & base).any():
-                raise DisjointnessError(
-                    f"block {self.tag!r}: part {pi} left overlaps base")
+        lefts, bases = self._stacked()
+        bad = (lefts & bases).any(axis=1)
+        if bad.any():
+            raise DisjointnessError(
+                f"block {self.tag!r}: part {int(np.argmax(bad))} left "
+                "overlaps base")
 
     def _depth_table(self, n: int) -> np.ndarray:
         """Survival depths, int8 of shape (n, reps); -1 where u is absent.
@@ -215,21 +233,47 @@ class SharedSubsampleBlock:
             depth += held.view(np.int8)
         return np.ascontiguousarray(depth.T)
 
+    def _supports(self, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+        """(part, id) pairs of every support Gamma(left_p) ∩ base_p.
+
+        One OR-reduction over the adjacency rows of all lefts' members,
+        grouped by part; parts with an empty left have an empty support.
+        """
+        lefts, bases = self._stacked()
+        part, member = bitset.members_rows(lefts, graph.n)
+        if not part.size:
+            return part, member
+        starts = np.flatnonzero(np.diff(part, prepend=-1))
+        owners = part[starts]
+        gamma = np.bitwise_or.reduceat(graph.adj_words[member], starts,
+                                       axis=0)
+        row, ids = bitset.members_rows(gamma & bases[owners], graph.n)
+        return owners[row], ids
+
     def evaluate(self, graph: Graph) -> np.ndarray:
-        reps, levels, _ = self.planes.shape
-        n = graph.n
+        """Top depths, int8 of shape (parts, reps); -1 for empty supports.
+
+        The max over each support goes by rank step: parts sorted by
+        support size k, descending, start from their first support id's
+        depth row, and step j folds in the j-th id of the parts with
+        k > j, which are a prefix of that order.
+        """
+        reps = self.planes.shape[0]
         top = np.full((len(self.parts), reps), -1, dtype=np.int8)
-        depth = None
-        for pi, (left, base) in enumerate(self.parts):
-            support = graph.neighborhood_words(
-                bitset.members(left, n)) & base
-            ids = bitset.members(support, n)
-            if ids.size:
-                if depth is None:
-                    depth = self._depth_table(n)
-                top[pi] = depth[ids].max(axis=0)
-        level = np.arange(levels, dtype=np.int8)
-        return (level > top[:, :, None]).view(np.uint8).ravel()
+        part, ids = self._supports(graph)
+        if not ids.size:
+            return top
+        depth = self._depth_table(graph.n)
+        k = np.bincount(part, minlength=len(self.parts))
+        first = np.cumsum(k) - k
+        order = np.argsort(-k, kind="stable")[:np.count_nonzero(k)]
+        k, first = k[order], first[order]
+        acc = depth[ids[first]]
+        for j in range(1, int(k[0])):
+            m = int(np.count_nonzero(k > j))
+            np.maximum(acc[:m], depth[ids[first[:m] + j]], out=acc[:m])
+        top[order] = acc
+        return top
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         reps, levels, _ = self.planes.shape
@@ -362,14 +406,19 @@ class BisOracle:
         return 0
 
     def submit(self, plan: QueryPlan) -> list[np.ndarray]:
-        """Answer every query in the plan; one answer array per block."""
+        """Answer every query in the plan; one result per block.
+
+        A result is the block's answer array, or for a shared-plane block
+        its (parts, reps) top depths, row (p, r, i) answering 1 iff
+        i > top[p, r].  Each block is charged ``n_queries()``.
+        """
         plan.validate()
         rounds = self._charge_round()
-        answers = [b.evaluate(self.graph) for b in plan.blocks]
+        results = [b.evaluate(self.graph) for b in plan.blocks]
         self.ledger.charge("_batch", 0, batches=1, rounds=rounds)
-        for b, a in zip(plan.blocks, answers):
-            self.ledger.charge(b.tag, int(a.size))
-        return answers
+        for b in plan.blocks:
+            self.ledger.charge(b.tag, b.n_queries())
+        return results
 
     def bis(self, left: VertexSet, right: VertexSet, tag: str = "adhoc") -> int:
         """Single query: 1 iff no edge joins left and right."""

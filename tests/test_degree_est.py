@@ -190,3 +190,35 @@ def test_neighbor_pools_only_for_improving_cells():
     assert sorted(set(ntable.pool_id.tolist())) == list(range(cells.size))
     assert all(pool.size == 0 for pool in ntable.pools)
     assert (ntable.neighbor == -1).all()
+
+
+def test_failed_decodes_are_counted(monkeypatch):
+    # a decode that gives inf (zero count at the selected level) is one
+    # (repetition, cell) failure: counted in ns_failures, and it cannot
+    # sink a member's minimum over the other repetitions
+    from bisq import degree_est
+
+    n = 64
+    g = gen_gnp(n, 0.1, seed=3)
+    S = VertexSet.from_indices(n, list(range(12)))
+    seed = "fail-count"
+    clean = estimate_degrees(BisOracle(g), S, 0.3, seed=seed,
+                             constants=FAST_C)
+    assert clean.ns_failures == 0
+    decode = degree_est.decode_ns
+    calls = []
+
+    def fail_first_rep(counts, ns):
+        est = decode(counts, ns)
+        if not calls:
+            est[:] = np.inf
+        calls.append(est.size)
+        return est
+
+    monkeypatch.setattr(degree_est, "decode_ns", fail_first_rep)
+    table = estimate_degrees(BisOracle(g), S, 0.3, seed=seed,
+                             constants=FAST_C)
+    assert len(calls) == deg_reps(n)          # one decode per repetition
+    assert table.ns_failures == calls[0]      # every cell of repetition 0
+    assert (table.t_min > 0).all() and not table.failed.any()
+    assert (table.d_hat >= clean.d_hat).all()

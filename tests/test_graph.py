@@ -196,3 +196,25 @@ def test_vertex_set_matches_python_sets(n, data):
     assert set(A.complement().members().tolist()) == set(range(n)) - a
     assert len(A) == len(a)
     assert A.isdisjoint(B) == a.isdisjoint(b)
+
+
+def test_members_rows_matches_members():
+    # the support-pair helper lists, row by row, exactly what members
+    # lists: stray bits past n (tail bits) are dropped, empty rows give
+    # no pairs
+    rng = np.random.default_rng(11)
+    for n in (1, 63, 64, 65, 130, 200):
+        w = bitset.word_count(n)
+        words = bitset.random_planes(rng, (5, w))
+        words[1] = 0
+        words[2, 0] = 0
+        words[3] &= bitset.random_planes(rng, w)
+        row, ids = bitset.members_rows(words, n)
+        assert bool(n % 64) == any(
+            bitset.members(r, w * 64).max() >= n for r in words if r.any())
+        for r in range(words.shape[0]):
+            assert np.array_equal(ids[row == r],
+                                  bitset.members(words[r], n))
+        assert np.array_equal(row, np.sort(row, kind="stable"))
+    row, ids = bitset.members_rows(np.zeros((0, 2), dtype=np.uint64), 100)
+    assert row.size == ids.size == 0

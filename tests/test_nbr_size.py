@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,3 +179,62 @@ def test_paper_profile_executes_and_is_accurate():
     for seed in range(3):
         est = estimate_ns(o, L, R, 0.5, 0.25, seed=seed, profile=PAPER)
         assert 0.5 * 12 <= est <= 1.5 * 12
+
+
+def _scalar_or_inf(row, ns):
+    try:
+        return decode_ns(NsCounts(counts=row, reps=ns.reps), ns)
+    except NsDecodeError:
+        return math.inf
+
+
+def test_batch_decode_equals_scalar_decode_row_by_row():
+    # every count 0..T at every level, placed so that the row decodes at
+    # that level when the count clears the threshold; plus the all-T row
+    # (0.0) and a zero count at the selected level (inf in the batch)
+    ns = NsParams.create(64, 0.3, 0.2, FAST, Constants(c_T=2.0))
+    T, L = ns.reps, ns.levels
+    rows = [np.full(L, T), np.zeros(L, dtype=np.int64)]
+    for i in range(L):
+        for c in range(T + 1):
+            rows.append(np.array([0] * i + [c] + [T] * (L - i - 1)))
+            rows.append(np.array([T] * i + [c] + [0] * (L - i - 1)))
+    stack = np.array(rows, dtype=np.int64)
+    with pytest.warns(UserWarning) as record:
+        batch = decode_ns(NsCounts(counts=stack, reps=T), ns)
+    messages = [str(w.message) for w in record]
+    assert len(messages) == len(set(messages)) == 2   # each kind once
+    assert batch.shape == (len(rows),)
+    assert batch[0] == 0.0 and batch[1] == math.inf
+    with pytest.warns(UserWarning), pytest.raises(NsDecodeError):
+        decode_ns(NsCounts(counts=stack[1], reps=T), ns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scalar = [_scalar_or_inf(row, ns) for row in stack]
+    assert batch.tolist() == scalar
+    assert {type(v) for v in scalar} == {float}
+    # stacking keeps the leading shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shaped = decode_ns(NsCounts(counts=stack[2:8].reshape(2, 3, L),
+                                    reps=T), ns)
+    assert shaped.tolist() == np.reshape(scalar[2:8], (2, 3)).tolist()
+
+
+def test_batch_decode_logs_are_math_log_exact():
+    # c = 1..T decoded at the top level i: the estimate is exactly
+    # math.log(c / T) / math.log1p(-2**-i), or 1.0 below the unit cutoff
+    T = 1474
+    for i in range(1, 11):
+        ns = NsParams(epsilon=0.25, delta=0.1, levels=i + 1, reps=T,
+                      profile=FAST)
+        c = np.arange(1, T + 1)
+        stack = np.zeros((T, i + 1), dtype=np.int64)
+        stack[:, i] = c
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = decode_ns(NsCounts(counts=stack, reps=T), ns)
+        expect = [math.log(k / T) / math.log1p(-2.0 ** -i)
+                  for k in range(1, T + 1)]
+        expect = [v if v >= 1.5 else 1.0 for v in expect]
+        assert batch.tolist() == expect

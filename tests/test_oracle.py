@@ -10,6 +10,11 @@ from bisq.oracle import DenseBlock, SidesSubsampleBlock, SubsampleBlock
 from bisq.seeding import rng_for
 
 
+def _expand_top(top, levels):
+    """Answers of a shared-plane block, in row order, from its top depths."""
+    return (np.arange(levels) > top[:, :, None]).ravel()
+
+
 def _triangle():
     return Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -136,7 +141,7 @@ def test_shared_planes_block_rows_match_single_queries():
             left = bitset.pack_indices(96, ids)
             parts.append((left, bitset.trim_tail(~left, 96)))
         block = SharedSubsampleBlock("t", planes, parts)
-        answers = o.submit(QueryPlan(96, [block]))[0]
+        answers = _expand_top(o.submit(QueryPlan(96, [block]))[0], 5)
         fresh = BisOracle(g)
         for ans, (lw, rw) in zip(answers, block.iter_rows()):
             expect = fresh.bis(VertexSet(96, lw.copy()),
@@ -144,14 +149,15 @@ def test_shared_planes_block_rows_match_single_queries():
             assert int(ans) == expect
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(65, 200), st.floats(0.0, 0.5), st.integers(1, 4),
-       st.integers(1, 7), st.integers(0, 3), st.integers(0, 10 ** 6))
-def test_shared_depth_kernel_matches_single_queries(n, p, reps, levels,
-                                                    extra, seed):
-    # n past a word boundary leaves tail bits; level 0 is a random subset,
-    # so some vertices have depth -1.  Part 0 is an isolated vertex (empty
-    # support); part 1 is a hub adjacent to all but it (support > 48).
+def _depth_kernel_case(n, p, reps, levels, extra, seed):
+    """A graph and a shared-plane block over it, for the depth kernel.
+
+    n past a word boundary leaves tail bits; level 0 is a random subset,
+    so some vertices have depth -1.  Part 0 is an isolated vertex (empty
+    support); part 1 is a hub adjacent to all but it (support > 48); the
+    ``extra`` parts split the vertices at random into left, base and
+    neither.
+    """
     from bisq import bitset
     from bisq.oracle import SharedSubsampleBlock
 
@@ -171,18 +177,55 @@ def test_shared_depth_kernel_matches_single_queries(n, p, reps, levels,
         side = rng.integers(0, 3, size=n)   # 0: left, 1: base, 2: neither
         parts.append((bitset.pack_indices(n, np.nonzero(side == 0)[0]),
                       bitset.pack_indices(n, np.nonzero(side == 1)[0])))
-    block = SharedSubsampleBlock("t", planes, parts)
+    hub_support = g.neighborhood_words(np.array([hub])) & parts[1][1]
+    assert bitset.popcount(hub_support) > 48
+    return g, SharedSubsampleBlock("t", planes, parts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(65, 200), st.floats(0.0, 0.5), st.integers(1, 4),
+       st.integers(1, 7), st.integers(0, 3), st.integers(0, 10 ** 6))
+def test_shared_depth_kernel_matches_single_queries(n, p, reps, levels,
+                                                    extra, seed):
+    g, block = _depth_kernel_case(n, p, reps, levels, extra, seed)
     o = BisOracle(g)
-    answers = o.submit(QueryPlan(n, [block]))[0]
+    answers = _expand_top(o.submit(QueryPlan(n, [block]))[0], levels)
     assert o.ledger.bis_count == block.n_queries() == answers.size
     assert o.ledger.phases == {"t": block.n_queries()}
     assert answers[:reps * levels].all()   # empty support never hits
-    hub_support = g.neighborhood_words(np.array([hub])) & parts[1][1]
-    assert bitset.popcount(hub_support) > 48
     fresh = BisOracle(g)
     for ans, (lw, rw) in zip(answers, block.iter_rows()):
         assert int(ans) == fresh.bis(VertexSet(n, lw.copy()),
                                      VertexSet(n, rw.copy()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(65, 200), st.floats(0.0, 0.5), st.integers(1, 4),
+       st.integers(1, 7), st.integers(0, 3), st.integers(0, 10 ** 6))
+def test_shared_top_histogram_counts_match_answer_sums(n, p, reps, levels,
+                                                       extra, seed):
+    # the per-level no-edge counts the degree sketch reads from the top
+    # depths by histogram equal the per-level sums of the answers, and
+    # those answers equal a word-AND per row against each support
+    from bisq import bitset
+    from bisq.nbr_size import NsParams, counts_from_top
+
+    g, block = _depth_kernel_case(n, p, reps, levels, extra, seed)
+    top = block.evaluate(g)
+    assert top.dtype == np.int8 and top.shape == (len(block.parts), reps)
+    supports = [g.neighborhood_words(bitset.members(left, n)) & base
+                for left, base in block.parts]
+    expect = np.array([[[not (block.planes[r, i] & s).any()
+                         for i in range(levels)] for r in range(reps)]
+                       for s in supports])
+    answers = _expand_top(top, levels).reshape(expect.shape)
+    assert np.array_equal(answers, expect)
+    ns = NsParams(epsilon=0.25, delta=0.1, levels=levels, reps=reps,
+                  profile="fast")
+    counts = counts_from_top(top, ns)
+    assert counts.reps == reps
+    assert np.array_equal(counts.counts, expect.sum(axis=1))
+    assert (counts.counts[0] == reps).all()   # empty support
 
 
 def test_shared_block_rejects_unnested_planes():
