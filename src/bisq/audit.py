@@ -99,9 +99,7 @@ def ratio_band(rows: list[AuditRow]) -> float:
 
 def round1_planned_queries(n: int, constants: Constants = Constants()) -> int:
     """Dry-run size of the connectivity round-1 recovery plan."""
-    reps = params.round1_reps(n, constants)
-    domain = n - 1
-    return n * params.ser_levels(domain) * reps * params.ser_rows_per_rep(domain)
+    return n * params.ser_queries(n - 1, params.round1_reps(n, constants))
 
 
 def round1_polylog(n: int, constants: Constants = Constants()) -> float:

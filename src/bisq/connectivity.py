@@ -73,8 +73,8 @@ def round1_neighbor_sampling(oracle: BisOracle, seed,
     for v in range(n):
         left = VertexSet.from_indices(n, [v])
         right = full.difference(left)
-        rec = build_neighbor_recovery(n, left, right, reps,
-                                      (seed, "round1", v), tag=tag)
+        rec = build_neighbor_recovery(left, right, reps, (seed, "round1", v),
+                                      tag=tag)
         recs.append((v, rec))
         plan.add(rec.block)
     with oracle.round():

@@ -118,7 +118,7 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                 for cell_id, left, base in zip(cell_ids.tolist(), lefts,
                                                bases):
                     recoveries.append(build_neighbor_recovery(
-                        n, VertexSet(n, left), VertexSet(n, base), ser_reps,
+                        VertexSet(n, left), VertexSet(n, base), ser_reps,
                         (seed, "deg-ser", t, cell_id), tag=tag + "-ser"))
             plan = QueryPlan(n, [SharedSubsampleBlock(
                 tag, planes, list(zip(lefts, bases)))])
@@ -194,7 +194,5 @@ def predict_sketch_queries(n: int, subset_size: int, epsilon: float, seed,
         for cell_size in _cells(schedule.assignment[t])[2].tolist():
             total += ns_size
             if extended:
-                domain = n - cell_size
-                total += (params.ser_levels(domain) * ser_reps
-                          * params.ser_rows_per_rep(domain))
+                total += params.ser_queries(n - cell_size, ser_reps)
     return total

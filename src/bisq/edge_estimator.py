@@ -327,9 +327,3 @@ class AnalysisOracle:
             if prev_thr / gamma < d < prev_thr:
                 return True
         return False
-
-    def x_value(self, v: int, samples: list[VertexSet]) -> float:
-        lv = self.actual_level(v)
-        if lv is None or v not in samples[lv]:
-            return 0.0
-        return self.schedule.gamma_pow_mu(lv) * self.graph.degree(v)

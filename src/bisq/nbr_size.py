@@ -3,7 +3,8 @@
 The plan subsamples R at geometric rates 2^-i and counts, per level, how
 many of T repetitions produce a no-edge answer against L.  Decoding finds
 the first level whose no-edge frequency clears a fixed threshold and
-inverts the closed form E[count]/T = (1 - 2^-i)^N.  ``decode_ns`` takes
+inverts the closed form E[count]/T = (1 - 2^-i)^N.  The plan is one
+Dense group: L against its T x levels subsample rows.  ``decode_ns`` takes
 one row of level counts or a stack of rows (one per cell of the degree
 sketch) and decodes a stack in one pass; its logarithms are ``math.log``
 values tabled by count and by level, so a row decodes to the same float
@@ -25,7 +26,7 @@ import numpy as np
 from . import bitset, params
 from .errors import NsDecodeError
 from .graph import VertexSet
-from .oracle import BisOracle, QueryPlan, SubsampleBlock
+from .oracle import BisOracle, DenseBlock, QueryPlan
 from .params import Constants
 from .seeding import rng_for
 
@@ -79,15 +80,16 @@ def plan_ns(left: VertexSet, right: VertexSet, ns: NsParams, seed,
     """Build the full query plan; issues no oracle queries.
 
     Entry (i, t) is (L, R_i^t) where R_i^t keeps each member of R with
-    probability 2^-i.  Row index within the block is t * levels + i.
+    probability 2^-i.  The plan is one Dense group: left L against the
+    reps x levels subsample rows, row index t * levels + i.
     """
     if not left.isdisjoint(right):
         raise ValueError("left and right sets overlap")
     rng = rng_for(seed, "ns-plan")
     masks = bitset.nested_rate_masks(rng, right.words, ns.levels, ns.reps)
-    plan = QueryPlan(left.n)
-    plan.add(SubsampleBlock(tag, left.words, right.words, masks))
-    return plan
+    return QueryPlan(left.n, [DenseBlock(
+        tag, left.words[None], masks.reshape(-1, masks.shape[-1]),
+        rows_per_group=ns.reps * ns.levels)])
 
 
 def counts_from_answers(answers: np.ndarray, ns: NsParams) -> NsCounts:

@@ -6,12 +6,14 @@ submitted in plans (batches of blocks); a plan built without looking at
 any prior answer costs one adaptivity round, which callers express with
 ``with oracle.round(): ...`` scopes.
 
-Blocks come in four types (explicit rows, one-left subsample masks,
-shared subsample planes for many parts, side-refined subsample masks) so
-the planners can hand over structured subsample masks instead of one row
-per query; evaluation is exact and equivalent to answering every
-materialized (L, R) row separately, which `iter_rows` exposes for
-verification.
+Blocks come in three kinds, each storing only what its rows are a
+function of: explicit rows in groups sharing one left (the coarse
+bootstrap, and the NS plan as one group of subsample rows), shared
+subsample planes for many (left, base) parts (the degree sketch), and
+subsample masks of a base cut by the bit-decoding sides of single
+element recovery, which are derived from ``base`` itself (``side_bits``).
+Evaluation is exact and equivalent to answering every materialized
+(L, R) row separately, which `iter_rows` exposes for verification.
 
 A block's result is its answers, one uint8 per row in `iter_rows`
 order, except for a shared-plane block: its result is the int8 top
@@ -27,7 +29,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import bitset
+from . import bitset, params
 from .errors import DisjointnessError, PlanError
 from .graph import Graph, VertexSet
 
@@ -71,9 +73,6 @@ class QueryLedger:
             },
         }
 
-    def as_dict(self) -> dict:
-        return self.snapshot()
-
 
 # ---------------------------------------------------------------------------
 # plan blocks
@@ -97,11 +96,14 @@ class DenseBlock:
         return self.right.shape[0]
 
     def validate(self) -> None:
+        """One OR over each group's rows against its left; the offending
+        row is located only when that check fails."""
         g = self.left.shape[0]
         r3 = self.right.reshape(g, self.rows_per_group, -1)
-        bad = (r3 & self.left[:, None, :]).any(axis=2)
+        bad = (np.bitwise_or.reduce(r3, axis=1) & self.left).any(axis=1)
         if bad.any():
-            gi, ri = np.argwhere(bad)[0]
+            gi = int(np.argmax(bad))
+            ri = int(np.argmax((r3[gi] & self.left[gi]).any(axis=1)))
             raise DisjointnessError(
                 f"block {self.tag!r}: query {gi * self.rows_per_group + ri} "
                 "has overlapping L and R")
@@ -119,55 +121,6 @@ class DenseBlock:
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for idx in range(self.right.shape[0]):
             yield self.left[idx // self.rows_per_group], self.right[idx]
-
-
-class SubsampleBlock:
-    """One left set against nested subsample masks of a base set.
-
-    ``masks`` has shape (reps, levels, w); row index r * levels + i maps
-    to the query (left, masks[r, i] & base).  Planners draw masks inside
-    base, so the intersection only pins down what a row is.
-    """
-
-    __slots__ = ("tag", "left", "base", "masks")
-
-    def __init__(self, tag: str, left: np.ndarray, base: np.ndarray,
-                 masks: np.ndarray):
-        self.tag = tag
-        self.left = left
-        self.base = base
-        self.masks = masks
-
-    @property
-    def reps(self) -> int:
-        return self.masks.shape[0]
-
-    @property
-    def levels(self) -> int:
-        return self.masks.shape[1]
-
-    def n_queries(self) -> int:
-        return self.masks.shape[0] * self.masks.shape[1]
-
-    def validate(self) -> None:
-        if (self.left & self.base).any():
-            raise DisjointnessError(
-                f"block {self.tag!r}: left overlaps the sampled base set")
-
-    def evaluate(self, graph: Graph) -> np.ndarray:
-        support = graph.neighborhood_words(
-            bitset.members(self.left, graph.n)) & self.base
-        hit = (self.masks & support).any(axis=-1)
-        return (~hit).astype(np.uint8).ravel()
-
-    def row_words(self, rep: int, level: int) -> np.ndarray:
-        return self.masks[rep, level] & self.base
-
-    def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        reps, levels, _ = self.masks.shape
-        for r in range(reps):
-            for i in range(levels):
-                yield self.left, self.masks[r, i] & self.base
 
 
 class SharedSubsampleBlock:
@@ -283,33 +236,55 @@ class SharedSubsampleBlock:
                     yield left, self.planes[r, i] & base
 
 
-class SidesSubsampleBlock:
-    """Subsample masks refined by fixed side masks (bit-decoding queries).
+def side_bits(index: np.ndarray, domain: int) -> np.ndarray:
+    """Which bit-decoding sides hold each domain index: bool (k, 2b+2).
 
-    Row for (level l, rep r, side q) is masks[r, l] & base & sides[q];
-    row index l * reps * n_sides + r * n_sides + q.  Used by the
-    single-element recovery plans, where sides are the bit-slice sets of
-    the domain and masks are drawn inside base.
+    Columns: the whole domain, the b one-bit sides (bit j of the index
+    set), the b zero-bit sides (bit j clear) and verify (the whole domain
+    again), with b = ``params.ser_bits(domain)``.
+    """
+    hi = ((index[:, None] >> np.arange(params.ser_bits(domain))) & 1
+          ).astype(bool)
+    whole = np.ones((index.size, 1), dtype=bool)
+    return np.concatenate([whole, hi, ~hi, whole], axis=1)
+
+
+def side_masks(n: int, positions: np.ndarray) -> np.ndarray:
+    """The (2b+2, w) side stack; ``positions[k]`` carries domain index k."""
+    inside = side_bits(np.arange(positions.size), positions.size)
+    side, k = np.nonzero(inside.T)
+    return bitset.pack_rows(n, side, positions[k], inside.shape[1])
+
+
+class SidesSubsampleBlock:
+    """Subsample masks of a base cut by bit-decoding sides.
+
+    The domain is members(base) in id order and its sides are
+    ``side_bits`` of the domain indices.  Row for (level l, rep r, side
+    q) is masks[r, l] & base & side q; row index l * reps * n_sides +
+    r * n_sides + q.  Used by the single-element recovery plans, where
+    masks are drawn inside base.
 
     Evaluation reads only the support Gamma(left) ∩ base: it gathers the
-    mask and side bits of the k support vertices, and row (l, r, q) hits
-    iff some support vertex is held by both masks[r, l] and sides[q], so
-    one (reps * levels, k) @ (k, n_sides) product counts every row's hits.
+    mask bits of the k support vertices and the side bits of their domain
+    indices, and row (l, r, q) hits iff some support vertex is held by
+    both masks[r, l] and side q, so one (reps * levels, k) @ (k, n_sides)
+    product counts every row's hits.
     """
 
-    __slots__ = ("tag", "left", "base", "masks", "sides")
+    __slots__ = ("tag", "left", "base", "masks")
 
     def __init__(self, tag: str, left: np.ndarray, base: np.ndarray,
-                 masks: np.ndarray, sides: np.ndarray):
+                 masks: np.ndarray):
         self.tag = tag
         self.left = left
         self.base = base
         self.masks = masks          # (reps, levels, w)
-        self.sides = sides          # (n_sides, w)
 
     def n_queries(self) -> int:
         reps, levels, _ = self.masks.shape
-        return levels * reps * self.sides.shape[0]
+        return levels * reps * params.ser_rows_per_rep(
+            bitset.popcount(self.base))
 
     def validate(self) -> None:
         if (self.left & self.base).any():
@@ -318,24 +293,27 @@ class SidesSubsampleBlock:
 
     def evaluate(self, graph: Graph) -> np.ndarray:
         reps, levels, _ = self.masks.shape
+        domain = bitset.members(self.base, graph.n)
         support = graph.neighborhood_words(
             bitset.members(self.left, graph.n)) & self.base
         ids = bitset.members(support, graph.n)
         byte, shift = ids >> 3, (ids & 7).astype(np.uint8)
         held = (self.masks.view(np.uint8)[:, :, byte] >> shift) & 1
-        inside = (self.sides.view(np.uint8)[:, byte] >> shift) & 1
+        inside = side_bits(np.searchsorted(domain, ids), domain.size)
         counts = (held.reshape(reps * levels, -1).astype(np.float32)
-                  @ inside.T.astype(np.float32))
+                  @ inside.astype(np.float32))
         hit = (counts > 0.5).reshape(reps, levels, -1).transpose(1, 0, 2)
         return (~hit).astype(np.uint8).ravel()
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        reps, levels, _ = self.masks.shape
+        reps, levels, w = self.masks.shape
+        n = w * bitset.WORD_BITS
+        sides = side_masks(n, bitset.members(self.base, n))
         for l in range(levels):
             for r in range(reps):
                 row = self.masks[r, l] & self.base
-                for q in range(self.sides.shape[0]):
-                    yield self.left, row & self.sides[q]
+                for side in sides:
+                    yield self.left, row & side
 
 
 class QueryPlan:

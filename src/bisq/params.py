@@ -111,8 +111,13 @@ def ser_pool_reps(n: int, epsilon: float, constants: Constants) -> int:
     return max(1, int(math.ceil(base * constants.ser_pool_scale)))
 
 
+def ser_queries(domain: int, reps: int) -> int:
+    """Queries of one recovery plan: levels x reps x rows per rep."""
+    return ser_levels(domain) * reps * ser_rows_per_rep(domain)
+
+
 def ser_plan_size(domain: int, delta: float, constants: Constants) -> int:
-    return ser_levels(domain) * ser_reps(delta, constants) * ser_rows_per_rep(domain)
+    return ser_queries(domain, ser_reps(delta, constants))
 
 
 # -- edge-estimator level ladder -------------------------------------------

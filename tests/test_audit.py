@@ -1,6 +1,9 @@
 import math
 
-from bisq import audit
+import pytest
+
+from bisq import BisOracle, audit, gen_gnp
+from bisq.connectivity import round1_neighbor_sampling
 from bisq.params import Constants, PAPER, FAST
 from bisq.nbr_size import NsParams, plan_ns
 from bisq.graph import VertexSet
@@ -45,6 +48,17 @@ def test_round1_growth_exponent_near_linear():
                 for n in ns]
     slope = np.polyfit(np.log(ns), np.log(adjusted), 1)[0]
     assert 0.9 <= slope <= 1.1, slope
+
+
+@pytest.mark.parametrize("n, planned", [(2, 92), (3, 864), (17, 77_350),
+                                        (64, 840_448), (65, 853_580)])
+def test_round1_dry_run_equals_executed_ledger(n, planned):
+    c = Constants(c_nb=2.0)
+    assert audit.round1_planned_queries(n, c) == planned
+    o = BisOracle(gen_gnp(n, 0.3, seed=n))
+    round1_neighbor_sampling(o, seed=n, constants=c)
+    assert o.ledger.bis_count == planned
+    assert o.ledger.round_count == o.ledger.batch_count == 1
 
 
 def test_audit_is_pure_arithmetic():

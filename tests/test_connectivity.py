@@ -5,8 +5,7 @@ from bisq import (BisOracle, QueryPlan, SupernodeOracle, VertexSet, contract,
                   exact_connected, gen_family, gen_gnp, is_connected,
                   round1_neighbor_sampling)
 from bisq import bitset
-from bisq.oracle import (DenseBlock, SharedSubsampleBlock,
-                         SidesSubsampleBlock, SubsampleBlock)
+from bisq.oracle import DenseBlock, SharedSubsampleBlock, SidesSubsampleBlock
 from bisq.params import Constants
 from bisq.seeding import rng_for
 
@@ -109,13 +108,11 @@ def _supernode_plan(rng, p, reps, levels):
     left, base = _disjoint_pair(rng, p)
     masks = bitset.nested_rate_masks(rng, base, levels, reps)
     planes = bitset.nested_rate_masks(rng, bitset.full_words(p), levels, reps)
-    sides = bitset.trim_tail(bitset.random_planes(rng, (4, w)), p)
     return QueryPlan(p, [
         DenseBlock("dense", lefts, rights, rows_per_group=2),
-        SubsampleBlock("sub", left, base, masks),
         SharedSubsampleBlock("shared", planes,
                              [_disjoint_pair(rng, p) for _ in range(3)]),
-        SidesSubsampleBlock("sides", left, base, masks, sides)])
+        SidesSubsampleBlock("sides", left, base, masks)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -136,7 +133,7 @@ def test_contracted_oracle_matches_base_on_expanded_rows(n, density, kept,
     plan = _supernode_plan(rng, sg.p, reps, levels)
     before = base.ledger.snapshot()
     results = sup.submit(plan)
-    results[2] = (np.arange(levels) > results[2][:, :, None]).ravel()
+    results[1] = (np.arange(levels) > results[1][:, :, None]).ravel()
     answers = np.concatenate(results)
     delta = base.ledger.delta(before)
     assert delta["bis_count"] == plan.size() == answers.size

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from bisq import (BisOracle, VertexSet, gen_family, gen_gnp, plan_ser,
                   decode_ser, answer_plan, uniform_neighbor_of_set)
 from bisq import bitset
-from bisq.element_recovery import _side_masks, build_neighbor_recovery
-from bisq.oracle import QueryPlan
+from bisq.element_recovery import build_neighbor_recovery
+from bisq.oracle import QueryPlan, side_masks
 from bisq.params import Constants, ser_bits, ser_plan_size
 from bisq.seeding import rng_for
 
@@ -157,7 +157,7 @@ def test_recovery_soundness_against_oracle():
         ids = rng.permutation(96)
         L = VertexSet.from_indices(96, ids[:3])
         R = VertexSet.from_indices(96, ids[3:60])
-        rec = build_neighbor_recovery(96, L, R, reps=12, seed=seed)
+        rec = build_neighbor_recovery(L, R, reps=12, seed=seed)
         answers = o.submit(QueryPlan(96, [rec.block]))[0]
         pool = rec.decode_pool(answers)
         gamma = g.neighborhood_words(L.members())
@@ -185,8 +185,7 @@ def test_certificate_soundness_property(domain, data):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 200), st.integers(0, 70), st.integers(0, 10 ** 6))
 def test_side_masks_match_per_bit_packing(domain, spare, seed):
-    # reference: one pack_indices call per side, as the masks were built
-    # before they became a single pack_rows call
+    # reference: one pack_indices call per side
     n = domain + spare
     ids = np.sort(rng_for("sides", seed).choice(n, domain, replace=False))
     bits = ser_bits(domain)
@@ -197,4 +196,4 @@ def test_side_masks_match_per_bit_packing(domain, spare, seed):
         hi = (idx >> b) & 1 == 1
         ref[1 + b] = bitset.pack_indices(n, ids[hi])
         ref[1 + bits + b] = bitset.pack_indices(n, ids[~hi])
-    assert np.array_equal(_side_masks(domain, n, ids), ref)
+    assert np.array_equal(side_masks(n, ids), ref)

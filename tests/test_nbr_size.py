@@ -36,7 +36,7 @@ def test_empty_right_side_plan():
     plan = plan_ns(VertexSet.from_indices(n, [0]), VertexSet.empty(n), ns, 1)
     assert plan.size() == ns.levels * ns.reps
     block = plan.blocks[0]
-    assert not block.masks.any()
+    assert not block.right.any()
 
 
 def test_level_zero_mask_equals_right_set():
@@ -46,7 +46,7 @@ def test_level_zero_mask_equals_right_set():
     plan = plan_ns(VertexSet.from_indices(n, [0]), R, ns, seed=9)
     block = plan.blocks[0]
     for t in range(ns.reps):
-        assert np.array_equal(block.row_words(t, 0), R.words)
+        assert np.array_equal(block.right[t * ns.levels], R.words)
 
 
 def test_masks_nested_and_rate_halves():
@@ -54,7 +54,7 @@ def test_masks_nested_and_rate_halves():
     ns = NsParams.create(n, 0.5, 0.25, FAST, Constants(c_T=4.0))
     R = VertexSet.full(n)
     plan = plan_ns(VertexSet.empty(n), R, ns, seed=4)
-    masks = plan.blocks[0].masks
+    masks = plan.blocks[0].right.reshape(ns.reps, ns.levels, -1)
     sizes = np.bitwise_count(masks).sum(axis=2)
     for i in range(1, 5):
         # nesting

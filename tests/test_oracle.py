@@ -6,7 +6,8 @@ from bisq import (BisOracle, Graph, QueryPlan, VertexSet, gen_gnp,
                   exact_neighborhood_size)
 from bisq.errors import DisjointnessError
 from bisq.graph import gen_family
-from bisq.oracle import DenseBlock, SidesSubsampleBlock, SubsampleBlock
+from bisq.oracle import (DenseBlock, SharedSubsampleBlock,
+                         SidesSubsampleBlock)
 from bisq.seeding import rng_for
 
 
@@ -283,12 +284,12 @@ def test_sides_block_matches_single_queries(n, p, reps, few, seed):
     for k, (v, right) in enumerate(cases):
         left = VertexSet.from_indices(n, [v])
         blocks.append(build_neighbor_recovery(
-            n, left, right, reps, (seed, k), tag=f"b{k}").block)
+            left, right, reps, (seed, k), tag=f"b{k}").block)
     sizes = [bitset.popcount(g.neighborhood_words(np.array([v])) & r.words)
              for v, r in cases]
     assert sizes[:3] == [0, 1, few] and sizes[3] > 48
     assert sizes[4:] == [0, 1]
-    assert blocks[4].sides.shape[0] == 2        # domain 1: whole, verify
+    assert blocks[4].n_queries() == reps * 2    # domain 1: whole, verify
 
     o = BisOracle(g)
     answers = o.submit(QueryPlan(n, blocks))
@@ -304,7 +305,7 @@ def test_sides_block_matches_single_queries(n, p, reps, few, seed):
 
 
 def test_subsample_rows_lie_inside_base():
-    # masks that reach outside base: a row is masks & base (& side), so
+    # masks that reach outside base: a row is masks & base & side, so
     # evaluate, which reads only Gamma(left) ∩ base, agrees with a fresh
     # bis on every iter_rows row
     n = 70
@@ -313,18 +314,45 @@ def test_subsample_rows_lie_inside_base():
     others = VertexSet.full(n).difference(left)
     base = others.difference(VertexSet.from_indices(n, g.neighbors(0)))
     masks = np.broadcast_to(others.words, (2, 3, others.words.size)).copy()
-    sides = np.stack([VertexSet.full(n).words, others.words])
-    blocks = [SubsampleBlock("sub", left.words, base.words, masks),
-              SidesSubsampleBlock("sides", left.words, base.words,
-                                  masks[:1], sides)]
-    o = BisOracle(g)
-    answers = o.submit(QueryPlan(n, blocks))
+    block = SidesSubsampleBlock("sides", left.words, base.words, masks)
+    answers = BisOracle(g).submit(QueryPlan(n, [block]))[0]
     fresh = BisOracle(g)
-    for block, ans in zip(blocks, answers):
-        rows = [fresh.bis(VertexSet(n, lw.copy()), VertexSet(n, rw.copy()))
-                for lw, rw in block.iter_rows()]
-        assert ans.tolist() == rows == [1] * 6
-    assert np.array_equal(blocks[0].row_words(1, 2), base.words)
+    rows = [fresh.bis(VertexSet(n, lw.copy()), VertexSet(n, rw.copy()))
+            for lw, rw in block.iter_rows()]
+    assert answers.tolist() == rows == [1] * block.n_queries()
+
+
+def _overlapping_block(kind, n):
+    """A block of the given kind with rows that share vertex 66 with
+    their left: Dense rows 4 and 5 (group 1), the level-0 rows of shared
+    part 1, and the level-0 whole-side rows of the Sides block."""
+    from bisq import bitset
+
+    left = bitset.pack_indices(n, [0, 66])
+    base = bitset.pack_indices(n, [5, 66])
+    if kind == "dense":
+        lefts = np.stack([bitset.pack_indices(n, [1]), left])
+        rights = np.stack([bitset.pack_indices(n, ids) for ids in
+                           ([2], [3, 4], [5], [2, 9], [66], [5, 66])])
+        return DenseBlock("t", lefts, rights, rows_per_group=3)
+    planes = bitset.nested_rate_masks(rng_for("overlap"),
+                                      bitset.full_words(n), 2, 3)
+    if kind == "shared":
+        clear = bitset.pack_indices(n, [7])
+        return SharedSubsampleBlock("t", planes, [(left, clear), (left, base)])
+    return SidesSubsampleBlock("t", left, base, planes & base)
+
+
+@pytest.mark.parametrize("kind", ["dense", "shared", "sides"])
+def test_block_rejects_row_overlapping_its_left(kind):
+    n = 70
+    block = _overlapping_block(kind, n)
+    o = BisOracle(gen_gnp(n, 0.1, seed=1))
+    message = "query 4 " if kind == "dense" else "overlap"
+    with pytest.raises(DisjointnessError, match=message):
+        o.submit(QueryPlan(n, [block]))
+    assert o.ledger.snapshot() == {"bis_count": 0, "batch_count": 0,
+                                   "round_count": 0, "phases": {}}
 
 
 def test_or_query_via_bis():
@@ -340,7 +368,7 @@ def test_ledger_export_shape():
     o = BisOracle(_triangle())
     o.bis(VertexSet.from_indices(3, [0]), VertexSet.from_indices(3, [1]),
           tag="x")
-    d = o.ledger.as_dict()
+    d = o.ledger.snapshot()
     assert set(d) == {"bis_count", "batch_count", "round_count", "phases"}
     assert d["phases"] == {"x": 1}
 
