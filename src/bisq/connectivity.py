@@ -20,7 +20,7 @@ from . import bitset, params
 from .edge_sampler import OK, sample_edges_batch
 from .element_recovery import build_neighbor_recovery
 from .graph import Graph, VertexSet
-from .oracle import BisOracle, QueryPlan
+from .oracle import BisOracle, QueryPlan, Results
 from .params import Constants
 
 
@@ -61,7 +61,9 @@ def round1_neighbor_sampling(oracle: BisOracle, seed,
 
     One round.  Each vertex gets one recovery plan sized so its accepted
     pool approaches ceil(c_nb log2^2 n) independent draws; every pool
-    entry is a certified neighbor, so the edges are real.
+    entry is a certified neighbor, so the edges are real.  The plan holds
+    only each block's seed, and the submitted results are evaluated as
+    they are read, so one block's masks and answers are live at a time.
     """
     n = oracle.n
     target = params.neighbor_sample_target(n, constants)
@@ -141,7 +143,7 @@ class SupernodeOracle(BisOracle):
     def __init__(self, base: BisOracle, sg: SuperGraph):
         super().__init__(contracted_graph(base.graph, sg), base.ledger)
 
-    def submit(self, plan: QueryPlan) -> list[np.ndarray]:
+    def submit(self, plan: QueryPlan) -> Results:
         # its own entry point, so round-2 batches can be timed apart
         return super().submit(plan)
 

@@ -10,7 +10,8 @@ at level i is the number of reps whose top is below i, so the counts of
 every cell are one cumulative histogram of top + 1, decoded in one
 stacked ``decode_ns`` call.
 Extended mode additionally plans, per cell, the recovery of uniform
-members of the cell's outside neighborhood.  A cell's pool is decoded
+members of the cell's outside neighborhood.  Every recovery block is
+charged at submit, but a cell's block is evaluated and its pool decoded
 only when its estimate improves some member's minimum; that member then
 points at the pool (``pool_id``), so each vertex ends with exactly one
 pool, the one from the repetition that set its estimate.  Its first
@@ -124,8 +125,8 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                 tag, planes, list(zip(lefts, bases)))])
             for rec in recoveries:
                 plan.add(rec.block)
-            top, *ser_answers = oracle.submit(plan)
-            est = decode_ns(counts_from_top(top, ns), ns)
+            results = oracle.submit(plan)
+            est = decode_ns(counts_from_top(results[0], ns), ns)
             ns_failures += int(np.count_nonzero(est == np.inf))
             # inf (a failed decode) cannot sink the min over repetitions
             est = np.minimum(est, n - sizes)[cell_of]
@@ -138,7 +139,7 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                                          return_inverse=True)
                 pool_id[improved] = len(pools) + rank
                 cell_size[improved] = sizes[cell_of[improved]]
-                pools.extend(recoveries[gi].decode_pool(ser_answers[gi])
+                pools.extend(recoveries[gi].decode_pool(results[1 + gi])
                              for gi in gained.tolist())
 
     failed = ~np.isfinite(d_hat)

@@ -14,9 +14,10 @@ Instantiated over the edge oracle, with the implicit vector indexed by a
 set R and tested against a disjoint set L, every query is a single
 oracle call, which recovers a uniform member of Gamma(L) ∩ R.  Domain
 index k is the k-th member of R, and which sides hold it is a function
-of k alone (``oracle.side_bits``), so a plan stores only its subsample
-masks: the recovery block derives its sides from R, and the abstract
-reference materializes them with ``oracle.side_masks``.
+of k alone (``oracle.side_bits``), so a plan stores only the seed of
+its subsample masks: the recovery block draws the masks from that seed
+and derives its sides from R each time it is evaluated, and the
+abstract reference materializes them with ``oracle.side_masks``.
 """
 from __future__ import annotations
 
@@ -128,30 +129,33 @@ def decode_ser(plan: SerPlan, answers: np.ndarray) -> SerOutcome:
 
 @dataclass
 class NeighborRecovery:
-    """A recovery block over Gamma(L) ∩ R plus what decode needs."""
+    """A recovery block over Gamma(L) ∩ R; its domain is members(R)."""
     block: SidesSubsampleBlock
-    r_members: np.ndarray
-    reps: int
+
+    @property
+    def reps(self) -> int:
+        return self.block.reps
 
     def decode_pool(self, answers: np.ndarray) -> np.ndarray:
         """Recovered vertices in scan order (independent uniform draws)."""
-        _, _, index = _decode_hits(answers, self.reps, self.r_members.size)
-        return self.r_members[index]
+        base = self.block.base
+        domain = bitset.members(base, base.size * bitset.WORD_BITS)
+        _, _, index = _decode_hits(answers, self.reps, domain.size)
+        return domain[index]
 
 
 def build_neighbor_recovery(left: VertexSet, right: VertexSet, reps: int,
                             seed, tag: str = "ser") -> NeighborRecovery:
-    """Plan recovery of a uniform member of Gamma(L) ∩ R; no queries."""
+    """Plan recovery of a uniform member of Gamma(L) ∩ R; no queries.
+
+    The block keeps ``seed`` and draws its masks from it when evaluated.
+    """
     if not left.isdisjoint(right):
         raise ValueError("left and right sets overlap")
-    r_members = right.members()
-    domain = int(r_members.size)
-    if domain == 0:
+    if not right.words.any():
         raise ValueError("right set is empty")
-    masks = bitset.nested_rate_masks(rng_for(seed, "ser-plan"), right.words,
-                                     params.ser_levels(domain), reps)
-    block = SidesSubsampleBlock(tag, left.words, right.words, masks)
-    return NeighborRecovery(block=block, r_members=r_members, reps=reps)
+    return NeighborRecovery(
+        SidesSubsampleBlock(tag, left.words, right.words, reps, seed))
 
 
 def uniform_neighbor_of_set(oracle: BisOracle, left: VertexSet,

@@ -100,14 +100,25 @@ class Graph:
         self._check_invariants()
 
     def _check_invariants(self) -> None:
-        bits = np.unpackbits(self.adj_words.view(np.uint8), axis=1,
-                             bitorder="little")[:, : self.n]
-        loops = np.flatnonzero(bits.diagonal())
+        """No self-loop, then symmetry one 64-row slab at a time.
+
+        Rows 64j..64j+63, unpacked, must equal word column j of every
+        row, unpacked and transposed, so the scratch is O(64 n) bytes.
+        """
+        n = self.n
+        v = np.arange(n)
+        diag = self.adj_words[v, v >> 6] >> (v & 63).astype(np.uint64)
+        loops = np.flatnonzero(diag & np.uint64(1))
         if loops.size:
             raise ValueError(f"self-loop at vertex {loops[0]}")
-        # symmetry: adjacency bit matrix must equal its transpose
-        if not np.array_equal(bits, bits.T):
-            raise ValueError("adjacency is not symmetric")
+        for j in range(self.adj_words.shape[1]):
+            rows = np.unpackbits(
+                self.adj_words[j * 64:(j + 1) * 64].view(np.uint8), axis=1,
+                bitorder="little")[:, :n]
+            column = self.adj_words[:, j:j + 1].copy().view(np.uint8)
+            bits = np.unpackbits(column, axis=1, bitorder="little")
+            if not np.array_equal(rows, bits[:, :rows.shape[0]].T):
+                raise ValueError("adjacency is not symmetric")
 
     def __reduce__(self):
         # rebuild through __init__ so an unpickled graph is read-only too
@@ -146,12 +157,10 @@ class Graph:
         return bitset.contains(self.adj_words[u], v)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.append((u, int(v)))
-        return out
+        """Every edge once as (u, v), u < v, sorted by u then v."""
+        u, v = bitset.members_rows(self.adj_words, self.n)
+        keep = u < v
+        return list(zip(u[keep].tolist(), v[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------

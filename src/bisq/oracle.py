@@ -10,20 +10,27 @@ Blocks come in three kinds, each storing only what its rows are a
 function of: explicit rows in groups sharing one left (the coarse
 bootstrap, and the NS plan as one group of subsample rows), shared
 subsample planes for many (left, base) parts (the degree sketch), and
-subsample masks of a base cut by the bit-decoding sides of single
-element recovery, which are derived from ``base`` itself (``side_bits``).
-Evaluation is exact and equivalent to answering every materialized
-(L, R) row separately, which `iter_rows` exposes for verification.
+the subsample masks of single element recovery, held as the seed they
+are drawn from and cut by bit-decoding sides derived from ``base``
+itself (``side_bits``).  Evaluation is exact and equivalent to
+answering every materialized (L, R) row separately, which `iter_rows`
+exposes for verification.
 
-A block's result is its answers, one uint8 per row in `iter_rows`
-order, except for a shared-plane block: its result is the int8 top
-survival depths of shape (parts, reps), and row (p, r, i) answers 1 iff
-i > top[p, r].  The degree sketch reads per-level counts from that
-summary directly, so the parts x reps x levels answers are never built.
+`BisOracle.submit` validates and charges a whole plan at once and
+returns its `Results`, which evaluate a block only when its result is
+read: answers are a pure function of (graph, query), so when they are
+computed changes no answer, and a caller holds only the results it
+still references.  A block's result is its answers, one uint8 per row
+in `iter_rows` order, except for a shared-plane block: its result is
+the int8 top survival depths of shape (parts, reps), and row (p, r, i)
+answers 1 iff i > top[p, r].  The degree sketch reads per-level counts
+from that summary directly, so the parts x reps x levels answers are
+never built.
 """
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -32,6 +39,7 @@ import numpy as np
 from . import bitset, params
 from .errors import DisjointnessError, PlanError
 from .graph import Graph, VertexSet
+from .seeding import rng_for
 
 
 class QueryLedger:
@@ -257,13 +265,16 @@ def side_masks(n: int, positions: np.ndarray) -> np.ndarray:
 
 
 class SidesSubsampleBlock:
-    """Subsample masks of a base cut by bit-decoding sides.
+    """Seeded subsample masks of a base cut by bit-decoding sides.
 
     The domain is members(base) in id order and its sides are
-    ``side_bits`` of the domain indices.  Row for (level l, rep r, side
-    q) is masks[r, l] & base & side q; row index l * reps * n_sides +
-    r * n_sides + q.  Used by the single-element recovery plans, where
-    masks are drawn inside base.
+    ``side_bits`` of the domain indices.  The masks, of shape (reps,
+    levels, w) with levels = ``params.ser_levels(|base|)``, are nested
+    subsamples of base drawn from ``rng_for(seed, "ser-plan")``; the
+    block stores that seed, not the masks, and ``draw_masks`` draws them
+    afresh for each use.  Row for (level l, rep r, side q) is
+    masks[r, l] & side q; row index l * reps * n_sides + r * n_sides + q.
+    Used by the single-element recovery plans.
 
     Evaluation reads only the support Gamma(left) ∩ base: it gathers the
     mask bits of the k support vertices and the side bits of their domain
@@ -272,19 +283,24 @@ class SidesSubsampleBlock:
     product counts every row's hits.
     """
 
-    __slots__ = ("tag", "left", "base", "masks")
+    __slots__ = ("tag", "left", "base", "reps", "seed")
 
     def __init__(self, tag: str, left: np.ndarray, base: np.ndarray,
-                 masks: np.ndarray):
+                 reps: int, seed):
         self.tag = tag
         self.left = left
         self.base = base
-        self.masks = masks          # (reps, levels, w)
+        self.reps = reps
+        self.seed = seed
 
     def n_queries(self) -> int:
-        reps, levels, _ = self.masks.shape
-        return levels * reps * params.ser_rows_per_rep(
-            bitset.popcount(self.base))
+        return params.ser_queries(bitset.popcount(self.base), self.reps)
+
+    def draw_masks(self) -> np.ndarray:
+        """The (reps, levels, w) subsample masks, drawn inside base."""
+        levels = params.ser_levels(bitset.popcount(self.base))
+        return bitset.nested_rate_masks(rng_for(self.seed, "ser-plan"),
+                                        self.base, levels, self.reps)
 
     def validate(self) -> None:
         if (self.left & self.base).any():
@@ -292,13 +308,14 @@ class SidesSubsampleBlock:
                 f"block {self.tag!r}: left overlaps the sampled base set")
 
     def evaluate(self, graph: Graph) -> np.ndarray:
-        reps, levels, _ = self.masks.shape
+        masks = self.draw_masks()
+        reps, levels, _ = masks.shape
         domain = bitset.members(self.base, graph.n)
         support = graph.neighborhood_words(
             bitset.members(self.left, graph.n)) & self.base
         ids = bitset.members(support, graph.n)
         byte, shift = ids >> 3, (ids & 7).astype(np.uint8)
-        held = (self.masks.view(np.uint8)[:, :, byte] >> shift) & 1
+        held = (masks.view(np.uint8)[:, :, byte] >> shift) & 1
         inside = side_bits(np.searchsorted(domain, ids), domain.size)
         counts = (held.reshape(reps * levels, -1).astype(np.float32)
                   @ inside.astype(np.float32))
@@ -306,14 +323,14 @@ class SidesSubsampleBlock:
         return (~hit).astype(np.uint8).ravel()
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        reps, levels, w = self.masks.shape
+        masks = self.draw_masks()
+        reps, levels, w = masks.shape
         n = w * bitset.WORD_BITS
         sides = side_masks(n, bitset.members(self.base, n))
         for l in range(levels):
             for r in range(reps):
-                row = self.masks[r, l] & self.base
                 for side in sides:
-                    yield self.left, row & side
+                    yield self.left, masks[r, l] & side
 
 
 class QueryPlan:
@@ -342,6 +359,33 @@ class QueryPlan:
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for b in self.blocks:
             yield from b.iter_rows()
+
+
+class Results(Sequence):
+    """Results of one charged submission, one per block, evaluated when read.
+
+    Item i is ``blocks[i].evaluate(graph)``, computed on every read and
+    not kept, so a caller holds only the results it still references.
+    Only `BisOracle.submit` builds one, after the plan was validated and
+    charged, so a result exists only for queries already paid for.
+    """
+
+    __slots__ = ("_graph", "_blocks")
+
+    def __init__(self, graph: Graph, blocks: tuple):
+        self._graph = graph
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._blocks[i].evaluate(self._graph)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        # not Sequence's index loop, which would end quietly on an
+        # IndexError raised inside evaluate
+        return (b.evaluate(self._graph) for b in self._blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +427,21 @@ class BisOracle:
             return 1
         return 0
 
-    def submit(self, plan: QueryPlan) -> list[np.ndarray]:
-        """Answer every query in the plan; one result per block.
+    def submit(self, plan: QueryPlan) -> Results:
+        """Validate and charge every query in the plan; one result per block.
 
-        A result is the block's answer array, or for a shared-plane block
-        its (parts, reps) top depths, row (p, r, i) answering 1 iff
-        i > top[p, r].  Each block is charged ``n_queries()``.
+        The whole plan is charged here, each block ``n_queries()``, whether
+        or not its result is ever read.  A result is the block's answer
+        array, or for a shared-plane block its (parts, reps) top depths,
+        row (p, r, i) answering 1 iff i > top[p, r]; it is evaluated when
+        read (see `Results`), over the blocks the plan held at submit.
         """
         plan.validate()
         rounds = self._charge_round()
-        results = [b.evaluate(self.graph) for b in plan.blocks]
         self.ledger.charge("_batch", 0, batches=1, rounds=rounds)
         for b in plan.blocks:
             self.ledger.charge(b.tag, b.n_queries())
-        return results
+        return Results(self.graph, tuple(plan.blocks))
 
     def bis(self, left: VertexSet, right: VertexSet, tag: str = "adhoc") -> int:
         """Single query: 1 iff no edge joins left and right."""

@@ -106,13 +106,13 @@ def _supernode_plan(rng, p, reps, levels):
     rights = np.array([right & bitset.random_planes(rng, w)
                        for _, right in groups for _ in range(2)])
     left, base = _disjoint_pair(rng, p)
-    masks = bitset.nested_rate_masks(rng, base, levels, reps)
     planes = bitset.nested_rate_masks(rng, bitset.full_words(p), levels, reps)
     return QueryPlan(p, [
         DenseBlock("dense", lefts, rights, rows_per_group=2),
         SharedSubsampleBlock("shared", planes,
                              [_disjoint_pair(rng, p) for _ in range(3)]),
-        SidesSubsampleBlock("sides", left, base, masks)])
+        SidesSubsampleBlock("sides", left, base, reps,
+                            int(rng.integers(2 ** 32)))])
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,7 +132,7 @@ def test_contracted_oracle_matches_base_on_expanded_rows(n, density, kept,
     assert sup.ledger is base.ledger
     plan = _supernode_plan(rng, sg.p, reps, levels)
     before = base.ledger.snapshot()
-    results = sup.submit(plan)
+    results = list(sup.submit(plan))
     results[1] = (np.arange(levels) > results[1][:, :, None]).ravel()
     answers = np.concatenate(results)
     delta = base.ledger.delta(before)

@@ -222,3 +222,35 @@ def test_failed_decodes_are_counted(monkeypatch):
     assert table.ns_failures == calls[0]      # every cell of repetition 0
     assert (table.t_min > 0).all() and not table.failed.any()
     assert (table.d_hat >= clean.d_hat).all()
+
+
+def test_extended_sketch_evaluates_only_decoded_pools(monkeypatch):
+    # every recovery block is charged at submit, but only the blocks of
+    # cells whose pools are decoded are evaluated, once each, and each
+    # vertex's pool comes from its own cell's block at t_min
+    from bisq.oracle import SidesSubsampleBlock
+
+    n, seed = 96, 7
+    g = gen_gnp(n, 0.06, seed=31)
+    S = VertexSet.from_indices(n, list(range(0, n, 2)))
+    evaluate = SidesSubsampleBlock.evaluate
+    keys = []
+
+    def recorded(block, graph):
+        keys.append(block.seed)
+        return evaluate(block, graph)
+
+    monkeypatch.setattr(SidesSubsampleBlock, "evaluate", recorded)
+    o = BisOracle(g)
+    table, ntable = estimate_degrees_with_neighbors(o, S, 0.3, seed=seed,
+                                                    constants=FAST_C)
+    assert o.ledger.bis_count == predict_sketch_queries(
+        n, S.members().size, 0.3, seed=seed, constants=FAST_C,
+        extended=True)
+    schedule = PartitionSchedule.build(S.members().size, n, 0.3, True, seed,
+                                       FAST_C)
+    planned = sum(np.unique(row).size for row in schedule.assignment)
+    assert len(keys) == len(ntable.pools) < planned
+    for i, t in enumerate(table.t_min.tolist()):
+        assert keys[ntable.pool_id[i]] == (
+            seed, "deg-ser", t, int(schedule.assignment[t, i]))

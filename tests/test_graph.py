@@ -218,3 +218,37 @@ def test_members_rows_matches_members():
         assert np.array_equal(row, np.sort(row, kind="stable"))
     row, ids = bitset.members_rows(np.zeros((0, 2), dtype=np.uint64), 100)
     assert row.size == ids.size == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 150), st.floats(0.0, 0.6), st.integers(0, 10 ** 6))
+def test_edges_match_the_row_by_row_loop(n, p, seed):
+    # reference: per-row neighbors, keeping u < v, in row order; n runs
+    # across word boundaries, so most last words are partly filled
+    g = gen_gnp(n, p, seed)
+    expect = [(u, int(v)) for u in range(n) for v in g.neighbors(u) if u < v]
+    assert g.edges() == expect
+    assert all(type(u) is int and type(v) is int for u, v in g.edges())
+
+
+def _packed(n, pairs):
+    """Adjacency words with exactly the given (row, column) bits set."""
+    rows, cols = zip(*pairs)
+    return bitset.pack_rows(n, np.array(rows), np.array(cols), n)
+
+
+def test_graph_rejects_asymmetric_adjacency():
+    # an even degree sum, so only the symmetry check can catch it; the
+    # one-way bits sit in both words of a 70-vertex row
+    adj = _packed(70, [(1, 2), (2, 1), (3, 67), (66, 69)])
+    with pytest.raises(ValueError, match="^adjacency is not symmetric$"):
+        Graph(70, adj)
+    Graph(70, _packed(70, [(1, 2), (2, 1), (3, 67), (67, 3)]))
+
+
+def test_graph_rejects_self_looped_adjacency():
+    # two loops keep the degree sum even; the lowest one is named, even
+    # though the matrix is also asymmetric
+    adj = _packed(70, [(68, 68), (5, 5), (0, 65), (1, 65)])
+    with pytest.raises(ValueError, match="^self-loop at vertex 5$"):
+        Graph(70, adj)

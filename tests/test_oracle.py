@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from bisq import (BisOracle, Graph, QueryPlan, VertexSet, gen_gnp,
                   exact_neighborhood_size)
+from bisq import bitset, params
 from bisq.errors import DisjointnessError
 from bisq.graph import gen_family
 from bisq.oracle import (DenseBlock, SharedSubsampleBlock,
-                         SidesSubsampleBlock)
+                         SidesSubsampleBlock, side_masks)
 from bisq.seeding import rng_for
 
 
@@ -56,7 +57,7 @@ def test_bis_matches_enumeration():
 def test_empty_plan_charges_round_only():
     o = BisOracle(_triangle())
     out = o.submit(QueryPlan(3))
-    assert out == []
+    assert list(out) == []
     snap = o.ledger.snapshot()
     assert snap["bis_count"] == 0
     assert snap["round_count"] == 1
@@ -305,16 +306,15 @@ def test_sides_block_matches_single_queries(n, p, reps, few, seed):
 
 
 def test_subsample_rows_lie_inside_base():
-    # masks that reach outside base: a row is masks & base & side, so
-    # evaluate, which reads only Gamma(left) ∩ base, agrees with a fresh
-    # bis on every iter_rows row
+    # a seeded block over a base with no edge to left: every row is
+    # masks & side, inside base, so evaluate, which reads only
+    # Gamma(left) ∩ base, agrees with a fresh bis on every iter_rows row
     n = 70
     g = gen_gnp(n, 0.1, seed=1)
     left = VertexSet.from_indices(n, [0])
     others = VertexSet.full(n).difference(left)
     base = others.difference(VertexSet.from_indices(n, g.neighbors(0)))
-    masks = np.broadcast_to(others.words, (2, 3, others.words.size)).copy()
-    block = SidesSubsampleBlock("sides", left.words, base.words, masks)
+    block = SidesSubsampleBlock("sides", left.words, base.words, 2, 5)
     answers = BisOracle(g).submit(QueryPlan(n, [block]))[0]
     fresh = BisOracle(g)
     rows = [fresh.bis(VertexSet(n, lw.copy()), VertexSet(n, rw.copy()))
@@ -322,12 +322,67 @@ def test_subsample_rows_lie_inside_base():
     assert answers.tolist() == rows == [1] * block.n_queries()
 
 
+_SEED_KEYS = st.one_of(
+    st.integers(0, 2 ** 63),
+    st.tuples(st.integers(0, 10 ** 6),
+              st.sampled_from(["round1", "deg-ser"]), st.integers(0, 999)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 150), st.integers(1, 4), st.integers(0, 10 ** 6),
+       _SEED_KEYS)
+def test_seeded_sides_rows_equal_the_eager_draw(n, reps, draw, key):
+    # reference: the masks drawn up front from the block's key, as a plan
+    # stored them before blocks kept only the key
+    where = rng_for("seeded-rows", draw).integers(0, 3, size=n)
+    where[draw % n] = 1
+    left = bitset.pack_indices(n, np.flatnonzero(where == 0))
+    base = bitset.pack_indices(n, np.flatnonzero(where == 1))
+    block = SidesSubsampleBlock("s", left, base, reps, key)
+    domain = bitset.members(base, n)
+    levels = params.ser_levels(domain.size)
+    masks = bitset.nested_rate_masks(rng_for(key, "ser-plan"), base,
+                                     levels, reps)
+    expect = [masks[r, l] & base & side for l in range(levels)
+              for r in range(reps) for side in side_masks(n, domain)]
+    rows = list(block.iter_rows())
+    assert len(rows) == len(expect) == block.n_queries()
+    for (lw, rw), ref in zip(rows, expect):
+        assert np.array_equal(lw, left) and np.array_equal(rw, ref)
+
+
+def test_unread_submission_is_charged_in_full(monkeypatch):
+    # the ledger charges every block at submit; a result is evaluated
+    # only when read, over the blocks the plan held at submit
+    n = 70
+    g = gen_gnp(n, 0.1, seed=1)
+    evaluated = []
+    for cls in (DenseBlock, SharedSubsampleBlock, SidesSubsampleBlock):
+        monkeypatch.setattr(cls, "evaluate",
+                            lambda block, graph: evaluated.append(block))
+    planes = bitset.nested_rate_masks(rng_for("unread"),
+                                      bitset.full_words(n), 3, 2)
+    one, some = bitset.pack_indices(n, [1]), bitset.pack_indices(n, [5, 66])
+    blocks = [DenseBlock("d", one[None], np.stack([some, some]), 2),
+              SharedSubsampleBlock("sh", planes, [(one, some)]),
+              SidesSubsampleBlock("si", one, some, 4, "unread")]
+    plan = QueryPlan(n, blocks)
+    o = BisOracle(g)
+    results = o.submit(plan)
+    plan.add(blocks[0])
+    assert len(results) == 3 and evaluated == []
+    assert o.ledger.snapshot() == {
+        "bis_count": 2 + 6 + 4 * 2 * 4, "batch_count": 1, "round_count": 1,
+        "phases": {"d": 2, "sh": 6, "si": 32}}
+    results[2]
+    assert evaluated == [blocks[2]]
+    assert o.ledger.bis_count == 40
+
+
 def _overlapping_block(kind, n):
     """A block of the given kind with rows that share vertex 66 with
     their left: Dense rows 4 and 5 (group 1), the level-0 rows of shared
     part 1, and the level-0 whole-side rows of the Sides block."""
-    from bisq import bitset
-
     left = bitset.pack_indices(n, [0, 66])
     base = bitset.pack_indices(n, [5, 66])
     if kind == "dense":
@@ -340,7 +395,7 @@ def _overlapping_block(kind, n):
     if kind == "shared":
         clear = bitset.pack_indices(n, [7])
         return SharedSubsampleBlock("t", planes, [(left, clear), (left, base)])
-    return SidesSubsampleBlock("t", left, base, planes & base)
+    return SidesSubsampleBlock("t", left, base, 3, "overlap")
 
 
 @pytest.mark.parametrize("kind", ["dense", "shared", "sides"])
