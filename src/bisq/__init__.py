@@ -2,9 +2,9 @@
 connectivity testing against a simulated set-vs-set edge oracle, with
 exact query and adaptivity-round accounting."""
 
-from .graph import (Graph, VertexSet, exact_connected, exact_components,
-                    exact_neighborhood_size, gen_family, gen_gnp,
-                    load_edge_list, dump_edge_list)
+from .graph import (Graph, VertexSet, components, exact_connected,
+                    exact_components, exact_neighborhood_size, gen_family,
+                    gen_gnp, load_edge_list, dump_edge_list)
 from .oracle import BisOracle, QueryLedger, QueryPlan
 from .params import Constants, FAST, PAPER
 from .nbr_size import NsParams, NsCounts, plan_ns, decode_ns, estimate_ns

@@ -54,7 +54,8 @@ class RunConfig:
             raise ValueError("--profile must be fast or paper")
         if self.trials < 1 or self.count < 1:
             raise ValueError("--trials and --count must be >= 1")
-        for name in ("c1", "c2", "c_T", "c_lambda", "c_R", "c_nb", "c_se"):
+        for name in ("c1", "c2", "c_T", "c_lambda", "c_R", "c_nb", "c_se",
+                     "ser_pool_scale"):
             if getattr(self.constants, name) <= 0:
                 raise ValueError(f"constant {name} must be positive")
 
@@ -227,6 +228,8 @@ def cmd_generate(args) -> int:
     if args.inner:
         kw["inner"] = args.inner
     if args.kind == "gnp":
+        if args.n is None:
+            raise ValueError("generate gnp: missing --n")
         g = gen_gnp(args.n, args.p, args.seed)
     else:
         g = gen_family(args.kind, seed=args.seed, p=args.p, **kw)
@@ -416,7 +419,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "audit":
             grid = [int(x) for x in args.n_grid.split(",")]
             return cmd_audit(cfg, grid)
-    except (BisqError, ValueError, OSError) as exc:
+    except (BisqError, ValueError, OSError, MemoryError) as exc:
         print(f"bisq: {exc}", file=sys.stderr)
         return 2
     return 0

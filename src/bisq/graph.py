@@ -175,24 +175,35 @@ def exact_neighborhood_size(g: Graph, left: VertexSet, right: VertexSet) -> int:
     return bitset.popcount(gamma & right.words)
 
 
+def components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label each of 0..n-1 with the least vertex of its component.
+
+    The edges are (u[i], v[i]); repeats are harmless.  Label propagation
+    with pointer jumping (the hook-and-shortcut scheme of Shiloach and
+    Vishkin): each sweep lowers the labels of u, v, label[u] and label[v]
+    to min(label[u], label[v]), then sets label = label[label], until no
+    label changes.  A label always names a vertex of the same component,
+    so at the fixed point each component carries its least vertex.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        lu, lv = label[u], label[v]
+        low = np.minimum(lu, lv)
+        swept = label.copy()
+        for ends in (u, v, lu, lv):
+            np.minimum.at(swept, ends, low)
+        swept = swept[swept]
+        if np.array_equal(swept, label):
+            return label
+        label = swept
+
+
 def exact_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists (union-find)."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+    """Connected components as sorted vertex lists, least vertex first."""
+    label = components(g.n, *bitset.members_rows(g.adj_words, g.n))
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order])) + 1
+    return [part.tolist() for part in np.split(order, starts)] if g.n else []
 
 
 def exact_connected(g: Graph) -> tuple[bool, list[list[int]]]:

@@ -326,7 +326,8 @@ def test_criterion_10_oracle_equivalence():
     all_edges = g.edges()
     sample = {all_edges[i] for i in rng.choice(len(all_edges), size=25,
                                                replace=False)}
-    sg = contract(sample, g.n)
+    sg = contract(np.array(sorted(sample), dtype=np.int64).reshape(-1, 2),
+                  g.n)
     sup = SupernodeOracle(BisOracle(g), sg)
     explicit = set()
     for u, v in all_edges:

@@ -180,6 +180,36 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys):
         parse_gen_spec("gnp:p=0.1")
 
 
+def test_nonpositive_constants_are_refused(capsys):
+    for flag in (["--clambda", "0"], ["--pool-scale", "-3"],
+                 ["--pool-scale", "0"]):
+        code, _ = run_cli(["estimate", "--gen", "gnp:n=16,p=0.1"] + flag)
+        assert code == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith("bisq: constant ") and "positive" in err, err
+
+
+def test_generate_gnp_without_n_exits_cleanly(capsys):
+    code, out = run_cli(["generate", "gnp", "--p", "0.1"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "bisq: generate gnp: missing --n\n"
+
+
+def test_out_of_memory_exits_cleanly(monkeypatch, capsys):
+    # numpy raises a MemoryError subclass when an array cannot be allocated
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr("bisq.cli.gen_gnp", refuse)
+    for args in (["estimate", "--gen", "gnp:n=200000,p=0.1"],
+                 ["generate", "gnp", "--n", "200000"]):
+        code, _ = run_cli(args)
+        assert code == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("bisq: Unable to allocate") and \
+            err.count("\n") == 1, err
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "bisq.cli", "generate",
                            "path", "--n", "4"], capture_output=True,

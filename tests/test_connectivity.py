@@ -4,13 +4,20 @@ from hypothesis import given, settings, strategies as st
 from bisq import (BisOracle, QueryPlan, SupernodeOracle, VertexSet, contract,
                   exact_connected, gen_family, gen_gnp, is_connected,
                   round1_neighbor_sampling)
-from bisq import bitset
+from bisq import bitset, params
+from bisq.edge_sampler import OK, sample_edges_batch
+from bisq.element_recovery import build_neighbor_recovery
+from bisq.graph import Graph
 from bisq.oracle import DenseBlock, SharedSubsampleBlock, SidesSubsampleBlock
 from bisq.params import Constants
 from bisq.seeding import rng_for
 
 CONN_C = Constants(c_T=8.0, c2=1.0, c_lambda=16.0, ser_pool_scale=4.0,
                    c_nb=2.0, c_R=2.0)
+
+
+def _rows(pairs):
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
 
 def test_round1_recovers_real_edges_only():
@@ -30,22 +37,91 @@ def test_round1_star_recovers_all_edges():
 
 
 def test_round1_isolated_vertex_contributes_nothing():
-    from bisq.graph import Graph
     g = Graph.from_edges(8, [(1, 2)])
     o = BisOracle(g)
     edges = round1_neighbor_sampling(o, seed=4, constants=CONN_C)
     assert all(0 not in e for e in edges)
 
 
+def _round1_reference(g, seed, constants):
+    """Round 1 the set-based way: per vertex, the first ``target`` pool
+    entries as (min, max) pairs; also whether any pool ran past target."""
+    n = g.n
+    target = params.neighbor_sample_target(n, constants)
+    reps = params.round1_reps(n, constants)
+    full = VertexSet.full(n)
+    recs = []
+    for v in range(n):
+        left = VertexSet.from_indices(n, [v])
+        recs.append(build_neighbor_recovery(left, full.difference(left), reps,
+                                            (seed, "round1", v), tag="round1"))
+    answers = BisOracle(g).submit(QueryPlan(n, [r.block for r in recs]))
+    edges, cut = set(), False
+    for v, (rec, ans) in enumerate(zip(recs, answers)):
+        pool = rec.decode_pool(ans)
+        cut |= pool.size > target
+        edges |= {(min(v, int(u)), max(v, int(u))) for u in pool[:target]}
+    return edges, cut
+
+
+def test_round1_matches_the_set_based_reference():
+    # default c_R plans more repetitions than target, so pools get cut
+    c = Constants(c_nb=2.0)
+    for i, g in enumerate([gen_family("star", n=64), gen_gnp(96, 0.5, seed=1),
+                           gen_family("components", k=4, size=24,
+                                      inner="path")]):
+        edges = round1_neighbor_sampling(BisOracle(g), seed=("ref", i),
+                                         constants=c)
+        expect, cut = _round1_reference(g, ("ref", i), c)
+        assert cut, i           # some pool is longer than target
+        assert edges.dtype == np.int64 and edges.shape == (len(expect), 2)
+        assert edges.tolist() == [list(e) for e in sorted(expect)]
+        keys = edges[:, 0] * g.n + edges[:, 1]
+        assert (edges[:, 0] < edges[:, 1]).all() and (np.diff(keys) > 0).all()
+
+
+def _bridged_cliques(k, size):
+    """k cliques in a row, each joined to the next by one bridge edge."""
+    edges = [(b * size + i, b * size + j) for b in range(k)
+             for i in range(size) for j in range(i + 1, size)]
+    edges += [(b * size + size - 1, (b + 1) * size) for b in range(k - 1)]
+    return Graph.from_edges(k * size, edges)
+
+
+def test_report_counts_match_the_set_based_loops():
+    # few round-1 draws miss bridges, so round 2 samples real superedges,
+    # many of them more than once
+    c = Constants(c_T=8.0, c2=1.0, c_lambda=16.0, ser_pool_scale=4.0,
+                  c_nb=0.05, c_R=2.0)
+    g = _bridged_cliques(6, 6)
+    rep = is_connected(BisOracle(g), seed=3, constants=c)
+    edges, _ = _round1_reference(g, 3, c)
+    sg = contract(_rows(edges), g.n)
+    outputs = sample_edges_batch(SupernodeOracle(BisOracle(g), sg),
+                                 params.superedge_sample_count(g.n, c), 0.25,
+                                 (3, "round2"), params.FAST, c)
+    draws = [out.edge for out in outputs if out.status == OK]
+    superedges = {(min(a, b), max(a, b)) for a, b in draws}
+    assert len(draws) > len(superedges) > 0
+    assert (rep.round1_edges, rep.p_supernodes) == (len(edges), sg.p)
+    assert rep.superedges_recovered == len(superedges)
+    assert (rep.round1_edges, rep.p_supernodes, rep.superedges_recovered,
+            rep.connected, rep.rounds) == (54, 3, 2, True, 2)
+
+
 def test_contract_cases():
-    assert contract(set(), 5).p == 5
+    assert contract(_rows(set()), 5).p == 5
     tree = {(0, 1), (1, 2), (2, 3), (3, 4)}
-    assert contract(tree, 5).p == 1
+    assert contract(_rows(tree), 5).p == 1
     two = {(0, 1), (2, 3)}
-    sg = contract(two, 4)
+    sg = contract(_rows(two), 4)
     assert sg.p == 2
     assert sg.supernode_of[0] == sg.supernode_of[1]
     assert sg.supernode_of[2] == sg.supernode_of[3]
+    # supernodes are numbered by their least vertex
+    sg = contract(_rows({(0, 5), (1, 4), (2, 4), (3, 5)}), 7)
+    assert sg.p == 3
+    assert sg.supernode_of.tolist() == [0, 1, 1, 0, 1, 0, 2]
 
 
 def test_supergraph_oracle_matches_explicit_superedges():
@@ -54,7 +130,7 @@ def test_supergraph_oracle_matches_explicit_superedges():
     rng = rng_for(6)
     sample = {all_edges[i] for i in rng.choice(len(all_edges), size=60,
                                                replace=False)}
-    sg = contract(sample, g.n)
+    sg = contract(_rows(sample), g.n)
     sup = SupernodeOracle(BisOracle(g), sg)
     explicit = set()
     for u, v in all_edges:
@@ -79,7 +155,7 @@ def test_supergraph_oracle_matches_explicit_superedges():
 
 def test_supergraph_adjacent_and_nonadjacent():
     g = gen_family("components", k=2, sizes=[4, 4], inner="clique")
-    sg = contract({(0, 1), (4, 5)}, 8)
+    sg = contract(_rows({(0, 1), (4, 5)}), 8)
     sup = SupernodeOracle(BisOracle(g), sg)
     a = int(sg.supernode_of[0])
     b = int(sg.supernode_of[4])
@@ -126,7 +202,7 @@ def test_contracted_oracle_matches_base_on_expanded_rows(n, density, kept,
     size = int(kept * len(all_edges))
     sample = {all_edges[i] for i in rng.choice(len(all_edges), size=size,
                                                replace=False)}
-    sg = contract(sample, n)
+    sg = contract(_rows(sample), n)
     base = BisOracle(g)
     sup = SupernodeOracle(base, sg)
     assert sup.ledger is base.ledger
@@ -153,7 +229,7 @@ def test_contracted_oracle_matches_base_on_expanded_rows(n, density, kept,
 
 def test_contracted_graph_without_recovered_edges_is_the_base_graph():
     g = gen_gnp(70, 0.1, seed=13)
-    sup = SupernodeOracle(BisOracle(g), contract(set(), g.n))
+    sup = SupernodeOracle(BisOracle(g), contract(_rows(set()), g.n))
     assert sup.n == g.n
     assert np.array_equal(sup.graph.adj_words, g.adj_words)
 
@@ -205,7 +281,6 @@ def test_verdicts_match_truth_small_corpus():
 
 
 def test_singleton_and_empty():
-    from bisq.graph import Graph
     g1 = Graph.from_edges(1, [])
     assert is_connected(BisOracle(g1), seed=1, constants=CONN_C).connected
     g2 = Graph.from_edges(2, [])
@@ -214,12 +289,11 @@ def test_singleton_and_empty():
 
 
 def test_two_vertices_one_edge():
-    from bisq.graph import Graph
     g = Graph.from_edges(2, [(0, 1)])
     for seed in range(5):
         o = BisOracle(g)
         edges = round1_neighbor_sampling(o, seed=seed, constants=CONN_C)
-        assert edges == {(0, 1)}
+        assert edges.tolist() == [[0, 1]]
         rep = is_connected(BisOracle(g), seed=seed, constants=CONN_C)
         assert rep.connected and rep.rounds == 1
 

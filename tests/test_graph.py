@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisq import bitset
-from bisq import (Graph, VertexSet, dump_edge_list, exact_connected,
-                  exact_neighborhood_size, gen_family, gen_gnp,
-                  load_edge_list)
+from bisq import (Graph, VertexSet, components, dump_edge_list,
+                  exact_components, exact_connected, exact_neighborhood_size,
+                  gen_family, gen_gnp, load_edge_list)
 from bisq.errors import GraphParseError
 
 
@@ -252,3 +252,56 @@ def test_graph_rejects_self_looped_adjacency():
     adj = _packed(70, [(68, 68), (5, 5), (0, 65), (1, 65)])
     with pytest.raises(ValueError, match="^self-loop at vertex 5$"):
         Graph(70, adj)
+
+
+def _least_vertex_labels(n, u, v):
+    """Reference labels: scipy's components, each named by its least vertex."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    adj = coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    _, lab = connected_components(adj, directed=False)
+    least = np.full(n, n)
+    np.minimum.at(least, lab, np.arange(n))
+    return least[lab]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 120).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))),
+                         max_size=3 * n if n else 0))))
+def test_components_match_scipy(case):
+    # n = 0 and 1, edgeless graphs and repeated edges all come up
+    n, pairs = case
+    e = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    e = np.concatenate([e, e[: len(e) // 2]])          # repeated edges
+    labels = components(n, e[:, 0], e[:, 1])
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, _least_vertex_labels(n, e[:, 0], e[:, 1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 4), st.integers(0, 10 ** 6))
+def test_components_of_permuted_paths(n, pieces, seed):
+    # long paths through a random vertex order need many sweeps, so a
+    # routine that stops early leaves labels above the least vertex
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    cuts = np.sort(rng.choice(max(n - 1, 1), size=pieces - 1))
+    keep = np.ones(max(n - 1, 0), dtype=bool)
+    keep[cuts[cuts < n - 1]] = False
+    u, v = order[:-1][keep], order[1:][keep]
+    flip = rng.random(u.size) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    assert np.array_equal(components(n, u, v), _least_vertex_labels(n, u, v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 150), st.floats(0.0, 0.05), st.integers(0, 10 ** 6))
+def test_exact_components_group_by_least_vertex(n, p, seed):
+    g = gen_gnp(n, p, seed)
+    e = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
+    labels = _least_vertex_labels(n, e[:, 0], e[:, 1])
+    expect = [np.flatnonzero(labels == r).tolist() for r in np.unique(labels)]
+    assert exact_components(g) == expect
+    assert exact_connected(g) == (len(expect) <= 1, expect)
