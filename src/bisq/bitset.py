@@ -11,6 +11,8 @@ import numpy as np
 WORD_BITS = 64
 _U1 = np.uint64(1)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+# pairs per bitwise_or.at call in or_bits
+_PAIR_SLICE = 1 << 16
 
 
 def word_count(n: int) -> int:
@@ -54,9 +56,24 @@ def pack_rows(n: int, rows: np.ndarray, indices: np.ndarray,
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError(f"vertex id out of range 0..{n - 1}")
     words = np.zeros((count, word_count(n)), dtype=np.uint64)
-    np.bitwise_or.at(words, (rows, idx >> 6),
-                     np.left_shift(_U1, (idx & 63).astype(np.uint64)))
+    or_bits(words, np.asarray(rows, dtype=np.int64), idx)
     return words
+
+
+def or_bits(words: np.ndarray, rows: np.ndarray, indices: np.ndarray) -> None:
+    """Set bit indices[k] of mask rows[k] in a (rows, w) stack, in place.
+
+    The pairs go through in slices of ``_PAIR_SLICE``, so the scratch is
+    a few MiB however many pairs there are.
+    """
+    flat = words.reshape(-1)
+    for lo in range(0, rows.size, _PAIR_SLICE):
+        idx = indices[lo:lo + _PAIR_SLICE]
+        at = rows[lo:lo + _PAIR_SLICE].astype(np.int64)
+        at *= words.shape[1]
+        at += idx >> 6
+        np.bitwise_or.at(flat, at,
+                         np.left_shift(_U1, (idx & 63).astype(np.uint64)))
 
 
 def pack_bool(flags: np.ndarray) -> np.ndarray:
@@ -112,12 +129,16 @@ def nested_rate_masks(rng: np.random.Generator, base: np.ndarray,
     itself; level i is level i-1 thinned by an independent fair coin per
     element, so the marginal keep rate at level i is exactly 2^-i.  Masks
     are nested within a repetition and independent across repetitions.
+
+    The coin planes of levels 1..levels-1 are one ``random_planes`` draw
+    written into the output, and each level is then ANDed in place with
+    the level before it, so the only scratch is that draw.
     """
     w = base.size
     out = np.empty((reps, levels, w), dtype=np.uint64)
-    out[:, 0, :] = base
+    out[:, 0] = base
     if levels > 1:
-        planes = random_planes(rng, (reps, levels - 1, w))
-        np.bitwise_and.accumulate(planes, axis=1, out=planes)
-        out[:, 1:, :] = planes & base[None, None, :]
+        out[:, 1:] = random_planes(rng, (reps, levels - 1, w))
+        for i in range(1, levels):
+            np.bitwise_and(out[:, i], out[:, i - 1], out=out[:, i])
     return out

@@ -217,15 +217,35 @@ def exact_connected(g: Graph) -> tuple[bool, list[list[int]]]:
 # ---------------------------------------------------------------------------
 
 def gen_gnp(n: int, p: float, seed=0) -> Graph:
-    """G(n, p): every unordered pair is an edge independently w.p. p."""
+    """G(n, p): every unordered pair is an edge independently w.p. p.
+
+    Pair (i, j), i < j, is an edge iff entry (i, j) of an n x n uniform
+    draw, read row-major from the stream ``rng_for(seed, "gnp", n)``,
+    falls below p.  The draw is made row by row from the same stream:
+    row i skips its i + 1 entries up to the diagonal with
+    ``bit_generator.advance`` (a double takes one 64-bit output) and
+    draws its n - i - 1 entries right of it.  The scratch is the kept
+    (i, j) as int32 ids, O(n + m), never the n x n draw.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    adj = np.zeros((n, bitset.word_count(n)), dtype=np.uint64)
+    if p == 0.0 or n < 2:
+        return Graph(n, adj)
     rng = rng_for(seed, "gnp", n)
-    if p == 0.0:
-        return Graph(n, np.zeros((n, bitset.word_count(n)), dtype=np.uint64))
-    tri = rng.random((n, n)) < p
-    tri = np.triu(tri, k=1)
-    return Graph(n, bitset.pack_bool(tri | tri.T))
+    kept = []
+    for i in range(n):
+        rng.bit_generator.advance(i + 1)
+        kept.append((rng.random(n - i - 1) < p).nonzero()[0]
+                    .astype(np.int32))
+    u = np.repeat(np.arange(n, dtype=np.int32), [k.size for k in kept])
+    v = np.concatenate(kept)
+    del kept    # the per-row arrays, before the adjacency is filled
+    v += u
+    v += 1
+    bitset.or_bits(adj, u, v)
+    bitset.or_bits(adj, v, u)
+    return Graph(n, adj)
 
 
 def _block_edges(kind: str, size: int, offset: int, p: float,
@@ -304,6 +324,8 @@ def load_edge_list(text: str) -> Graph:
             if body.startswith("n="):
                 try:
                     n_header = int(body[2:])
+                    if n_header < 0:
+                        raise ValueError(n_header)
                 except ValueError:
                     raise GraphParseError(f"line {lineno}: bad header {line!r}")
             continue
@@ -324,8 +346,6 @@ def load_edge_list(text: str) -> Graph:
         max_id = max(max_id, u, v)
         edges.append((min(u, v), max(u, v)))
     n = n_header if n_header is not None else max_id + 1
-    if n < 0:
-        n = 0
     return Graph.from_edges(n, sorted(set(edges)))
 
 

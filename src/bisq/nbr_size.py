@@ -35,6 +35,8 @@ _THRESHOLD_BASE = 1.0 / (2.0 * math.e ** 2)
 # a decoded value below this, with a provably nonempty neighborhood,
 # can only be size 1
 _UNIT_CUTOFF = 1.5
+# bincount keys per block of parts in counts_from_top
+_KEYS_PER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,14 +104,23 @@ def counts_from_top(top: np.ndarray, ns: NsParams) -> NsCounts:
 
     Row (p, r, i) answers 1 iff i > top[p, r], so the count at level i is
     the number of reps with top + 1 <= i: a cumulative histogram of
-    top + 1 over 0..levels, one bincount for every part.
+    top + 1 over 0..levels.  The parts go through in blocks of rows whose
+    bincount keys number about ``_KEYS_PER_BLOCK``, each block's counts
+    written into the preallocated result, so the scratch stays fixed
+    however many parts and reps there are.
     """
-    parts = top.shape[0]
+    parts, reps = top.shape
     bins = ns.levels + 1
-    hist = np.bincount((np.arange(parts)[:, None] * bins + top + 1).ravel(),
-                       minlength=parts * bins).reshape(parts, bins)
-    return NsCounts(counts=np.cumsum(hist, axis=1)[:, :ns.levels],
-                    reps=ns.reps)
+    counts = np.empty((parts, ns.levels), dtype=np.int64)
+    rows = max(1, _KEYS_PER_BLOCK // reps)
+    for lo in range(0, parts, rows):
+        block = top[lo:lo + rows]
+        keys = np.add(block, 1, dtype=np.int64)
+        keys += np.arange(block.shape[0])[:, None] * bins
+        hist = np.bincount(keys.ravel(), minlength=block.shape[0] * bins)
+        np.cumsum(hist.reshape(-1, bins)[:, :ns.levels], axis=1,
+                  out=counts[lo:lo + rows])
+    return NsCounts(counts=counts, reps=ns.reps)
 
 
 def decode_ns(counts: NsCounts, ns: NsParams) -> float | np.ndarray:

@@ -169,9 +169,12 @@ class SharedSubsampleBlock:
         return lefts, bases
 
     def validate(self) -> None:
-        if (self.planes[:, 1:] & ~self.planes[:, :-1]).any():
-            raise PlanError(
-                f"block {self.tag!r}: planes are not nested within a rep")
+        """Nesting checked one level against the one before, so the
+        scratch is one (reps, w) level; then disjointness of every part."""
+        for i in range(1, self.planes.shape[1]):
+            if (self.planes[:, i] & ~self.planes[:, i - 1]).any():
+                raise PlanError(
+                    f"block {self.tag!r}: planes are not nested within a rep")
         lefts, bases = self._stacked()
         bad = (lefts & bases).any(axis=1)
         if bad.any():

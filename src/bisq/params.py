@@ -127,9 +127,12 @@ def level_ladder(n: int, epsilon: float,
     """Scaled epsilon, gamma, bucket count B and top level L of the ladder.
 
     The paper profile rescales epsilon by its loglog factor; the fast
-    profile uses epsilon as given (a documented deviation).
+    profile uses epsilon as given (a documented deviation).  That factor,
+    log log2 n, is 0 for n <= 2, so the paper profile refuses such n.
     """
     if profile == PAPER:
+        if n < 3:
+            raise ValueError(f"the paper profile needs n >= 3, got n={n}")
         eps_scaled = epsilon / (600.0 * math.log(log2_raw(n))
                                 / math.log(1.0 / epsilon))
     else:

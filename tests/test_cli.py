@@ -210,6 +210,34 @@ def test_out_of_memory_exits_cleanly(monkeypatch, capsys):
             err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("args", [
+    ["estimate", "--profile", "paper", "--gen", "star:n=2"],
+    ["sample", "--profile", "paper", "--gen", "star:n=2"],
+    ["audit", "--n-grid", "1"], ["audit", "--n-grid", "2"],
+    ["audit", "--n-grid", "0"], ["audit", "--n-grid=-4"],
+    ["audit", "--n-grid", "256,2"]])
+def test_paper_profile_below_three_vertices_exits_cleanly(args, capsys):
+    # the paper profile's epsilon scale divides by log log2 n, 0 at n <= 2
+    code, out = run_cli(args)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("bisq: the paper profile needs n >= 3") and \
+        err.count("\n") == 1, err
+
+
+def test_audit_accepts_three_vertices():
+    code, out = run_cli(["audit", "--n-grid", "3"])
+    assert code == 0 and '"audit":"estimator","n":3' in out
+
+
+def test_negative_header_exits_cleanly(tmp_path, capsys):
+    graph = tmp_path / "neg.txt"
+    graph.write_text("# n=-5\n")
+    code, out = run_cli(["connectivity", "--graph", str(graph)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "bisq: line 1: bad header '# n=-5'\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "bisq.cli", "generate",
                            "path", "--n", "4"], capture_output=True,

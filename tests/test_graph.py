@@ -33,6 +33,11 @@ def test_malformed_line_names_line_number():
         load_edge_list("0 1\n0 1 2\n")
 
 
+def test_negative_header_rejected():
+    with pytest.raises(GraphParseError, match="line 1: bad header"):
+        load_edge_list("# n=-5\n")
+
+
 def test_header_bound_enforced():
     with pytest.raises(GraphParseError, match="line 2"):
         load_edge_list("# n=2\n0 5\n")
@@ -53,6 +58,38 @@ def test_round_trip():
 def test_gnp_extremes():
     assert gen_gnp(10, 0.0, seed=1).m == 0
     assert gen_gnp(10, 1.0, seed=1).m == 45
+
+
+def _gnp_full_draw(n, p, seed):
+    # G(n, p) from one n x n uniform draw, kept as the reference
+    from bisq.seeding import rng_for
+    if p == 0.0:
+        return np.zeros((n, bitset.word_count(n)), dtype=np.uint64)
+    tri = np.triu(rng_for(seed, "gnp", n).random((n, n)) < p, k=1)
+    return bitset.pack_bool(tri | tri.T)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 300])
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.5, 1.0])
+def test_gnp_rows_equal_the_full_draw(n, p):
+    for seed in (0, 7, ("c7", 1)):
+        g = gen_gnp(n, p, seed)
+        assert np.array_equal(g.adj_words, _gnp_full_draw(n, p, seed))
+
+
+def test_gnp_scratch_stays_under_the_full_draw():
+    # at p = 1 every pair is kept, the worst case for the int32 pair ids;
+    # the n x n float draw alone was 8 n^2 bytes
+    import tracemalloc
+    n = 1000
+    tracemalloc.start()
+    try:
+        g = gen_gnp(n, 1.0, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == n * (n - 1) // 2
+    assert peak < 8 * n * n
 
 
 def test_gnp_binomial_mean():

@@ -249,6 +249,51 @@ def test_shared_block_rejects_unnested_planes():
     assert o.ledger.bis_count == 0
 
 
+@pytest.mark.parametrize("level", range(1, 11))
+def test_shared_block_finds_unnesting_at_any_level(level):
+    # one bit set at `level` that the level below lacks; every other pair
+    # of adjacent levels stays nested
+    from bisq.errors import PlanError
+
+    n = 200
+    base = bitset.trim_tail(bitset.random_planes(rng_for("base"), 4), n)
+    planes = bitset.nested_rate_masks(rng_for("unnested", level), base,
+                                      11, 3)
+    left = bitset.pack_indices(n, [0])
+    block = SharedSubsampleBlock("t", planes,
+                                 [(left, bitset.trim_tail(~left, n))])
+    block.validate()
+    absent = np.setdiff1d(np.arange(1, n),
+                          bitset.members(planes[2, level - 1], n))
+    planes[2, level] |= bitset.pack_indices(n, absent[:1])
+    with pytest.raises(PlanError, match="not nested"):
+        block.validate()
+
+
+def _accumulated_masks(rng, base, levels, reps):
+    # the draw with bitwise_and.accumulate and one & base, kept as the
+    # reference for nested_rate_masks
+    out = np.empty((reps, levels, base.size), dtype=np.uint64)
+    out[:, 0, :] = base
+    if levels > 1:
+        planes = bitset.random_planes(rng, (reps, levels - 1, base.size))
+        np.bitwise_and.accumulate(planes, axis=1, out=planes)
+        out[:, 1:, :] = planes & base[None, None, :]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([1, 2, 11]), st.integers(1, 9),
+       st.integers(0, 10 ** 6))
+def test_nested_rate_masks_equal_the_accumulated_draw(n, levels, reps, key):
+    base = bitset.random_planes(rng_for("base", key), bitset.word_count(n))
+    bitset.trim_tail(base, n)
+    got = bitset.nested_rate_masks(rng_for("masks", key), base, levels, reps)
+    expect = _accumulated_masks(rng_for("masks", key), base, levels, reps)
+    assert got.shape == (reps, levels, base.size)
+    assert np.array_equal(got, expect)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(66, 160), st.floats(0.0, 0.3), st.integers(1, 4),
        st.integers(2, 48), st.integers(0, 10 ** 6))

@@ -4,9 +4,15 @@ perfbench/tracer.py is loaded by path (importing it does not import
 bisq); each SPANS target must resolve the way ``tracer.install`` reads
 it: a module attribute, or for "Class.method" an entry in the owning
 class's own ``__dict__``, so a method that a class only inherits fails.
+Two tiny commands then run under the tracer itself, so a probe that no
+longer fits what a span returns fails here rather than in a benchmark.
 """
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +40,42 @@ def test_span_target_resolves(name, module_name, path):
     target = owner.__dict__.get(attr) if outer else getattr(owner, attr, None)
     assert callable(target), f"{name}: {module_name}.{path} is not defined"
 
+
+# tiny commands: connectivity reaches both rounds, estimate the NS sketch;
+# each lists the spans it must enter, by name or by a "module." prefix
+_TRACED = {
+    "connectivity": (["connectivity", "--gen",
+                      "components:k=3,size=6,inner=clique", "--seed", "1",
+                      "--cT", "8", "--c2", "1", "--clambda", "16",
+                      "--pool-scale", "4", "--cnb", "2", "--with-truth"],
+                     ("connectivity.", "edge_sampler.")),
+    "estimate": (["estimate", "--gen", "gnp:n=64,p=0.1,seed=1", "--seed",
+                  "1", "--cT", "8", "--c2", "4", "--clambda", "4",
+                  "--with-truth"],
+                 ("edge_estimator.", "degree_est.estimate_degrees",
+                  "nbr_size.", "oracle.SharedSubsampleBlock.")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TRACED))
+def test_traced_command_enters_its_spans(command, tmp_path):
+    cli, keys = _TRACED[command]
+    trace_path = tmp_path / "trace.json"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(trace_path), "--", *cli,
+         "--out", str(tmp_path / "report.jsonl")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace_path.read_text())["spans"]
+    assert set(spans) == {name for name, _, _ in SPANS}
+    expected = [name for name in spans
+                if any(name == key or key.endswith(".")
+                       and name.startswith(key) for key in keys)]
+    assert expected
+    for name in expected:
+        assert spans[name]["calls"] > 0, name
+    assert {name: s["errors"] for name, s in spans.items()
+            if s["errors"]} == {}
