@@ -122,7 +122,8 @@ def random_planes(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def nested_rate_masks(rng: np.random.Generator, base: np.ndarray,
-                      levels: int, reps: int) -> np.ndarray:
+                      levels: int, reps: int,
+                      cols: np.ndarray | None = None) -> np.ndarray:
     """Subsample masks of ``base`` at rates 2^-i, i = 0..levels-1.
 
     Returns an array of shape (reps, levels, w).  Level 0 is ``base``
@@ -132,13 +133,17 @@ def nested_rate_masks(rng: np.random.Generator, base: np.ndarray,
 
     The coin planes of levels 1..levels-1 are one ``random_planes`` draw
     written into the output, and each level is then ANDed in place with
-    the level before it, so the only scratch is that draw.
+    the level before it, so the only scratch is that draw.  ``cols``, an
+    array of word indices, keeps only those word columns, w = its size:
+    the whole draw is still made and then sliced, so the stream and every
+    kept word are those of the masks without ``cols``.
     """
-    w = base.size
-    out = np.empty((reps, levels, w), dtype=np.uint64)
-    out[:, 0] = base
+    cols = slice(None) if cols is None else cols
+    out = np.empty((reps, levels) + base[cols].shape, dtype=np.uint64)
+    out[:, 0] = base[cols]
     if levels > 1:
-        out[:, 1:] = random_planes(rng, (reps, levels - 1, w))
+        out[:, 1:] = random_planes(rng, (reps, levels - 1,
+                                         base.size))[:, :, cols]
         for i in range(1, levels):
             np.bitwise_and(out[:, i], out[:, i - 1], out=out[:, i])
     return out

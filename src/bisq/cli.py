@@ -54,7 +54,7 @@ class RunConfig:
             raise ValueError("--profile must be fast or paper")
         if self.trials < 1 or self.count < 1:
             raise ValueError("--trials and --count must be >= 1")
-        for name in ("c1", "c2", "c_T", "c_lambda", "c_R", "c_nb", "c_se",
+        for name in ("c2", "c_T", "c_lambda", "c_R", "c_nb", "c_se",
                      "ser_pool_scale"):
             if getattr(self.constants, name) <= 0:
                 raise ValueError(f"constant {name} must be positive")
@@ -336,7 +336,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="edge-list file path")
     p.add_argument("--gen", help="generator spec, e.g. gnp:n=1024,p=0.01")
     p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=[params.FAST, params.PAPER],
                    default=params.FAST)
@@ -346,7 +345,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="embed exact ground truth in reports")
     p.add_argument("--csv", action="store_true",
                    help="append a CSV flattening of the summary row")
-    p.add_argument("--c1", type=float)
     p.add_argument("--c2", type=float)
     p.add_argument("--cT", type=float)
     p.add_argument("--clambda", type=float)
@@ -358,15 +356,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _config_from(args, command: str) -> RunConfig:
     constants = Constants().with_overrides(
-        c1=args.c1, c2=args.c2, c_T=args.cT, c_lambda=args.clambda,
+        c2=args.c2, c_T=args.cT, c_lambda=args.clambda,
         c_R=args.cR, c_nb=args.cnb, c_se=args.cse,
         ser_pool_scale=args.pool_scale)
+    # only sample has --count and only audit has --delta
+    own = {k: getattr(args, k) for k in ("count", "delta") if k in args}
     cfg = RunConfig(command=command, graph_path=args.graph,
-                    gen_spec=args.gen, epsilon=args.epsilon,
-                    delta=args.delta, seed=args.seed, profile=args.profile,
-                    trials=args.trials, count=getattr(args, "count", 1),
-                    out=args.out, with_truth=args.with_truth, csv=args.csv,
-                    constants=constants)
+                    gen_spec=args.gen, epsilon=args.epsilon, seed=args.seed,
+                    profile=args.profile, trials=args.trials, out=args.out,
+                    with_truth=args.with_truth, csv=args.csv,
+                    constants=constants, **own)
     cfg.validate()
     return cfg
 
@@ -399,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     aud = sub.add_parser("audit", help="dry-run complexity table")
     _add_common(aud)
+    aud.add_argument("--delta", type=float, default=0.1)
     aud.add_argument("--n-grid", default="256,512,1024,2048,4096",
                      help="comma-separated sizes")
     return parser

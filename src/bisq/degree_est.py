@@ -104,13 +104,10 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                                        constants)
     ns = NsParams.create(n, epsilon, params.deg_delta_inner(n), profile,
                          constants)
-    full = bitset.full_words(n)
     ser_reps = params.ser_pool_reps(n, epsilon, constants)
 
     with oracle.round():
         for t in range(schedule.reps):
-            planes = bitset.nested_rate_masks(
-                rng_for(seed, "deg-planes", t), full, ns.levels, ns.reps)
             cell_ids, cell_of, sizes = _cells(schedule.assignment[t])
             lefts = bitset.pack_rows(n, cell_of, members, cell_ids.size)
             bases = bitset.trim_tail(~lefts, n)
@@ -122,7 +119,8 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                         VertexSet(n, left), VertexSet(n, base), ser_reps,
                         (seed, "deg-ser", t, cell_id), tag=tag + "-ser"))
             plan = QueryPlan(n, [SharedSubsampleBlock(
-                tag, planes, list(zip(lefts, bases)))])
+                tag, list(zip(lefts, bases)), ns.reps, ns.levels,
+                (seed, "deg-planes", t))])
             for rec in recoveries:
                 plan.add(rec.block)
             results = oracle.submit(plan)

@@ -115,7 +115,7 @@ def coarse_estimate(oracle: BisOracle, seed, tag: str = "coarse") -> float:
         lefts[i] = a_words & np.bitwise_and.reduce(planes[:, :, 0], axis=1)
         rights[i] = b_words & np.bitwise_and.reduce(planes[:, :, 1], axis=1)
     plan = QueryPlan(n, [DenseBlock(tag, lefts.reshape(-1, w),
-                                    rights.reshape(-1, w), rows_per_group=1)])
+                                    rights.reshape(-1, w))])
     answers = oracle.submit(plan)[0].reshape(n_rates, reps)
     edge_freq = 1.0 - answers.mean(axis=1)
     hits = np.nonzero(edge_freq >= 0.5)[0]

@@ -13,10 +13,6 @@ class DisjointnessError(BisqError):
     """A query violated the two-disjoint-sets contract."""
 
 
-class PlanError(BisqError):
-    """A query plan is structurally invalid."""
-
-
 class NsDecodeError(BisqError):
     """Neighborhood-size decoding hit an empty count at the selected level."""
 

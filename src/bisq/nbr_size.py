@@ -3,9 +3,10 @@
 The plan subsamples R at geometric rates 2^-i and counts, per level, how
 many of T repetitions produce a no-edge answer against L.  Decoding finds
 the first level whose no-edge frequency clears a fixed threshold and
-inverts the closed form E[count]/T = (1 - 2^-i)^N.  The plan is one
-Dense group: L against its T x levels subsample rows.  ``decode_ns`` takes
-one row of level counts or a stack of rows (one per cell of the degree
+inverts the closed form E[count]/T = (1 - 2^-i)^N.  The plan is the
+degree sketch's shared-plane block with one part, (L, R), and its counts
+come from the block's top depths (``counts_from_top``).  ``decode_ns``
+takes one row of level counts or a stack of rows (one per cell of the
 sketch) and decodes a stack in one pass; its logarithms are ``math.log``
 values tabled by count and by level, so a row decodes to the same float
 alone or stacked.
@@ -23,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitset, params
+from . import params
 from .errors import NsDecodeError
 from .graph import VertexSet
-from .oracle import BisOracle, DenseBlock, QueryPlan
+from .oracle import BisOracle, QueryPlan, SharedSubsampleBlock
 from .params import Constants
-from .seeding import rng_for
 
 # decode threshold numerator: a level is "low" when count/T < (1-eps)/(2 e^2)
 _THRESHOLD_BASE = 1.0 / (2.0 * math.e ** 2)
@@ -82,21 +82,14 @@ def plan_ns(left: VertexSet, right: VertexSet, ns: NsParams, seed,
     """Build the full query plan; issues no oracle queries.
 
     Entry (i, t) is (L, R_i^t) where R_i^t keeps each member of R with
-    probability 2^-i.  The plan is one Dense group: left L against the
-    reps x levels subsample rows, row index t * levels + i.
+    probability 2^-i: one shared-plane block with the one part (L, R) and
+    planes drawn from (seed, "ns-plan"), row index t * levels + i.
     """
     if not left.isdisjoint(right):
         raise ValueError("left and right sets overlap")
-    rng = rng_for(seed, "ns-plan")
-    masks = bitset.nested_rate_masks(rng, right.words, ns.levels, ns.reps)
-    return QueryPlan(left.n, [DenseBlock(
-        tag, left.words[None], masks.reshape(-1, masks.shape[-1]),
-        rows_per_group=ns.reps * ns.levels)])
-
-
-def counts_from_answers(answers: np.ndarray, ns: NsParams) -> NsCounts:
-    counts = answers.reshape(ns.reps, ns.levels).sum(axis=0).astype(np.int64)
-    return NsCounts(counts=counts, reps=ns.reps)
+    return QueryPlan(left.n, [SharedSubsampleBlock(
+        tag, [(left.words, right.words)], ns.reps, ns.levels,
+        (seed, "ns-plan"))])
 
 
 def counts_from_top(top: np.ndarray, ns: NsParams) -> NsCounts:
@@ -179,6 +172,7 @@ def estimate_ns(oracle: BisOracle, left: VertexSet, right: VertexSet,
     ns = NsParams.create(oracle.n, epsilon, delta, profile, constants)
     plan = plan_ns(left, right, ns, seed, tag=tag)
     with oracle.round():
-        answers = oracle.submit(plan)[0]
-    estimate = decode_ns(counts_from_answers(answers, ns), ns)
+        top = oracle.submit(plan)[0]
+    counts = counts_from_top(top, ns).counts[0]
+    estimate = decode_ns(NsCounts(counts=counts, reps=ns.reps), ns)
     return min(estimate, float(len(right)))

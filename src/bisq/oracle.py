@@ -7,14 +7,14 @@ any prior answer costs one adaptivity round, which callers express with
 ``with oracle.round(): ...`` scopes.
 
 Blocks come in three kinds, each storing only what its rows are a
-function of: explicit rows in groups sharing one left (the coarse
-bootstrap, and the NS plan as one group of subsample rows), shared
-subsample planes for many (left, base) parts (the degree sketch), and
-the subsample masks of single element recovery, held as the seed they
-are drawn from and cut by bit-decoding sides derived from ``base``
-itself (``side_bits``).  Evaluation is exact and equivalent to
-answering every materialized (L, R) row separately, which `iter_rows`
-exposes for verification.
+function of: explicit rows (the coarse bootstrap), subsample planes
+shared by many (left, base) parts (the degree sketch, a part per cell,
+and the NS plan, one part), and the subsample masks of single element
+recovery, cut by bit-decoding sides derived from ``base`` itself
+(``side_bits``).  Both subsample kinds hold the seed their planes or
+masks are drawn from, not the planes or masks.  Evaluation is exact and
+equivalent to answering every materialized (L, R) row separately, which
+`iter_rows` exposes for verification.
 
 `BisOracle.submit` validates and charges a whole plan at once and
 returns its `Results`, which evaluate a block only when its result is
@@ -23,9 +23,9 @@ computed changes no answer, and a caller holds only the results it
 still references.  A block's result is its answers, one uint8 per row
 in `iter_rows` order, except for a shared-plane block: its result is
 the int8 top survival depths of shape (parts, reps), and row (p, r, i)
-answers 1 iff i > top[p, r].  The degree sketch reads per-level counts
-from that summary directly, so the parts x reps x levels answers are
-never built.
+answers 1 iff i > top[p, r].  The degree sketch and the NS estimator
+read per-level counts from that summary directly, so the parts x reps x
+levels answers are never built.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import bitset, params
-from .errors import DisjointnessError, PlanError
+from .errors import DisjointnessError
 from .graph import Graph, VertexSet
 from .seeding import rng_for
 
@@ -87,94 +87,85 @@ class QueryLedger:
 # ---------------------------------------------------------------------------
 
 class DenseBlock:
-    """Explicit query rows; ``left`` has one row per group of right rows."""
+    """Explicit query rows: row k is (left[k], right[k])."""
 
-    __slots__ = ("tag", "left", "right", "rows_per_group")
+    __slots__ = ("tag", "left", "right")
 
-    def __init__(self, tag: str, left: np.ndarray, right: np.ndarray,
-                 rows_per_group: int):
-        if right.shape[0] != left.shape[0] * rows_per_group:
-            raise ValueError("right row count must be groups * rows_per_group")
+    def __init__(self, tag: str, left: np.ndarray, right: np.ndarray):
+        if left.shape != right.shape:
+            raise ValueError("left and right need one row per query each")
         self.tag = tag
         self.left = left
         self.right = right
-        self.rows_per_group = rows_per_group
 
     def n_queries(self) -> int:
         return self.right.shape[0]
 
     def validate(self) -> None:
-        """One OR over each group's rows against its left; the offending
-        row is located only when that check fails."""
-        g = self.left.shape[0]
-        r3 = self.right.reshape(g, self.rows_per_group, -1)
-        bad = (np.bitwise_or.reduce(r3, axis=1) & self.left).any(axis=1)
+        bad = (self.left & self.right).any(axis=1)
         if bad.any():
-            gi = int(np.argmax(bad))
-            ri = int(np.argmax((r3[gi] & self.left[gi]).any(axis=1)))
             raise DisjointnessError(
-                f"block {self.tag!r}: query {gi * self.rows_per_group + ri} "
+                f"block {self.tag!r}: query {int(np.argmax(bad))} "
                 "has overlapping L and R")
 
     def evaluate(self, graph: Graph) -> np.ndarray:
-        g = self.left.shape[0]
-        n = graph.n
         gammas = np.empty_like(self.left)
-        for i in range(g):
-            gammas[i] = graph.neighborhood_words(bitset.members(self.left[i], n))
-        r3 = self.right.reshape(g, self.rows_per_group, -1)
-        hit = (r3 & gammas[:, None, :]).any(axis=2)
-        return (~hit).astype(np.uint8).ravel()
+        for i, left in enumerate(self.left):
+            gammas[i] = graph.neighborhood_words(bitset.members(left, graph.n))
+        hit = (self.right & gammas).any(axis=1)
+        return (~hit).astype(np.uint8)
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for idx in range(self.right.shape[0]):
-            yield self.left[idx // self.rows_per_group], self.right[idx]
+        return zip(self.left, self.right)
 
 
 class SharedSubsampleBlock:
-    """Many (left, base) pairs sharing one stack of subsample planes.
+    """Many (left, base) pairs sharing one stack of seeded subsample planes.
 
-    ``planes`` has shape (reps, levels, w) over the full vertex domain and
-    must be nested within each repetition (level i+1 a subset of level i);
-    the materialized row for part p is planes[r, i] & base_p.  Row index:
-    p * reps * levels + r * levels + i.
+    The planes, of shape (reps, levels, w), are nested subsamples of the
+    whole vertex domain drawn from ``rng_for(*stream)`` (level 0 holds
+    every vertex, each level thins the one before by a fair coin); the
+    block stores that stream, not the planes, and ``draw_planes`` draws
+    them afresh for each use.  The materialized row for part p is
+    planes[r, i] & base_p.  Row index: p * reps * levels + r * levels + i.
+    ``parts`` is nonempty: a cell each in the degree sketch, or the one
+    (L, R) of the NS plan.
 
     Evaluation uses survival depths (the max-rank idea of Flajolet-Martin
     and HyperLogLog): depth[u, r] is the deepest level whose plane holds
-    u, or -1.  Nesting makes u present at every level up to its depth, so
-    row (p, r, i) hits an edge iff the largest depth over part p's support
+    u.  Nesting makes u present at every level up to its depth, so row
+    (p, r, i) hits an edge iff the largest depth over part p's support
     Gamma(left_p) ∩ base_p is at least i.  ``evaluate`` returns those
     maxima, top of shape (parts, reps), instead of the answers: row
     (p, r, i) answers 1 iff i > top[p, r], so top encodes every answer.
     """
 
-    __slots__ = ("tag", "planes", "parts")
+    __slots__ = ("tag", "parts", "reps", "levels", "stream")
 
-    def __init__(self, tag: str, planes: np.ndarray,
-                 parts: list[tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, tag: str, parts: list[tuple[np.ndarray, np.ndarray]],
+                 reps: int, levels: int, stream: tuple):
         self.tag = tag
-        self.planes = planes
         self.parts = parts
+        self.reps = reps
+        self.levels = levels
+        self.stream = stream
 
     def n_queries(self) -> int:
-        return len(self.parts) * self.planes.shape[0] * self.planes.shape[1]
+        return len(self.parts) * self.reps * self.levels
+
+    def draw_planes(self, w: int, cols: Optional[np.ndarray] = None):
+        """The (reps, levels, w) planes, or only their word columns cols."""
+        return bitset.nested_rate_masks(
+            rng_for(*self.stream), np.full(w, ~np.uint64(0)), self.levels,
+            self.reps, cols)
 
     def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """Lefts and bases as two (parts, w) arrays."""
-        w = self.planes.shape[2]
-        lefts = np.array([left for left, _ in self.parts],
-                         dtype=np.uint64).reshape(-1, w)
-        bases = np.array([base for _, base in self.parts],
-                         dtype=np.uint64).reshape(-1, w)
+        lefts = np.array([left for left, _ in self.parts], dtype=np.uint64)
+        bases = np.array([base for _, base in self.parts], dtype=np.uint64)
         return lefts, bases
 
     def validate(self) -> None:
-        """Nesting checked one level against the one before, so the
-        scratch is one (reps, w) level; then disjointness of every part."""
-        for i in range(1, self.planes.shape[1]):
-            if (self.planes[:, i] & ~self.planes[:, i - 1]).any():
-                raise PlanError(
-                    f"block {self.tag!r}: planes are not nested within a rep")
         lefts, bases = self._stacked()
         bad = (lefts & bases).any(axis=1)
         if bad.any():
@@ -182,19 +173,22 @@ class SharedSubsampleBlock:
                 f"block {self.tag!r}: part {int(np.argmax(bad))} left "
                 "overlaps base")
 
-    def _depth_table(self, n: int) -> np.ndarray:
-        """Survival depths, int8 of shape (n, reps); -1 where u is absent.
+    def _depth_table(self, w: int, cols: np.ndarray) -> np.ndarray:
+        """Survival depths in word columns ``cols``, int8 of shape
+        (64 * cols.size, reps); row 64 * j + b is bit b of column cols[j].
 
-        Built one level at a time, so the transient is reps x n bytes;
-        accumulating rep-major and transposing once is ~4x faster than
+        Level 0 holds every vertex, so depths start at 0 and levels 1..
+        are added one at a time: the transient is one level's bits.
+        Accumulating rep-major and transposing once is ~4x faster than
         adding each level through a transposed view.
         """
-        reps, levels, _ = self.planes.shape
-        depth = np.full((reps, n), -1, dtype=np.int8)
-        for i in range(levels):
-            held = np.unpackbits(self.planes[:, i].view(np.uint8), axis=1,
-                                 bitorder="little")[:, :n]
-            depth += held.view(np.int8)
+        planes = self.draw_planes(w, cols)
+        depth = np.zeros((self.reps, cols.size * bitset.WORD_BITS),
+                         dtype=np.int8)
+        for i in range(1, self.levels):
+            depth += np.unpackbits(planes[:, i].view(np.uint8), axis=1,
+                                   bitorder="little").view(np.int8)
+        del planes
         return np.ascontiguousarray(depth.T)
 
     def _supports(self, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -217,17 +211,19 @@ class SharedSubsampleBlock:
     def evaluate(self, graph: Graph) -> np.ndarray:
         """Top depths, int8 of shape (parts, reps); -1 for empty supports.
 
-        The max over each support goes by rank step: parts sorted by
-        support size k, descending, start from their first support id's
-        depth row, and step j folds in the j-th id of the parts with
-        k > j, which are a prefix of that order.
+        The depth table covers only the word columns holding a support
+        vertex.  The max over each support goes by rank step: parts sorted by support
+        size k, descending, start from their first support id's depth
+        row, and step j folds in the j-th id of the parts with k > j,
+        which are a prefix of that order.
         """
-        reps = self.planes.shape[0]
-        top = np.full((len(self.parts), reps), -1, dtype=np.int8)
+        top = np.full((len(self.parts), self.reps), -1, dtype=np.int8)
         part, ids = self._supports(graph)
         if not ids.size:
             return top
-        depth = self._depth_table(graph.n)
+        cols, col_of = np.unique(ids >> 6, return_inverse=True)
+        ids = col_of * bitset.WORD_BITS + (ids & 63)
+        depth = self._depth_table(graph.adj_words.shape[1], cols)
         k = np.bincount(part, minlength=len(self.parts))
         first = np.cumsum(k) - k
         order = np.argsort(-k, kind="stable")[:np.count_nonzero(k)]
@@ -240,11 +236,11 @@ class SharedSubsampleBlock:
         return top
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        reps, levels, _ = self.planes.shape
+        planes = self.draw_planes(self.parts[0][1].size)
         for left, base in self.parts:
-            for r in range(reps):
-                for i in range(levels):
-                    yield left, self.planes[r, i] & base
+            for r in range(self.reps):
+                for i in range(self.levels):
+                    yield left, planes[r, i] & base
 
 
 def side_bits(index: np.ndarray, domain: int) -> np.ndarray:

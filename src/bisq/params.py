@@ -17,10 +17,8 @@ FAST = "fast"
 class Constants:
     """Tunable constants; defaults follow the written algorithm settings.
 
-    All are exposed on the CLI.  c1 only enters analysis-side tolerances;
-    the executable thresholds use c2.
+    All but c_delta are exposed on the CLI.
     """
-    c1: float = 5.0
     c2: float = 50.0
     c_T: float = 48.0        # fast-profile repetition constant for NS counts
     c_lambda: float = 1.0    # partition-count constant in the degree sketch

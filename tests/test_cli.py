@@ -180,6 +180,28 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys):
         parse_gen_spec("gnp:p=0.1")
 
 
+@pytest.mark.parametrize("flag", [["--c1", "1"], ["--delta", "0.1"]])
+def test_removed_flags_are_usage_errors(flag, capsys):
+    # c1 was read by nothing, and only audit reads --delta
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--gen", "gnp:n=16,p=0.1"] + flag)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bisq ")
+    assert err.splitlines()[-1] == ("bisq: error: unrecognized arguments: "
+                                    + " ".join(flag))
+
+
+def test_audit_delta_is_read_and_checked(capsys):
+    grid = ["--n-grid", "256"]
+    _, loose = run_cli(["audit", "--delta", "0.2"] + grid)
+    _, tight = run_cli(["audit", "--delta", "0.01"] + grid)
+    assert loose != tight
+    code, _ = run_cli(["audit", "--delta", "0.7"] + grid)
+    assert code == 2
+    assert capsys.readouterr().err == "bisq: --delta must lie in (0, 0.5]\n"
+
+
 def test_nonpositive_constants_are_refused(capsys):
     for flag in (["--clambda", "0"], ["--pool-scale", "-3"],
                  ["--pool-scale", "0"]):

@@ -178,15 +178,15 @@ def _supernode_plan(rng, p, reps, levels):
     """One block of each type, in supernode space."""
     w = bitset.word_count(p)
     groups = [_disjoint_pair(rng, p) for _ in range(3)]
-    lefts = np.array([left for left, _ in groups])
+    lefts = np.array([left for left, _ in groups for _ in range(2)])
     rights = np.array([right & bitset.random_planes(rng, w)
                        for _, right in groups for _ in range(2)])
     left, base = _disjoint_pair(rng, p)
-    planes = bitset.nested_rate_masks(rng, bitset.full_words(p), levels, reps)
     return QueryPlan(p, [
-        DenseBlock("dense", lefts, rights, rows_per_group=2),
-        SharedSubsampleBlock("shared", planes,
-                             [_disjoint_pair(rng, p) for _ in range(3)]),
+        DenseBlock("dense", lefts, rights),
+        SharedSubsampleBlock("shared",
+                             [_disjoint_pair(rng, p) for _ in range(3)],
+                             reps, levels, (int(rng.integers(2 ** 32)),)),
         SidesSubsampleBlock("sides", left, base, reps,
                             int(rng.integers(2 ** 32)))])
 

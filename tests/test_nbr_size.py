@@ -37,8 +37,9 @@ def test_empty_right_side_plan():
     ns = _params(n)
     plan = plan_ns(VertexSet.from_indices(n, [0]), VertexSet.empty(n), ns, 1)
     assert plan.size() == ns.levels * ns.reps
-    block = plan.blocks[0]
-    assert not block.right.any()
+    rows = list(plan.iter_rows())
+    assert len(rows) == plan.size()
+    assert not any(right.any() for _, right in rows)
 
 
 def test_level_zero_mask_equals_right_set():
@@ -46,9 +47,9 @@ def test_level_zero_mask_equals_right_set():
     ns = _params(n)
     R = VertexSet.from_indices(n, list(range(1, 20)))
     plan = plan_ns(VertexSet.from_indices(n, [0]), R, ns, seed=9)
-    block = plan.blocks[0]
+    rights = [right for _, right in plan.iter_rows()]
     for t in range(ns.reps):
-        assert np.array_equal(block.right[t * ns.levels], R.words)
+        assert np.array_equal(rights[t * ns.levels], R.words)
 
 
 def test_masks_nested_and_rate_halves():
@@ -56,7 +57,8 @@ def test_masks_nested_and_rate_halves():
     ns = NsParams.create(n, 0.5, 0.25, FAST, Constants(c_T=4.0))
     R = VertexSet.full(n)
     plan = plan_ns(VertexSet.empty(n), R, ns, seed=4)
-    masks = plan.blocks[0].right.reshape(ns.reps, ns.levels, -1)
+    masks = np.array([right for _, right in plan.iter_rows()]).reshape(
+        ns.reps, ns.levels, -1)
     sizes = np.bitwise_count(masks).sum(axis=2)
     for i in range(1, 5):
         # nesting
@@ -290,3 +292,47 @@ def test_counts_from_top_scratch_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def test_ns_estimates_are_pinned():
+    # estimate_ns values and ledgers over supports in one, a few and all
+    # word columns, in the partial tail word, an empty support and an
+    # empty R, plus one degree sketch; a moved "ns-plan" or "deg-planes"
+    # stream, or a support read wrongly, changes the digest
+    import hashlib
+    from bisq import estimate_degrees
+    from bisq.graph import Graph
+    n = 200                      # word 3 holds 192..199 only
+    hub, iso = 0, n - 1
+    edges = [(u, v) for u, v in gen_gnp(n, 0.05, seed=21).edges()
+             if hub not in (u, v) and iso not in (u, v)]
+    edges += [(hub, v) for v in range(1, iso)]
+    g = Graph.from_edges(n, edges)
+    cases = [([hub], range(70, 101)),      # one column
+             ([hub], range(10, 150, 7)),   # a few columns
+             ([hub], range(1, n)),         # all columns
+             ([hub], range(192, iso)),     # the partial tail word
+             ([iso], range(1, iso)),       # empty support
+             ([hub], [])]                  # empty R
+    rows = []
+    for k, (left, right) in enumerate(cases):
+        for eps in (0.25, 0.5):
+            for seed in range(3):
+                o = BisOracle(g)
+                est = estimate_ns(o, VertexSet.from_indices(n, left),
+                                  VertexSet.from_indices(n, list(right)),
+                                  eps, 0.2, seed=("pinned", k, seed))
+                snap = o.ledger.snapshot()
+                rows.append((k, eps, seed, est, snap["bis_count"],
+                             snap["round_count"],
+                             sorted(snap["phases"].items())))
+    o = BisOracle(g)
+    table = estimate_degrees(o, VertexSet.from_indices(n, range(0, n, 9)),
+                             0.25, seed="pinned")
+    rows.append((table.d_hat.tolist(), table.t_min.tolist(),
+                 sorted(o.ledger.snapshot().items())))
+    assert [r[3] for r in rows[24:30]] == [0.0] * 6     # empty support
+    assert [r[3] for r in rows[30:36]] == [0.0] * 6     # empty R
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == ("5b917835fcef06b3c30da987b5cc4afa"
+                      "81c0025f67432d930c45398c144d72d3")

@@ -75,7 +75,7 @@ def test_plan_of_k_queries_counts_k():
         ids = rng.permutation(32)
         lefts[i] = VertexSet.from_indices(32, ids[:3]).words
         rights[i] = VertexSet.from_indices(32, ids[3:10]).words
-    plan = QueryPlan(32, [DenseBlock("t", lefts, rights, 1)])
+    plan = QueryPlan(32, [DenseBlock("t", lefts, rights)])
     answers = o.submit(plan)[0]
     assert answers.size == k
     assert o.ledger.bis_count == k
@@ -130,19 +130,14 @@ def test_bis_count_equals_phase_sum():
 def test_shared_planes_block_rows_match_single_queries():
     # the sketch's shared-plane blocks must answer exactly as their
     # materialized (L, R) rows would, on sparse and dense supports
-    from bisq import bitset
-    from bisq.oracle import SharedSubsampleBlock
-
     for gname, g in (("sparse", gen_gnp(96, 0.03, seed=4)),
                      ("dense", gen_gnp(96, 0.6, seed=5))):
         o = BisOracle(g)
-        rng = rng_for("shared", gname)
-        planes = bitset.nested_rate_masks(rng, bitset.full_words(96), 5, 7)
         parts = []
         for ids in ([0], [1, 2], [3, 4, 5]):
             left = bitset.pack_indices(96, ids)
             parts.append((left, bitset.trim_tail(~left, 96)))
-        block = SharedSubsampleBlock("t", planes, parts)
+        block = SharedSubsampleBlock("t", parts, 7, 5, ("shared", gname))
         answers = _expand_top(o.submit(QueryPlan(96, [block]))[0], 5)
         fresh = BisOracle(g)
         for ans, (lw, rw) in zip(answers, block.iter_rows()):
@@ -154,23 +149,17 @@ def test_shared_planes_block_rows_match_single_queries():
 def _depth_kernel_case(n, p, reps, levels, extra, seed):
     """A graph and a shared-plane block over it, for the depth kernel.
 
-    n past a word boundary leaves tail bits; level 0 is a random subset,
-    so some vertices have depth -1.  Part 0 is an isolated vertex (empty
-    support); part 1 is a hub adjacent to all but it (support > 48); the
-    ``extra`` parts split the vertices at random into left, base and
-    neither.
+    n past a word boundary leaves tail bits.  Part 0 is an isolated
+    vertex (empty support); part 1 is a hub adjacent to all but it
+    (support > 48, in every word column); the ``extra`` parts split the
+    vertices at random into left, base and neither.
     """
-    from bisq import bitset
-    from bisq.oracle import SharedSubsampleBlock
-
     rng = rng_for("depth-kernel", seed)
     iso, hub = rng.choice(n, size=2, replace=False)
     edges = [(u, v) for u, v in gen_gnp(n, p, seed).edges()
              if iso not in (u, v)]
     edges += [(hub, v) for v in range(n) if v not in (hub, iso)]
     g = Graph.from_edges(n, edges)
-    plane0 = bitset.pack_indices(n, np.nonzero(rng.random(n) < 0.9)[0])
-    planes = bitset.nested_rate_masks(rng, plane0, levels, reps)
     parts = []
     for left_ids in ([iso], [hub]):
         left = bitset.pack_indices(n, left_ids)
@@ -181,7 +170,8 @@ def _depth_kernel_case(n, p, reps, levels, extra, seed):
                       bitset.pack_indices(n, np.nonzero(side == 1)[0])))
     hub_support = g.neighborhood_words(np.array([hub])) & parts[1][1]
     assert bitset.popcount(hub_support) > 48
-    return g, SharedSubsampleBlock("t", planes, parts)
+    return g, SharedSubsampleBlock("t", parts, reps, levels,
+                                   ("depth-kernel", seed))
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,6 +192,36 @@ def test_shared_depth_kernel_matches_single_queries(n, p, reps, levels,
 
 
 @settings(max_examples=30, deadline=None)
+@given(st.integers(65, 300), st.integers(1, 3), st.booleans(),
+       st.integers(0, 10 ** 6))
+def test_ns_plan_on_few_columns_matches_single_queries(n, k, tail, seed):
+    # a one-part NS plan whose right set lies in k word columns, with the
+    # last (partial when 64 does not divide n) among them when ``tail``
+    from bisq.nbr_size import NsParams, plan_ns
+
+    rng = rng_for("ns-cols", seed)
+    g = gen_gnp(n, 0.3, seed)
+    w = bitset.word_count(n)
+    cols = rng.choice(w, size=min(k, w), replace=False)
+    if tail:
+        cols[0] = w - 1
+    v = int(rng.integers(n))
+    ids = np.concatenate([np.arange(64 * c, min(n, 64 * c + 64))
+                          for c in cols])
+    ids = ids[(ids != v) & (rng.random(ids.size) < 0.5)]
+    ns = NsParams(epsilon=0.5, delta=0.25, levels=4, reps=3, profile="fast")
+    plan = plan_ns(VertexSet.from_indices(n, [v]),
+                   VertexSet.from_indices(n, ids), ns, seed)
+    o = BisOracle(g)
+    answers = _expand_top(o.submit(plan)[0], ns.levels)
+    assert answers.size == plan.size() == o.ledger.bis_count
+    fresh = BisOracle(g)
+    for ans, (lw, rw) in zip(answers, plan.iter_rows()):
+        assert int(ans) == fresh.bis(VertexSet(n, lw.copy()),
+                                     VertexSet(n, rw.copy()))
+
+
+@settings(max_examples=30, deadline=None)
 @given(st.integers(65, 200), st.floats(0.0, 0.5), st.integers(1, 4),
        st.integers(1, 7), st.integers(0, 3), st.integers(0, 10 ** 6))
 def test_shared_top_histogram_counts_match_answer_sums(n, p, reps, levels,
@@ -217,7 +237,8 @@ def test_shared_top_histogram_counts_match_answer_sums(n, p, reps, levels,
     assert top.dtype == np.int8 and top.shape == (len(block.parts), reps)
     supports = [g.neighborhood_words(bitset.members(left, n)) & base
                 for left, base in block.parts]
-    expect = np.array([[[not (block.planes[r, i] & s).any()
+    planes = block.draw_planes(g.adj_words.shape[1])
+    expect = np.array([[[not (planes[r, i] & s).any()
                          for i in range(levels)] for r in range(reps)]
                        for s in supports])
     answers = _expand_top(top, levels).reshape(expect.shape)
@@ -230,44 +251,21 @@ def test_shared_top_histogram_counts_match_answer_sums(n, p, reps, levels,
     assert (counts.counts[0] == reps).all()   # empty support
 
 
-def test_shared_block_rejects_unnested_planes():
-    from bisq import bitset
-    from bisq.errors import PlanError
-    from bisq.oracle import SharedSubsampleBlock
-
-    n = 70
-    planes = bitset.nested_rate_masks(rng_for("unnested"),
-                                      bitset.full_words(n), 3, 2)
-    planes[1, 0] &= ~bitset.pack_indices(n, [66])
-    planes[1, 2] |= bitset.pack_indices(n, [66])
-    left = bitset.pack_indices(n, [0])
-    block = SharedSubsampleBlock("t", planes,
-                                 [(left, bitset.trim_tail(~left, n))])
-    o = BisOracle(gen_gnp(n, 0.1, seed=1))
-    with pytest.raises(PlanError):
-        o.submit(QueryPlan(n, [block]))
-    assert o.ledger.bis_count == 0
-
-
 @pytest.mark.parametrize("level", range(1, 11))
-def test_shared_block_finds_unnesting_at_any_level(level):
-    # one bit set at `level` that the level below lacks; every other pair
-    # of adjacent levels stays nested
-    from bisq.errors import PlanError
-
-    n = 200
-    base = bitset.trim_tail(bitset.random_planes(rng_for("base"), 4), n)
-    planes = bitset.nested_rate_masks(rng_for("unnested", level), base,
-                                      11, 3)
-    left = bitset.pack_indices(n, [0])
-    block = SharedSubsampleBlock("t", planes,
-                                 [(left, bitset.trim_tail(~left, n))])
-    block.validate()
-    absent = np.setdiff1d(np.arange(1, n),
-                          bitset.members(planes[2, level - 1], n))
-    planes[2, level] |= bitset.pack_indices(n, absent[:1])
-    with pytest.raises(PlanError, match="not nested"):
-        block.validate()
+def test_depth_table_reads_every_level_of_the_planes(level):
+    # the drawn planes are nested by construction, so a vertex is held at
+    # `level` iff its survival depth reaches it; the depth table is built
+    # on two of the four word columns
+    block = SharedSubsampleBlock("t", [], 3, 11, ("nested", level))
+    planes = block.draw_planes(4)
+    assert not (planes[:, level] & ~planes[:, level - 1]).any()
+    cols = np.array([0, 3])
+    depth = block._depth_table(4, cols)
+    words = np.ascontiguousarray(planes[:, level][:, cols])
+    held = np.unpackbits(words.view(np.uint8), axis=1,
+                         bitorder="little").T.astype(bool)
+    assert depth.shape == held.shape == (128, 3)
+    assert np.array_equal(depth >= level, held)
 
 
 def _accumulated_masks(rng, base, levels, reps):
@@ -284,13 +282,26 @@ def _accumulated_masks(rng, base, levels, reps):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 300), st.sampled_from([1, 2, 11]), st.integers(1, 9),
-       st.integers(0, 10 ** 6))
-def test_nested_rate_masks_equal_the_accumulated_draw(n, levels, reps, key):
+       st.integers(0, 10 ** 6),
+       st.sampled_from(["none", "one", "some", "all", "tail"]))
+def test_nested_rate_masks_equal_the_accumulated_draw(n, levels, reps, key,
+                                                      pick):
+    # ``cols`` keeps word columns of the whole draw: one, some (in random
+    # order), all, or the last (partial when 64 does not divide n)
     base = bitset.random_planes(rng_for("base", key), bitset.word_count(n))
     bitset.trim_tail(base, n)
-    got = bitset.nested_rate_masks(rng_for("masks", key), base, levels, reps)
+    w = base.size
+    rng = rng_for("cols", key)
+    cols = {"none": None, "one": rng.integers(0, w, size=1),
+            "some": rng.permutation(w)[:rng.integers(1, w + 1)],
+            "all": np.arange(w), "tail": np.array([w - 1])}[pick]
+    got = bitset.nested_rate_masks(rng_for("masks", key), base, levels, reps,
+                                   cols)
     expect = _accumulated_masks(rng_for("masks", key), base, levels, reps)
-    assert got.shape == (reps, levels, base.size)
+    if cols is not None:
+        expect = expect[:, :, cols]
+    assert got.shape == expect.shape == (
+        reps, levels, w if cols is None else cols.size)
     assert np.array_equal(got, expect)
 
 
@@ -405,11 +416,9 @@ def test_unread_submission_is_charged_in_full(monkeypatch):
     for cls in (DenseBlock, SharedSubsampleBlock, SidesSubsampleBlock):
         monkeypatch.setattr(cls, "evaluate",
                             lambda block, graph: evaluated.append(block))
-    planes = bitset.nested_rate_masks(rng_for("unread"),
-                                      bitset.full_words(n), 3, 2)
     one, some = bitset.pack_indices(n, [1]), bitset.pack_indices(n, [5, 66])
-    blocks = [DenseBlock("d", one[None], np.stack([some, some]), 2),
-              SharedSubsampleBlock("sh", planes, [(one, some)]),
+    blocks = [DenseBlock("d", np.stack([one, one]), np.stack([some, some])),
+              SharedSubsampleBlock("sh", [(one, some)], 2, 3, ("unread",)),
               SidesSubsampleBlock("si", one, some, 4, "unread")]
     plan = QueryPlan(n, blocks)
     o = BisOracle(g)
@@ -426,20 +435,19 @@ def test_unread_submission_is_charged_in_full(monkeypatch):
 
 def _overlapping_block(kind, n):
     """A block of the given kind with rows that share vertex 66 with
-    their left: Dense rows 4 and 5 (group 1), the level-0 rows of shared
-    part 1, and the level-0 whole-side rows of the Sides block."""
+    their left: Dense rows 4 and 5, the level-0 rows of shared part 1, and
+    the level-0 whole-side rows of the Sides block."""
     left = bitset.pack_indices(n, [0, 66])
     base = bitset.pack_indices(n, [5, 66])
     if kind == "dense":
-        lefts = np.stack([bitset.pack_indices(n, [1]), left])
+        lefts = np.stack([bitset.pack_indices(n, [1])] * 3 + [left] * 3)
         rights = np.stack([bitset.pack_indices(n, ids) for ids in
                            ([2], [3, 4], [5], [2, 9], [66], [5, 66])])
-        return DenseBlock("t", lefts, rights, rows_per_group=3)
-    planes = bitset.nested_rate_masks(rng_for("overlap"),
-                                      bitset.full_words(n), 2, 3)
+        return DenseBlock("t", lefts, rights)
     if kind == "shared":
         clear = bitset.pack_indices(n, [7])
-        return SharedSubsampleBlock("t", planes, [(left, clear), (left, base)])
+        return SharedSubsampleBlock("t", [(left, clear), (left, base)], 3, 2,
+                                    ("overlap",))
     return SidesSubsampleBlock("t", left, base, 3, "overlap")
 
 
