@@ -102,6 +102,7 @@ def members_rows(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     bits = np.unpackbits(words[row, col].view(np.uint8).reshape(-1, 8),
                          axis=1, bitorder="little")
     k, bit = np.nonzero(bits)
+    del bits
     ids = col[k] * WORD_BITS + bit
     keep = ids < n
     return row[k][keep], ids[keep]
@@ -136,7 +137,9 @@ def nested_rate_masks(rng: np.random.Generator, base: np.ndarray,
     the level before it, so the only scratch is that draw.  ``cols``, an
     array of word indices, keeps only those word columns, w = its size:
     the whole draw is still made and then sliced, so the stream and every
-    kept word are those of the masks without ``cols``.
+    kept word are those of the masks without ``cols``.  Full-range draws
+    concatenate, so consecutive calls on one generator give the row
+    blocks of one call.
     """
     cols = slice(None) if cols is None else cols
     out = np.empty((reps, levels) + base[cols].shape, dtype=np.uint64)

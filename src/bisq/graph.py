@@ -15,6 +15,9 @@ from . import bitset
 from .errors import GraphParseError
 from .seeding import rng_for
 
+# bytes of member adjacency rows per block of Graph.neighborhood_rows
+_GATHER_BYTES = 1 << 18
+
 
 class VertexSet:
     """Dense bit-indexed subset of 0..n-1."""
@@ -152,6 +155,27 @@ class Graph:
         if len(member_ids) == 0:
             return bitset.empty_words(self.n)
         return np.bitwise_or.reduce(self.adj_words[member_ids], axis=0)
+
+    def neighborhood_rows(self, lefts: np.ndarray) -> np.ndarray:
+        """Gamma(left) of every row of a (rows, w) stack of left masks.
+
+        Rows go through in blocks of about ``_GATHER_BYTES`` of member
+        adjacency rows (a block holds at least one row); each block's
+        members are gathered and OR-reduced per row.  A row whose left is
+        empty stays zero.
+        """
+        gammas = np.zeros_like(lefts)
+        counts = np.bitwise_count(lefts).sum(axis=1, dtype=np.int64)
+        step = max(1, _GATHER_BYTES // (8 * max(1, lefts.shape[1])))
+        cuts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // step,
+                                      prepend=-1))
+        for a, b in zip(cuts, np.append(cuts[1:], counts.size)):
+            row, member = bitset.members_rows(lefts[a:b], self.n)
+            if row.size:
+                starts = np.flatnonzero(np.diff(row, prepend=-1))
+                gammas[a + row[starts]] = np.bitwise_or.reduceat(
+                    self.adj_words[member], starts, axis=0)
+        return gammas
 
     def has_edge(self, u: int, v: int) -> bool:
         return bitset.contains(self.adj_words[u], v)

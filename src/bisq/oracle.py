@@ -14,7 +14,10 @@ recovery, cut by bit-decoding sides derived from ``base`` itself
 (``side_bits``).  Both subsample kinds hold the seed their planes or
 masks are drawn from, not the planes or masks.  Evaluation is exact and
 equivalent to answering every materialized (L, R) row separately, which
-`iter_rows` exposes for verification.
+`iter_rows` exposes for verification.  A shared-plane block evaluates
+its repetitions in chunks of bounded size, drawn one after another from
+the block's one stream, so its scratch does not grow with the repetition
+count.
 
 `BisOracle.submit` validates and charges a whole plan at once and
 returns its `Results`, which evaluate a block only when its result is
@@ -40,6 +43,9 @@ from . import bitset, params
 from .errors import DisjointnessError
 from .graph import Graph, VertexSet
 from .seeding import rng_for
+
+# bytes per array of one repetition chunk in SharedSubsampleBlock.evaluate
+_CHUNK_BYTES = 1 << 18
 
 
 class QueryLedger:
@@ -109,14 +115,67 @@ class DenseBlock:
                 "has overlapping L and R")
 
     def evaluate(self, graph: Graph) -> np.ndarray:
-        gammas = np.empty_like(self.left)
-        for i, left in enumerate(self.left):
-            gammas[i] = graph.neighborhood_words(bitset.members(left, graph.n))
-        hit = (self.right & gammas).any(axis=1)
+        hit = (self.right & graph.neighborhood_rows(self.left)).any(axis=1)
         return (~hit).astype(np.uint8)
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         return zip(self.left, self.right)
+
+
+def _depth_slab(planes: np.ndarray) -> np.ndarray:
+    """Survival depths of nested (reps, levels, cols) planes, int8 of
+    shape (64 * cols, reps); row 64 * j + b is bit b of word column j.
+
+    Level 0 holds every vertex, so depths start at 0 and levels 1.. are
+    added one at a time, rep-major; the sum is transposed once.
+    """
+    reps, levels, cols = planes.shape
+    depth = np.zeros((reps, cols * bitset.WORD_BITS), dtype=np.int8)
+    for i in range(1, levels):
+        depth += np.unpackbits(planes[:, i].view(np.uint8), axis=1,
+                               bitorder="little").view(np.int8)
+    return np.ascontiguousarray(depth.T)
+
+
+def _rank_runs(k: np.ndarray, order: np.ndarray, rows: np.ndarray,
+               chunk: int) -> list:
+    """Gathers for ``_fold_maxima``: (m, rows of shape (m, s)) pairs.
+
+    ``rows`` holds every support's slab rows, grouped by part; ``order``
+    sorts the parts with a support by size k, descending, so the parts
+    with k > j are a prefix of it for every rank j.  Each run of ranks
+    between two sizes is one gather of that prefix's rows, split where
+    the gather would hold more than ``_CHUNK_BYTES`` for ``chunk`` reps.
+    """
+    first = (np.cumsum(k) - k)[order]
+    k = k[order]
+    runs = []
+    lo = 0
+    for hi in np.unique(k).tolist():
+        m = int(np.count_nonzero(k > lo))
+        step = max(1, _CHUNK_BYTES // (m * chunk))
+        runs += [(m, rows[first[:m, None] + np.arange(j, min(j + step, hi))])
+                 for j in range(lo, hi, step)]
+        lo = hi
+    return runs
+
+
+def _fold_maxima(slab: np.ndarray, runs: list, parts: int) -> np.ndarray:
+    """Each part's max over its slab rows, int8 of shape (parts, reps),
+    parts in rank order; ``runs`` comes from ``_rank_runs``."""
+    acc = np.zeros((parts, slab.shape[1]), dtype=np.int8)
+    for m, at in runs:
+        np.maximum(acc[:m], slab[at].max(axis=1), out=acc[:m])
+    return acc
+
+
+def _levels_hit(planes: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Top depths of supports given as (supports, cols) words over the
+    planes' columns, int8 of shape (supports, reps): nesting makes the
+    levels whose plane meets a support a prefix, so the top depth is the
+    number of levels >= 1 among them."""
+    hit = (planes[:, None, 1:] & words[:, None]).any(axis=3)
+    return hit.sum(axis=2, dtype=np.int8).T
 
 
 class SharedSubsampleBlock:
@@ -125,8 +184,10 @@ class SharedSubsampleBlock:
     The planes, of shape (reps, levels, w), are nested subsamples of the
     whole vertex domain drawn from ``rng_for(*stream)`` (level 0 holds
     every vertex, each level thins the one before by a fair coin); the
-    block stores that stream, not the planes, and ``draw_planes`` draws
-    them afresh for each use.  The materialized row for part p is
+    block stores that stream, not the planes.  ``draw_planes`` draws them
+    all at once, the reference that ``iter_rows`` reads; ``evaluate``
+    draws them a chunk of repetitions at a time from one generator, which
+    gives the same planes.  The materialized row for part p is
     planes[r, i] & base_p.  Row index: p * reps * levels + r * levels + i.
     ``parts`` is nonempty: a cell each in the degree sketch, or the one
     (L, R) of the NS plan.
@@ -138,6 +199,8 @@ class SharedSubsampleBlock:
     Gamma(left_p) ∩ base_p is at least i.  ``evaluate`` returns those
     maxima, top of shape (parts, reps), instead of the answers: row
     (p, r, i) answers 1 iff i > top[p, r], so top encodes every answer.
+    Only top is of full (parts, reps) size; every chunk array holds at
+    most ``_CHUNK_BYTES``.
     """
 
     __slots__ = ("tag", "parts", "reps", "levels", "stream")
@@ -159,80 +222,65 @@ class SharedSubsampleBlock:
             rng_for(*self.stream), np.full(w, ~np.uint64(0)), self.levels,
             self.reps, cols)
 
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lefts and bases as two (parts, w) arrays."""
-        lefts = np.array([left for left, _ in self.parts], dtype=np.uint64)
-        bases = np.array([base for _, base in self.parts], dtype=np.uint64)
-        return lefts, bases
+    def _stack(self, side: int) -> np.ndarray:
+        """The parts' lefts (side 0) or bases (side 1) as (parts, w)."""
+        return np.array([part[side] for part in self.parts], dtype=np.uint64)
 
     def validate(self) -> None:
-        lefts, bases = self._stacked()
-        bad = (lefts & bases).any(axis=1)
+        bad = (self._stack(0) & self._stack(1)).any(axis=1)
         if bad.any():
             raise DisjointnessError(
                 f"block {self.tag!r}: part {int(np.argmax(bad))} left "
                 "overlaps base")
 
-    def _depth_table(self, w: int, cols: np.ndarray) -> np.ndarray:
-        """Survival depths in word columns ``cols``, int8 of shape
-        (64 * cols.size, reps); row 64 * j + b is bit b of column cols[j].
-
-        Level 0 holds every vertex, so depths start at 0 and levels 1..
-        are added one at a time: the transient is one level's bits.
-        Accumulating rep-major and transposing once is ~4x faster than
-        adding each level through a transposed view.
-        """
-        planes = self.draw_planes(w, cols)
-        depth = np.zeros((self.reps, cols.size * bitset.WORD_BITS),
-                         dtype=np.int8)
-        for i in range(1, self.levels):
-            depth += np.unpackbits(planes[:, i].view(np.uint8), axis=1,
-                                   bitorder="little").view(np.int8)
-        del planes
-        return np.ascontiguousarray(depth.T)
-
-    def _supports(self, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-        """(part, id) pairs of every support Gamma(left_p) ∩ base_p.
-
-        One OR-reduction over the adjacency rows of all lefts' members,
-        grouped by part; parts with an empty left have an empty support.
-        """
-        lefts, bases = self._stacked()
-        part, member = bitset.members_rows(lefts, graph.n)
-        if not part.size:
-            return part, member
-        starts = np.flatnonzero(np.diff(part, prepend=-1))
-        owners = part[starts]
-        gamma = np.bitwise_or.reduceat(graph.adj_words[member], starts,
-                                       axis=0)
-        row, ids = bitset.members_rows(gamma & bases[owners], graph.n)
-        return owners[row], ids
-
     def evaluate(self, graph: Graph) -> np.ndarray:
         """Top depths, int8 of shape (parts, reps); -1 for empty supports.
 
-        The depth table covers only the word columns holding a support
-        vertex.  The max over each support goes by rank step: parts sorted by support
-        size k, descending, start from their first support id's depth
-        row, and step j folds in the j-th id of the parts with k > j,
-        which are a prefix of that order.
+        The repetitions go through in chunks sized so that no array of a
+        chunk exceeds ``_CHUNK_BYTES``.  A chunk's planes are drawn from
+        the block's one generator on the word columns holding a support
+        vertex only (full-range draws concatenate, so the chunks together
+        are the whole draw).  With few supports (the NS plan has one),
+        each support's top depth is the number of levels >= 1 whose plane
+        meets its words (``_levels_hit``).  Otherwise the planes are
+        summed into a vertex-major depth slab and each support's maximum
+        is folded in by runs of ranks (``_rank_runs``).
         """
         top = np.full((len(self.parts), self.reps), -1, dtype=np.int8)
-        part, ids = self._supports(graph)
+        gammas = graph.neighborhood_rows(self._stack(0))   # the supports
+        gammas &= self._stack(1)
+        part, ids = bitset.members_rows(gammas, graph.n)
         if not ids.size:
             return top
-        cols, col_of = np.unique(ids >> 6, return_inverse=True)
-        ids = col_of * bitset.WORD_BITS + (ids & 63)
-        depth = self._depth_table(graph.adj_words.shape[1], cols)
+        w = graph.adj_words.shape[1]
+        cols = np.unique(ids >> 6)
         k = np.bincount(part, minlength=len(self.parts))
-        first = np.cumsum(k) - k
         order = np.argsort(-k, kind="stable")[:np.count_nonzero(k)]
-        k, first = k[order], first[order]
-        acc = depth[ids[first]]
-        for j in range(1, int(k[0])):
-            m = int(np.count_nonzero(k > j))
-            np.maximum(acc[:m], depth[ids[first[:m] + j]], out=acc[:m])
-        top[order] = acc
+        # bytes per rep of the largest chunk array: the coin draw (which
+        # bounds the AND of _levels_hit too), the depth slab or the maxima
+        chunk = max(1, _CHUNK_BYTES // max(8 * self.levels * w,
+                                           bitset.WORD_BITS * cols.size,
+                                           order.size))
+        if order.size * cols.size <= w:
+            words, runs = gammas[order][:, cols], None
+        else:
+            words = None
+            runs = _rank_runs(k, order, np.searchsorted(cols, ids >> 6)
+                              * bitset.WORD_BITS + (ids & 63), chunk)
+        del gammas, part, ids
+        rng = rng_for(*self.stream)
+        full = np.full(w, ~np.uint64(0))
+
+        def draw(c):
+            return bitset.nested_rate_masks(rng, full, self.levels, c, cols)
+
+        # each chunk's planes and slab are temporaries, gone before the
+        # next chunk is drawn
+        for r0 in range(0, self.reps, chunk):
+            c = min(chunk, self.reps - r0)
+            top[order, r0:r0 + c] = (
+                _levels_hit(draw(c), words) if runs is None
+                else _fold_maxima(_depth_slab(draw(c)), runs, order.size))
         return top
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:

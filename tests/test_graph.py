@@ -257,6 +257,33 @@ def test_members_rows_matches_members():
     assert row.size == ids.size == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 150), st.floats(0.0, 0.6), st.integers(0, 12),
+       st.sampled_from([1, 3, 64, None]), st.integers(0, 10 ** 6))
+def test_neighborhood_rows_equal_per_row_unions(n, p, rows, block, seed):
+    # a stack of lefts of mixed density, some empty, through blocks of
+    # about `block` member adjacency rows (None: the default budget)
+    import bisq.graph as graph_module
+
+    g = gen_gnp(n, p, seed)
+    w = bitset.word_count(n)
+    rng = np.random.default_rng(seed)
+    lefts = bitset.random_planes(rng, (rows, w))
+    for r in range(rows):
+        for _ in range(r % 4):
+            lefts[r] &= bitset.random_planes(rng, w)
+    lefts[::5] = 0
+    bitset.trim_tail(lefts, n)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(graph_module, "_GATHER_BYTES", block * 8 * w)
+        got = g.neighborhood_rows(lefts)
+    assert got.shape == lefts.shape
+    for left, gamma in zip(lefts, got):
+        assert np.array_equal(
+            gamma, g.neighborhood_words(bitset.members(left, n)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 150), st.floats(0.0, 0.6), st.integers(0, 10 ** 6))
 def test_edges_match_the_row_by_row_loop(n, p, seed):

@@ -8,7 +8,7 @@ from bisq import bitset, params
 from bisq.errors import DisjointnessError
 from bisq.graph import gen_family
 from bisq.oracle import (DenseBlock, SharedSubsampleBlock,
-                         SidesSubsampleBlock, side_masks)
+                         SidesSubsampleBlock, _depth_slab, side_masks)
 from bisq.seeding import rng_for
 
 
@@ -254,13 +254,13 @@ def test_shared_top_histogram_counts_match_answer_sums(n, p, reps, levels,
 @pytest.mark.parametrize("level", range(1, 11))
 def test_depth_table_reads_every_level_of_the_planes(level):
     # the drawn planes are nested by construction, so a vertex is held at
-    # `level` iff its survival depth reaches it; the depth table is built
+    # `level` iff its survival depth reaches it; the depth slab is built
     # on two of the four word columns
     block = SharedSubsampleBlock("t", [], 3, 11, ("nested", level))
     planes = block.draw_planes(4)
     assert not (planes[:, level] & ~planes[:, level - 1]).any()
     cols = np.array([0, 3])
-    depth = block._depth_table(4, cols)
+    depth = _depth_slab(block.draw_planes(4, cols))
     words = np.ascontiguousarray(planes[:, level][:, cols])
     held = np.unpackbits(words.view(np.uint8), axis=1,
                          bitorder="little").T.astype(bool)
@@ -303,6 +303,113 @@ def test_nested_rate_masks_equal_the_accumulated_draw(n, levels, reps, key,
     assert got.shape == expect.shape == (
         reps, levels, w if cols is None else cols.size)
     assert np.array_equal(got, expect)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([1, 2, 11]),
+       st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       st.integers(0, 10 ** 6), st.sampled_from(["none", "some", "tail"]))
+def test_nested_rate_masks_calls_concatenate(n, levels, chunks, key, pick):
+    # consecutive calls on one generator, as a shared-plane block draws
+    # its repetition chunks, equal the row blocks of one call
+    base = bitset.random_planes(rng_for("base", key), bitset.word_count(n))
+    bitset.trim_tail(base, n)
+    w = base.size
+    rng = rng_for("cols", key)
+    cols = {"none": None,
+            "some": rng.permutation(w)[:rng.integers(1, w + 1)],
+            "tail": np.array([w - 1])}[pick]
+    rng = rng_for("chunks", key)
+    got = [bitset.nested_rate_masks(rng, base, levels, c, cols)
+           for c in chunks]
+    whole = bitset.nested_rate_masks(rng_for("chunks", key), base, levels,
+                                     sum(chunks), cols)
+    assert np.array_equal(np.concatenate(got), whole)
+
+
+def _top_from_planes(g, block):
+    """Top depths read off the eagerly drawn planes, part by part."""
+    n = g.n
+    planes = block.draw_planes(g.adj_words.shape[1])
+    top = np.full((len(block.parts), block.reps), -1, dtype=np.int8)
+    for p, (left, base) in enumerate(block.parts):
+        support = g.neighborhood_words(bitset.members(left, n)) & base
+        for r in range(block.reps):
+            held = np.flatnonzero((planes[r] & support).any(axis=1))
+            if held.size:
+                top[p, r] = held.max()
+    return top
+
+
+@pytest.mark.parametrize("parts", ["many", "one", "few"])
+@pytest.mark.parametrize("chunk, reps", [(1, 5), (3, 7), (3, 10), (2, 6),
+                                         (4, 3)])
+def test_shared_block_chunks_give_the_eager_answers(monkeypatch, chunk,
+                                                    reps, parts):
+    # a budget of `chunk` reps' coin draw splits evaluate into chunks of
+    # that many reps (1-rep chunks, reps = q * chunk + 1, an exact
+    # multiple, reps < chunk); top must not depend on the split, whether
+    # the supports go through the depth slab (many parts, one of them in
+    # every word column) or are ANDed with the planes (the hub alone, or
+    # supports of sizes 1, 5 and 3 and an empty one, all in column 0)
+    import bisq.oracle as oracle_module
+
+    n, levels = 130, 8      # the coin draw is the largest chunk array
+    g, block = _depth_kernel_case(n, 0.1, reps, levels, 3, chunk)
+    if parts == "one":
+        block.parts = block.parts[1:2]
+    if parts == "few":
+        g = Graph.from_edges(n, [(v, u) for v, lo in ((128, 0), (129, 10),
+                                                      (127, 20))
+                                 for u in range(lo, lo + 10)])
+        block.parts = [(bitset.pack_indices(n, [v]),
+                        bitset.pack_indices(n, base))
+                       for v, base in ((128, [0]), (129, range(10, 15)),
+                                       (127, range(20, 23)), (126, [50]))]
+    w = g.adj_words.shape[1]
+    monkeypatch.setattr(oracle_module, "_CHUNK_BYTES",
+                        chunk * 8 * levels * w)
+    drawn = []
+    draw = bitset.nested_rate_masks
+
+    def spy(rng, base, levels, reps, cols=None):
+        drawn.append(reps)
+        return draw(rng, base, levels, reps, cols)
+
+    monkeypatch.setattr(bitset, "nested_rate_masks", spy)
+    top = block.evaluate(g)
+    q, rest = divmod(reps, chunk)
+    assert drawn == [chunk] * q + [rest] * (rest > 0)
+    assert np.array_equal(top, _top_from_planes(g, block))
+    fresh = BisOracle(g)
+    for ans, (lw, rw) in zip(_expand_top(top, levels), block.iter_rows()):
+        assert int(ans) == fresh.bis(VertexSet(n, lw.copy()),
+                                     VertexSet(n, rw.copy()))
+
+
+def test_shared_block_scratch_is_bounded():
+    # a degree-sketch-sized block: 1000 one-vertex cells, each against
+    # the rest of the graph, 1474 reps of 11 levels at n = 1024; the
+    # chunked evaluation holds no array of full (reps, ...) size besides
+    # the returned top
+    import tracemalloc
+
+    n = 1024
+    g = gen_gnp(n, 0.01, seed=4)
+    parts = []
+    for v in range(1000):
+        left = bitset.pack_indices(n, [v])
+        parts.append((left, bitset.trim_tail(~left, n)))
+    block = SharedSubsampleBlock("t", parts, 1474, 11, ("scratch",))
+    block.evaluate(g)       # lazy imports and caches are not scratch
+    tracemalloc.start()
+    try:
+        top = block.evaluate(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert top.shape == (1000, 1474)
+    assert peak - top.nbytes < 2 ** 20
 
 
 @settings(max_examples=25, deadline=None)

@@ -49,11 +49,17 @@ _TRACED = {
                       "--cT", "8", "--c2", "1", "--clambda", "16",
                       "--pool-scale", "4", "--cnb", "2", "--with-truth"],
                      ("connectivity.", "edge_sampler.")),
+    # estimate enters every span perfbench requires of estimate-gnp1024
     "estimate": (["estimate", "--gen", "gnp:n=64,p=0.1,seed=1", "--seed",
                   "1", "--cT", "8", "--c2", "4", "--clambda", "4",
                   "--with-truth"],
-                 ("edge_estimator.", "degree_est.estimate_degrees",
-                  "nbr_size.", "oracle.SharedSubsampleBlock.")),
+                 ("cli.main", "cli.cmd_estimate", "cli.parse_gen_spec",
+                  "cli._dump", "cli._emit", "graph.gen_gnp",
+                  "graph.Graph.__init__", "edge_estimator.",
+                  "degree_est.estimate_degrees", "nbr_size.",
+                  "bitset.nested_rate_masks", "oracle.BisOracle.submit",
+                  "oracle.QueryPlan.validate", "oracle.DenseBlock.evaluate",
+                  "oracle.SharedSubsampleBlock.")),
 }
 
 
