@@ -13,6 +13,9 @@ _U1 = np.uint64(1)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 # pairs per bitwise_or.at call in or_bits
 _PAIR_SLICE = 1 << 16
+# bytes per array of one step of a blocked evaluation: a repetition chunk
+# of SharedSubsampleBlock.evaluate, a row block of Graph.neighborhood_rows
+SCRATCH_BYTES = 1 << 18
 
 
 def word_count(n: int) -> int:

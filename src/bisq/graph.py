@@ -15,9 +15,6 @@ from . import bitset
 from .errors import GraphParseError
 from .seeding import rng_for
 
-# bytes of member adjacency rows per block of Graph.neighborhood_rows
-_GATHER_BYTES = 1 << 18
-
 
 class VertexSet:
     """Dense bit-indexed subset of 0..n-1."""
@@ -159,14 +156,14 @@ class Graph:
     def neighborhood_rows(self, lefts: np.ndarray) -> np.ndarray:
         """Gamma(left) of every row of a (rows, w) stack of left masks.
 
-        Rows go through in blocks of about ``_GATHER_BYTES`` of member
-        adjacency rows (a block holds at least one row); each block's
-        members are gathered and OR-reduced per row.  A row whose left is
-        empty stays zero.
+        Rows go through in blocks of about ``bitset.SCRATCH_BYTES`` of
+        member adjacency rows (a block holds at least one row); each
+        block's members are gathered and OR-reduced per row.  A row whose
+        left is empty stays zero.
         """
         gammas = np.zeros_like(lefts)
         counts = np.bitwise_count(lefts).sum(axis=1, dtype=np.int64)
-        step = max(1, _GATHER_BYTES // (8 * max(1, lefts.shape[1])))
+        step = max(1, bitset.SCRATCH_BYTES // (8 * max(1, lefts.shape[1])))
         cuts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // step,
                                       prepend=-1))
         for a, b in zip(cuts, np.append(cuts[1:], counts.size)):

@@ -44,9 +44,6 @@ from .errors import DisjointnessError
 from .graph import Graph, VertexSet
 from .seeding import rng_for
 
-# bytes per array of one repetition chunk in SharedSubsampleBlock.evaluate
-_CHUNK_BYTES = 1 << 18
-
 
 class QueryLedger:
     """Counts of queries, batches, and adaptivity rounds, by phase label."""
@@ -145,7 +142,8 @@ def _rank_runs(k: np.ndarray, order: np.ndarray, rows: np.ndarray,
     sorts the parts with a support by size k, descending, so the parts
     with k > j are a prefix of it for every rank j.  Each run of ranks
     between two sizes is one gather of that prefix's rows, split where
-    the gather would hold more than ``_CHUNK_BYTES`` for ``chunk`` reps.
+    the gather would hold more than ``bitset.SCRATCH_BYTES`` for ``chunk``
+    reps.
     """
     first = (np.cumsum(k) - k)[order]
     k = k[order]
@@ -153,7 +151,7 @@ def _rank_runs(k: np.ndarray, order: np.ndarray, rows: np.ndarray,
     lo = 0
     for hi in np.unique(k).tolist():
         m = int(np.count_nonzero(k > lo))
-        step = max(1, _CHUNK_BYTES // (m * chunk))
+        step = max(1, bitset.SCRATCH_BYTES // (m * chunk))
         runs += [(m, rows[first[:m, None] + np.arange(j, min(j + step, hi))])
                  for j in range(lo, hi, step)]
         lo = hi
@@ -167,15 +165,6 @@ def _fold_maxima(slab: np.ndarray, runs: list, parts: int) -> np.ndarray:
     for m, at in runs:
         np.maximum(acc[:m], slab[at].max(axis=1), out=acc[:m])
     return acc
-
-
-def _levels_hit(planes: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Top depths of supports given as (supports, cols) words over the
-    planes' columns, int8 of shape (supports, reps): nesting makes the
-    levels whose plane meets a support a prefix, so the top depth is the
-    number of levels >= 1 among them."""
-    hit = (planes[:, None, 1:] & words[:, None]).any(axis=3)
-    return hit.sum(axis=2, dtype=np.int8).T
 
 
 class SharedSubsampleBlock:
@@ -200,7 +189,7 @@ class SharedSubsampleBlock:
     maxima, top of shape (parts, reps), instead of the answers: row
     (p, r, i) answers 1 iff i > top[p, r], so top encodes every answer.
     Only top is of full (parts, reps) size; every chunk array holds at
-    most ``_CHUNK_BYTES``.
+    most ``bitset.SCRATCH_BYTES``.
     """
 
     __slots__ = ("tag", "parts", "reps", "levels", "stream")
@@ -237,50 +226,41 @@ class SharedSubsampleBlock:
         """Top depths, int8 of shape (parts, reps); -1 for empty supports.
 
         The repetitions go through in chunks sized so that no array of a
-        chunk exceeds ``_CHUNK_BYTES``.  A chunk's planes are drawn from
-        the block's one generator on the word columns holding a support
-        vertex only (full-range draws concatenate, so the chunks together
-        are the whole draw).  With few supports (the NS plan has one),
-        each support's top depth is the number of levels >= 1 whose plane
-        meets its words (``_levels_hit``).  Otherwise the planes are
-        summed into a vertex-major depth slab and each support's maximum
-        is folded in by runs of ranks (``_rank_runs``).
+        chunk exceeds ``bitset.SCRATCH_BYTES``.  A chunk's planes are
+        drawn from the block's one generator on the word columns holding
+        a support vertex only (full-range draws concatenate, so the chunks
+        together are the whole draw), summed into a vertex-major depth
+        slab, and each support's maximum over its slab rows is folded in
+        by runs of ranks (``_rank_runs``).
         """
         top = np.full((len(self.parts), self.reps), -1, dtype=np.int8)
         gammas = graph.neighborhood_rows(self._stack(0))   # the supports
         gammas &= self._stack(1)
         part, ids = bitset.members_rows(gammas, graph.n)
+        del gammas
         if not ids.size:
             return top
         w = graph.adj_words.shape[1]
         cols = np.unique(ids >> 6)
         k = np.bincount(part, minlength=len(self.parts))
         order = np.argsort(-k, kind="stable")[:np.count_nonzero(k)]
-        # bytes per rep of the largest chunk array: the coin draw (which
-        # bounds the AND of _levels_hit too), the depth slab or the maxima
-        chunk = max(1, _CHUNK_BYTES // max(8 * self.levels * w,
-                                           bitset.WORD_BITS * cols.size,
-                                           order.size))
-        if order.size * cols.size <= w:
-            words, runs = gammas[order][:, cols], None
-        else:
-            words = None
-            runs = _rank_runs(k, order, np.searchsorted(cols, ids >> 6)
-                              * bitset.WORD_BITS + (ids & 63), chunk)
-        del gammas, part, ids
+        # bytes per rep of the largest chunk array: the coin draw, the
+        # depth slab or the maxima
+        chunk = max(1, bitset.SCRATCH_BYTES // max(
+            8 * self.levels * w, bitset.WORD_BITS * cols.size, order.size))
+        runs = _rank_runs(k, order, np.searchsorted(cols, ids >> 6)
+                          * bitset.WORD_BITS + (ids & 63), chunk)
+        del part, ids
         rng = rng_for(*self.stream)
         full = np.full(w, ~np.uint64(0))
-
-        def draw(c):
-            return bitset.nested_rate_masks(rng, full, self.levels, c, cols)
-
         # each chunk's planes and slab are temporaries, gone before the
         # next chunk is drawn
         for r0 in range(0, self.reps, chunk):
             c = min(chunk, self.reps - r0)
-            top[order, r0:r0 + c] = (
-                _levels_hit(draw(c), words) if runs is None
-                else _fold_maxima(_depth_slab(draw(c)), runs, order.size))
+            slab = _depth_slab(
+                bitset.nested_rate_masks(rng, full, self.levels, c, cols))
+            top[order, r0:r0 + c] = _fold_maxima(slab, runs, order.size)
+            del slab
         return top
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -263,8 +263,6 @@ def test_members_rows_matches_members():
 def test_neighborhood_rows_equal_per_row_unions(n, p, rows, block, seed):
     # a stack of lefts of mixed density, some empty, through blocks of
     # about `block` member adjacency rows (None: the default budget)
-    import bisq.graph as graph_module
-
     g = gen_gnp(n, p, seed)
     w = bitset.word_count(n)
     rng = np.random.default_rng(seed)
@@ -276,7 +274,7 @@ def test_neighborhood_rows_equal_per_row_unions(n, p, rows, block, seed):
     bitset.trim_tail(lefts, n)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            mp.setattr(graph_module, "_GATHER_BYTES", block * 8 * w)
+            mp.setattr(bitset, "SCRATCH_BYTES", block * 8 * w)
         got = g.neighborhood_rows(lefts)
     assert got.shape == lefts.shape
     for left, gamma in zip(lefts, got):

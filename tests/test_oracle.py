@@ -348,12 +348,10 @@ def test_shared_block_chunks_give_the_eager_answers(monkeypatch, chunk,
                                                     reps, parts):
     # a budget of `chunk` reps' coin draw splits evaluate into chunks of
     # that many reps (1-rep chunks, reps = q * chunk + 1, an exact
-    # multiple, reps < chunk); top must not depend on the split, whether
-    # the supports go through the depth slab (many parts, one of them in
-    # every word column) or are ANDed with the planes (the hub alone, or
-    # supports of sizes 1, 5 and 3 and an empty one, all in column 0)
-    import bisq.oracle as oracle_module
-
+    # multiple, reps < chunk); top must not depend on the split, with many
+    # parts (one of them in every word column), the hub alone (a one-part
+    # block, as the NS plan) or supports of sizes 1, 5 and 3 and an empty
+    # one, all in column 0 (a run of ranks per size)
     n, levels = 130, 8      # the coin draw is the largest chunk array
     g, block = _depth_kernel_case(n, 0.1, reps, levels, 3, chunk)
     if parts == "one":
@@ -367,8 +365,7 @@ def test_shared_block_chunks_give_the_eager_answers(monkeypatch, chunk,
                        for v, base in ((128, [0]), (129, range(10, 15)),
                                        (127, range(20, 23)), (126, [50]))]
     w = g.adj_words.shape[1]
-    monkeypatch.setattr(oracle_module, "_CHUNK_BYTES",
-                        chunk * 8 * levels * w)
+    monkeypatch.setattr(bitset, "SCRATCH_BYTES", chunk * 8 * levels * w)
     drawn = []
     draw = bitset.nested_rate_masks
 
