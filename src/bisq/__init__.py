@@ -7,9 +7,10 @@ from .graph import (Graph, VertexSet, components, exact_connected,
                     gen_gnp, load_edge_list, dump_edge_list)
 from .oracle import BisOracle, QueryLedger, QueryPlan
 from .params import Constants, FAST, PAPER
-from .nbr_size import NsParams, NsCounts, plan_ns, decode_ns, estimate_ns
-from .element_recovery import (SerPlan, SerOutcome, plan_ser, decode_ser,
-                               answer_plan, uniform_neighbor_of_set)
+from .nbr_size import NsParams, plan_ns, decode_ns, estimate_ns
+from .element_recovery import (NeighborRecovery, SerOutcome, plan_ser,
+                               decode_ser, answer_plan,
+                               uniform_neighbor_of_set)
 from .degree_est import (DegreeTable, NeighborTable, estimate_degrees,
                          estimate_degrees_with_neighbors,
                          predict_sketch_queries)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -56,8 +57,10 @@ class RunConfig:
             raise ValueError("--trials and --count must be >= 1")
         for name in ("c2", "c_T", "c_lambda", "c_R", "c_nb", "c_se",
                      "ser_pool_scale"):
-            if getattr(self.constants, name) <= 0:
-                raise ValueError(f"constant {name} must be positive")
+            value = getattr(self.constants, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"constant {name} must be finite and positive")
 
 
 _GNP_KEYS = frozenset({"n", "p", "seed"})

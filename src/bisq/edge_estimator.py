@@ -152,8 +152,8 @@ def _norm_factor(schedule: LevelSchedule) -> float:
     return 0.5 if q > 0.9 else q
 
 
-def refine(tables: dict, samples: list[VertexSet], schedule: LevelSchedule,
-           m_prev: float, m0: float, t: int, t_total: int,
+def refine(tables: dict, schedule: LevelSchedule, m_prev: float, m0: float,
+           t: int, t_total: int,
            constants: Constants = Constants()) -> RefineState:
     """One pass: re-threshold sketched degrees against m_prev.  No queries.
 
@@ -219,7 +219,6 @@ class PipelineResult:
     m0: float
     refine_trace: list
     schedule: LevelSchedule
-    samples: list[VertexSet]
     tables: dict
     neighbor_tables: Optional[dict]
     final_state: RefineState
@@ -236,10 +235,10 @@ def run_pipeline(oracle: BisOracle, epsilon: float, seed,
                  with_neighbors: bool = False) -> PipelineResult:
     """One round of queries, then query-free refinement to the estimate."""
     n = oracle.n
+    schedule = build_schedule(n, epsilon, seed, profile, constants)
     if profile == params.PAPER:
         # written-constant budgets are audited arithmetically, not executed
-        sched = build_schedule(n, epsilon, seed, profile, constants)
-        inner = params.ns_plan_size(n, min(sched.eps_scaled, 0.5),
+        inner = params.ns_plan_size(n, min(schedule.eps_scaled, 0.5),
                                     params.deg_delta_inner(n), profile,
                                     constants)
         lower_bound = inner * params.deg_reps(n) * n
@@ -248,7 +247,6 @@ def run_pipeline(oracle: BisOracle, epsilon: float, seed,
                 f"paper-profile run would issue >= {lower_bound:.2e} queries;"
                 " use the dry-run audit for paper-profile budgets")
     before = oracle.ledger.snapshot()
-    schedule = build_schedule(n, epsilon, seed, profile, constants)
     samples = draw_levels(n, schedule, seed)
     tables: dict = {}
     neighbor_tables: Optional[dict] = {} if with_neighbors else None
@@ -269,8 +267,7 @@ def run_pipeline(oracle: BisOracle, epsilon: float, seed,
     m_bar = m0
     state: Optional[RefineState] = None
     for t in range(1, t_total + 1):
-        state = refine(tables, samples, schedule, m_bar, m0, t, t_total,
-                       constants)
+        state = refine(tables, schedule, m_bar, m0, t, t_total, constants)
         m_bar = state.m_t
         trace.append(m_bar)
     refine_queries = oracle.ledger.snapshot()["bis_count"] - snap["bis_count"]
@@ -278,7 +275,7 @@ def run_pipeline(oracle: BisOracle, epsilon: float, seed,
         raise RefineContractError(
             f"refinement issued {refine_queries} queries")
     return PipelineResult(m_hat=m_bar, m0=m0, refine_trace=trace,
-                          schedule=schedule, samples=samples, tables=tables,
+                          schedule=schedule, tables=tables,
                           neighbor_tables=neighbor_tables, final_state=state,
                           ledger_delta=oracle.ledger.delta(before),
                           refine_queries=refine_queries)

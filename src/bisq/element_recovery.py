@@ -10,122 +10,29 @@ that element, and conditioned on acceptance it is uniform over the
 support.  Accepted repetitions are independent, so one plan yields a pool
 of independent uniform draws; callers consume the first or the whole pool.
 
-Instantiated over the edge oracle, with the implicit vector indexed by a
-set R and tested against a disjoint set L, every query is a single
-oracle call, which recovers a uniform member of Gamma(L) ∩ R.  Domain
-index k is the k-th member of R, and which sides hold it is a function
-of k alone (``oracle.side_bits``), so a plan stores only the seed of
-its subsample masks: the recovery block draws the masks from that seed
-and derives its sides from R each time it is evaluated, and the
-abstract reference materializes them with ``oracle.side_masks``.
+A plan is a recovery block, ``oracle.SidesSubsampleBlock``, wrapped in a
+`NeighborRecovery` that decodes it.  Instantiated over the edge oracle,
+with the implicit vector indexed by a set R and tested against a disjoint
+set L, every query is a single oracle call, which recovers a uniform
+member of Gamma(L) ∩ R.  Domain index k is the k-th member of R, and
+which sides hold it is a function of k alone (``oracle.side_bits``), so
+a plan stores only the seed of its subsample masks.  ``plan_ser`` builds
+the same block over an abstract vector of length ``domain`` (an empty L
+and R = 0..domain-1, so index k is vertex k), and ``answer_plan``
+answers it for a known vector through the block's own answer kernel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import bitset, params
 from .graph import VertexSet
-from .oracle import BisOracle, QueryPlan, SidesSubsampleBlock, side_masks
+from .oracle import BisOracle, QueryPlan, SidesSubsampleBlock
 from .params import Constants
-from .seeding import rng_for
 
-
-@dataclass
-class SerPlan:
-    """Recovery plan over an abstract boolean vector of length ``domain``."""
-    domain: int
-    levels: int
-    bits: int
-    reps: int
-    masks: np.ndarray   # (reps, levels, w) subsample masks of the domain
-
-    def size(self) -> int:
-        return params.ser_queries(self.domain, self.reps)
-
-
-@dataclass
-class SerOutcome:
-    recovered: Optional[int]
-    level_used: Optional[int]
-    pool: list = field(default_factory=list)   # (level, rep, index) accepted
-
-
-def plan_ser(domain: int, delta: float, seed,
-             constants: Constants = Constants(),
-             reps: Optional[int] = None) -> SerPlan:
-    """Build a recovery plan; no queries are issued."""
-    if domain < 1:
-        raise ValueError("domain must be >= 1")
-    levels = params.ser_levels(domain)
-    bits = params.ser_bits(domain)
-    if reps is None:
-        reps = params.ser_reps(delta, constants)
-    rng = rng_for(seed, "ser-plan")
-    base = bitset.full_words(domain)
-    masks = bitset.nested_rate_masks(rng, base, levels, reps)
-    return SerPlan(domain=domain, levels=levels, bits=bits, reps=reps,
-                   masks=masks)
-
-
-def answer_plan(plan: SerPlan, x_words: np.ndarray) -> np.ndarray:
-    """OR-query answers for a known vector (test and simulation helper).
-
-    Layout matches decode_ser: flat over (level, rep, side).
-    """
-    sides = side_masks(plan.domain, np.arange(plan.domain))
-    rows = plan.masks[:, :, None, :] & sides[None, None, :, :]
-    hit = (rows & x_words).any(axis=3)            # (reps, levels, sides)
-    return (~hit).astype(np.uint8).transpose(1, 0, 2).ravel()
-
-
-def _decode_hits(answers: np.ndarray, reps: int,
-                 domain: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accepted (levels, reps, index) arrays, one entry per repetition.
-
-    ``answers`` is flat over (level, rep, side), sides as in
-    ``side_bits``.  Within a repetition the subsamples are nested, so
-    every accepting level of one repetition carries the same survivor;
-    keeping only the first accepting level per repetition leaves exactly
-    one independent uniform draw per accepting repetition.  Scan order is
-    rate-major: level 0 (the densest subsample) first, repetitions in
-    index order.
-    """
-    bits = params.ser_bits(domain)
-    ans = answers.reshape(params.ser_levels(domain), reps, 2 * bits + 2)
-    whole, verify = ans[:, :, 0] == 0, ans[:, :, -1] == 0
-    if bits == 0:
-        accept = whole & verify
-        index = np.zeros_like(whole, dtype=np.int64)
-    else:
-        hi = ans[:, :, 1:1 + bits] == 0
-        lo = ans[:, :, 1 + bits:1 + 2 * bits] == 0
-        isolated = (hi ^ lo).all(axis=2)
-        index = (hi.astype(np.int64)
-                 << np.arange(bits, dtype=np.int64)).sum(axis=2)
-        accept = whole & verify & isolated & (index < domain)
-    reps_idx = np.nonzero(accept.any(axis=0))[0]
-    levels_idx = accept.argmax(axis=0)[reps_idx]
-    order = np.lexsort((reps_idx, levels_idx))
-    levels_idx, reps_idx = levels_idx[order], reps_idx[order]
-    return levels_idx, reps_idx, index[levels_idx, reps_idx]
-
-
-def decode_ser(plan: SerPlan, answers: np.ndarray) -> SerOutcome:
-    """Decode aligned answers; failure yields recovered=None, never a guess."""
-    hits = _decode_hits(answers, plan.reps, plan.domain)
-    pool = list(zip(*(a.tolist() for a in hits)))
-    if not pool:
-        return SerOutcome(recovered=None, level_used=None, pool=[])
-    level, _, index = pool[0]
-    return SerOutcome(recovered=index, level_used=level, pool=pool)
-
-
-# ---------------------------------------------------------------------------
-# oracle instantiation: uniform neighbor of L inside R
-# ---------------------------------------------------------------------------
 
 @dataclass
 class NeighborRecovery:
@@ -137,12 +44,86 @@ class NeighborRecovery:
         return self.block.reps
 
     def decode_pool(self, answers: np.ndarray) -> np.ndarray:
-        """Recovered vertices in scan order (independent uniform draws)."""
+        """Recovered vertices in scan order (independent uniform draws).
+
+        ``answers`` is flat over (level, rep, side), sides as in
+        ``side_bits``.  Within a repetition the subsamples are nested, so
+        every accepting level of one repetition carries the same survivor;
+        keeping only the first accepting level per repetition leaves
+        exactly one independent uniform draw per accepting repetition.
+        Scan order is rate-major: level 0 (the densest subsample) first,
+        repetitions in index order.
+        """
         base = self.block.base
         domain = bitset.members(base, base.size * bitset.WORD_BITS)
-        _, _, index = _decode_hits(answers, self.reps, domain.size)
-        return domain[index]
+        bits = params.ser_bits(domain.size)
+        ans = answers.reshape(params.ser_levels(domain.size), self.reps,
+                              2 * bits + 2)
+        whole, verify = ans[:, :, 0] == 0, ans[:, :, -1] == 0
+        if bits == 0:
+            accept = whole & verify
+            index = np.zeros_like(whole, dtype=np.int64)
+        else:
+            hi = ans[:, :, 1:1 + bits] == 0
+            lo = ans[:, :, 1 + bits:1 + 2 * bits] == 0
+            isolated = (hi ^ lo).all(axis=2)
+            index = (hi.astype(np.int64)
+                     << np.arange(bits, dtype=np.int64)).sum(axis=2)
+            accept = whole & verify & isolated & (index < domain.size)
+        reps_idx = np.nonzero(accept.any(axis=0))[0]
+        levels_idx = accept.argmax(axis=0)[reps_idx]
+        order = np.lexsort((reps_idx, levels_idx))
+        return domain[index[levels_idx[order], reps_idx[order]]]
 
+
+# ---------------------------------------------------------------------------
+# abstract vectors: the recovery block over the domain 0..domain-1
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SerOutcome:
+    recovered: Optional[int]
+    pool: np.ndarray     # accepted domain indices, in scan order
+
+
+def plan_ser(domain: int, delta: float, seed,
+             constants: Constants = Constants(),
+             reps: Optional[int] = None) -> NeighborRecovery:
+    """Build a recovery plan over a vector of length ``domain``; no queries.
+
+    The block's left is empty and its base is the whole domain, so its
+    masks are drawn from ``rng_for(seed, "ser-plan")`` inside 0..domain-1.
+    """
+    if domain < 1:
+        raise ValueError("domain must be >= 1")
+    if reps is None:
+        reps = params.ser_reps(delta, constants)
+    return NeighborRecovery(SidesSubsampleBlock(
+        "ser", bitset.empty_words(domain), bitset.full_words(domain), reps,
+        seed))
+
+
+def answer_plan(plan: NeighborRecovery, x_words: np.ndarray) -> np.ndarray:
+    """OR-query answers for a known vector (test and simulation helper).
+
+    The support is x itself, each member its own domain index; the
+    layout is the block's, flat over (level, rep, side).
+    """
+    base = plan.block.base
+    ids = bitset.members(x_words & base, base.size * bitset.WORD_BITS)
+    return plan.block.answer(ids, ids)
+
+
+def decode_ser(plan: NeighborRecovery, answers: np.ndarray) -> SerOutcome:
+    """Decode aligned answers; failure yields recovered=None, never a guess."""
+    pool = plan.decode_pool(answers)
+    return SerOutcome(recovered=int(pool[0]) if pool.size else None,
+                      pool=pool)
+
+
+# ---------------------------------------------------------------------------
+# oracle instantiation: uniform neighbor of L inside R
+# ---------------------------------------------------------------------------
 
 def build_neighbor_recovery(left: VertexSet, right: VertexSet, reps: int,
                             seed, tag: str = "ser") -> NeighborRecovery:

@@ -5,11 +5,11 @@ many of T repetitions produce a no-edge answer against L.  Decoding finds
 the first level whose no-edge frequency clears a fixed threshold and
 inverts the closed form E[count]/T = (1 - 2^-i)^N.  The plan is the
 degree sketch's shared-plane block with one part, (L, R), and its counts
-come from the block's top depths (``counts_from_top``).  ``decode_ns``
-takes one row of level counts or a stack of rows (one per cell of the
-sketch) and decodes a stack in one pass; its logarithms are ``math.log``
-values tabled by count and by level, so a row decodes to the same float
-alone or stacked.
+come from the block's top depths (``counts_from_top``) as a plain
+(parts, levels) array.  ``decode_ns`` decodes one row or a stack of rows
+(one per cell of the sketch) in one pass, giving ``inf`` for a row that
+fails; its logarithms are ``math.log`` values tabled by count and by
+level, so a row decodes to the same float alone or stacked.
 
 Sizes 0 and 1 decode exactly: an empty neighborhood answers 1 everywhere,
 and with a nonempty one the decoded value identifies size 1 because no
@@ -61,22 +61,6 @@ class NsParams:
                    profile=profile)
 
 
-@dataclass
-class NsCounts:
-    """Per-level tallies of no-edge answers, in 0..reps.
-
-    ``counts`` has shape (levels,), or (..., levels) for a stack of
-    tallies that ``decode_ns`` decodes in one call.
-    """
-    counts: np.ndarray
-    reps: int
-
-    @staticmethod
-    def expected_rate(level: int, size: int) -> float:
-        """Closed-form no-edge rate (1 - 2^-level)^size (analysis only)."""
-        return (1.0 - 2.0 ** -level) ** size
-
-
 def plan_ns(left: VertexSet, right: VertexSet, ns: NsParams, seed,
             tag: str = "ns") -> QueryPlan:
     """Build the full query plan; issues no oracle queries.
@@ -92,8 +76,9 @@ def plan_ns(left: VertexSet, right: VertexSet, ns: NsParams, seed,
         (seed, "ns-plan"))])
 
 
-def counts_from_top(top: np.ndarray, ns: NsParams) -> NsCounts:
-    """Stacked counts, (parts, levels), from a shared-plane block's top.
+def counts_from_top(top: np.ndarray, ns: NsParams) -> np.ndarray:
+    """Per-level no-edge counts, int64 of shape (parts, levels), each in
+    0..reps, from a shared-plane block's top.
 
     Row (p, r, i) answers 1 iff i > top[p, r], so the count at level i is
     the number of reps with top + 1 <= i: a cumulative histogram of
@@ -113,27 +98,26 @@ def counts_from_top(top: np.ndarray, ns: NsParams) -> NsCounts:
         hist = np.bincount(keys.ravel(), minlength=block.shape[0] * bins)
         np.cumsum(hist.reshape(-1, bins)[:, :ns.levels], axis=1,
                   out=counts[lo:lo + rows])
-    return NsCounts(counts=counts, reps=ns.reps)
+    return counts
 
 
-def decode_ns(counts: NsCounts, ns: NsParams) -> float | np.ndarray:
-    """Invert the per-level counts into a size estimate.
+def decode_ns(counts: np.ndarray, ns: NsParams) -> np.ndarray:
+    """Invert per-level counts into size estimates, one per row.
 
-    ``counts.counts`` is one row of level counts or a stack of them,
-    shape (..., levels).  A row raises NsDecodeError when the selected
-    level has a zero count (the logarithm is undefined there); callers
-    treat that as one failure inside the delta budget.  A stack decodes
-    every row at once, gives ``inf`` for such rows and issues each
-    warning at most once.
+    ``counts`` is one row of level counts in 0..``ns.reps`` or a stack of
+    them, shape (..., levels); the estimates have shape (...).  A row
+    whose selected level has a zero count (the logarithm is undefined
+    there) decodes to ``inf``; callers treat that as one failure inside
+    the delta budget.  Each warning is issued at most once per call.
 
     The logarithms come from ``math.log`` tables indexed by count and by
     level, and numpy's IEEE division of their entries equals Python's,
     so a stacked row decodes bit-identically to the same row alone
     (``np.log`` can differ from ``math.log`` in the last bit).
     """
-    T = counts.reps
-    shape = np.shape(counts.counts)
-    c = np.asarray(counts.counts).reshape(-1, shape[-1])
+    T = ns.reps
+    shape = np.shape(counts)
+    c = np.asarray(counts).reshape(-1, shape[-1])
     threshold = (1.0 - ns.epsilon) * _THRESHOLD_BASE
     decoding = c[:, 0] != T          # all-T rows decode to 0 silently
     low = c / T < threshold
@@ -156,11 +140,7 @@ def decode_ns(counts: NsCounts, ns: NsParams) -> float | np.ndarray:
     estimate = log_c[c_hat] / log_q[i_hat]     # i_hat >= 1: levels >= 2
     estimate[estimate < _UNIT_CUTOFF] = 1.0
     estimate[~decoding] = 0.0
-    if len(shape) > 1:
-        return estimate.reshape(shape[:-1])
-    if estimate[0] == np.inf:
-        raise NsDecodeError(f"zero count at decode level {int(i_hat[0])}")
-    return float(estimate[0])
+    return estimate.reshape(shape[:-1])
 
 
 def estimate_ns(oracle: BisOracle, left: VertexSet, right: VertexSet,
@@ -168,11 +148,16 @@ def estimate_ns(oracle: BisOracle, left: VertexSet, right: VertexSet,
                 profile: str = params.FAST,
                 constants: Constants = Constants(),
                 tag: str = "ns") -> float:
-    """Plan, submit one batch, decode.  Contributes one adaptivity round."""
+    """Plan, submit one batch, decode.  Contributes one adaptivity round.
+
+    Raises NsDecodeError when the decode fails (a zero count at the
+    selected level).
+    """
     ns = NsParams.create(oracle.n, epsilon, delta, profile, constants)
     plan = plan_ns(left, right, ns, seed, tag=tag)
     with oracle.round():
         top = oracle.submit(plan)[0]
-    counts = counts_from_top(top, ns).counts[0]
-    estimate = decode_ns(NsCounts(counts=counts, reps=ns.reps), ns)
+    estimate = float(decode_ns(counts_from_top(top, ns)[0], ns))
+    if estimate == math.inf:
+        raise NsDecodeError("zero count at the selected decode level")
     return min(estimate, float(len(right)))

@@ -11,13 +11,14 @@ function of: explicit rows (the coarse bootstrap), subsample planes
 shared by many (left, base) parts (the degree sketch, a part per cell,
 and the NS plan, one part), and the subsample masks of single element
 recovery, cut by bit-decoding sides derived from ``base`` itself
-(``side_bits``).  Both subsample kinds hold the seed their planes or
-masks are drawn from, not the planes or masks.  Evaluation is exact and
-equivalent to answering every materialized (L, R) row separately, which
-`iter_rows` exposes for verification.  A shared-plane block evaluates
-its repetitions in chunks of bounded size, drawn one after another from
-the block's one stream, so its scratch does not grow with the repetition
-count.
+(``side_bits``): every SER plan, over the graph or over an abstract
+vector, is one such block.  Both subsample kinds hold the seed their
+planes or masks are drawn from, not the planes or masks.  Evaluation is
+exact and equivalent to answering every materialized (L, R) row
+separately, which `iter_rows` exposes for verification.  A shared-plane
+block evaluates its repetitions in chunks of bounded size, drawn one
+after another from the block's one stream, so its scratch does not grow
+with the repetition count.
 
 `BisOracle.submit` validates and charges a whole plan at once and
 returns its `Results`, which evaluate a block only when its result is
@@ -301,13 +302,16 @@ class SidesSubsampleBlock:
     block stores that seed, not the masks, and ``draw_masks`` draws them
     afresh for each use.  Row for (level l, rep r, side q) is
     masks[r, l] & side q; row index l * reps * n_sides + r * n_sides + q.
-    Used by the single-element recovery plans.
+    Every single element recovery plan is one of these blocks.
 
-    Evaluation reads only the support Gamma(left) ∩ base: it gathers the
-    mask bits of the k support vertices and the side bits of their domain
-    indices, and row (l, r, q) hits iff some support vertex is held by
-    both masks[r, l] and side q, so one (reps * levels, k) @ (k, n_sides)
-    product counts every row's hits.
+    Answers depend only on the support Gamma(left) ∩ base.  ``evaluate``
+    finds it in the graph, as vertex ids and their domain indices, and
+    hands both to ``answer``, the one answer kernel, which the abstract
+    SER plans (``element_recovery.answer_plan``) call with a known
+    support.  The kernel gathers the mask bits of the k support vertices
+    and the side bits of their domain indices; row (l, r, q) hits iff
+    some support vertex is held by both masks[r, l] and side q, so one
+    (reps * levels, k) @ (k, n_sides) product counts every row's hits.
     """
 
     __slots__ = ("tag", "left", "base", "reps", "seed")
@@ -335,15 +339,20 @@ class SidesSubsampleBlock:
                 f"block {self.tag!r}: left overlaps the sampled base set")
 
     def evaluate(self, graph: Graph) -> np.ndarray:
-        masks = self.draw_masks()
-        reps, levels, _ = masks.shape
-        domain = bitset.members(self.base, graph.n)
         support = graph.neighborhood_words(
             bitset.members(self.left, graph.n)) & self.base
         ids = bitset.members(support, graph.n)
+        return self.answer(ids, np.searchsorted(
+            bitset.members(self.base, graph.n), ids))
+
+    def answer(self, ids: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Answers, one uint8 per row, for the support vertices ``ids``
+        at domain indices ``index``."""
+        masks = self.draw_masks()
+        reps, levels, _ = masks.shape
         byte, shift = ids >> 3, (ids & 7).astype(np.uint8)
         held = (masks.view(np.uint8)[:, :, byte] >> shift) & 1
-        inside = side_bits(np.searchsorted(domain, ids), domain.size)
+        inside = side_bits(index, bitset.popcount(self.base))
         counts = (held.reshape(reps * levels, -1).astype(np.float32)
                   @ inside.astype(np.float32))
         hit = (counts > 0.5).reshape(reps, levels, -1).transpose(1, 0, 2)

@@ -15,17 +15,13 @@ FAST = "fast"
 
 @dataclass(frozen=True)
 class Constants:
-    """Tunable constants; defaults follow the written algorithm settings.
-
-    All but c_delta are exposed on the CLI.
-    """
+    """Tunable constants; defaults follow the written algorithm settings."""
     c2: float = 50.0
     c_T: float = 48.0        # fast-profile repetition constant for NS counts
     c_lambda: float = 1.0    # partition-count constant in the degree sketch
     c_R: float = 8.0         # repetition constant in single element recovery
     c_nb: float = 4.0        # per-vertex neighbor-sample constant (round 1)
     c_se: float = 4.0        # superedge-sample constant (round 2)
-    c_delta: float = 1.0     # failure-budget constant for per-part recovery
     ser_pool_scale: float = 1.0   # batch-mode multiplier for recovery reps
 
     def with_overrides(self, **kw) -> "Constants":
@@ -79,8 +75,8 @@ def deg_delta_inner(n: int) -> float:
     return 1.0 / log2_floored(n) ** 4
 
 
-def ser_delta(n: int, epsilon: float, constants: Constants) -> float:
-    return constants.c_delta * epsilon / log2_floored(n) ** 4
+def ser_delta(n: int, epsilon: float) -> float:
+    return epsilon / log2_floored(n) ** 4
 
 
 # -- single element recovery -------------------------------------------------
@@ -105,7 +101,7 @@ def ser_rows_per_rep(domain: int) -> int:
 
 def ser_pool_reps(n: int, epsilon: float, constants: Constants) -> int:
     """Recovery repetitions per degree-sketch cell, scaled for pool mode."""
-    base = ser_reps(ser_delta(n, epsilon, constants), constants)
+    base = ser_reps(ser_delta(n, epsilon), constants)
     return max(1, int(math.ceil(base * constants.ser_pool_scale)))
 
 

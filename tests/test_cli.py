@@ -211,6 +211,28 @@ def test_nonpositive_constants_are_refused(capsys):
         assert err.startswith("bisq: constant ") and "positive" in err, err
 
 
+_CONSTANT_FLAGS = ["--c2", "--cT", "--clambda", "--cR", "--cnb", "--cse",
+                   "--pool-scale"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *[("estimate", flag, value) for flag in _CONSTANT_FLAGS
+      for value in ("inf", "nan")],
+    ("estimate", "--cT", "-inf"),
+    ("connectivity", "--cnb", "inf"), ("connectivity", "--c2", "nan"),
+    ("audit", "--cR", "inf")])
+def test_nonfinite_constants_are_refused(command, flag, value, capsys):
+    # inf used to end in an OverflowError traceback, and nan ran to a
+    # report; both are refused before any work
+    source = (["--n-grid", "256"] if command == "audit"
+              else ["--gen", "gnp:n=16,p=0.1"])
+    code, out = run_cli([command, *source, f"{flag}={value}"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("bisq: constant ") and \
+        "finite and positive" in err and err.count("\n") == 1, err
+
+
 def test_generate_gnp_without_n_exits_cleanly(capsys):
     code, out = run_cli(["generate", "gnp", "--p", "0.1"])
     assert code == 2 and out == ""

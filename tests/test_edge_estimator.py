@@ -140,13 +140,12 @@ def _empty_tables(n, schedule):
 def test_refine_normalization_only():
     n = 1024
     s = build_schedule(n, 0.25, seed=1, profile=FAST)
-    samples = draw_levels(n, s, seed=2)
     tables = _empty_tables(n, s)
     m0 = 5000.0
-    state = refine(tables, samples, s, m0, m0, t=1, t_total=10)
+    state = refine(tables, s, m0, m0, t=1, t_total=10)
     q = 0.25 * math.log2(math.log2(n))
     assert state.m_t == pytest.approx(q * m0)
-    state3 = refine(tables, samples, s, m0, m0, t=3, t_total=10)
+    state3 = refine(tables, s, m0, m0, t=3, t_total=10)
     assert state3.m_t == pytest.approx(q ** 3 * m0)
 
 
@@ -166,7 +165,7 @@ def test_refine_final_pass_formula():
     tables[1] = DegreeTable(vertices=np.array([v]), d_hat=np.array([10.0]),
                             t_min=np.zeros(1, dtype=np.int64),
                             failed=np.zeros(1, dtype=bool))
-    state = refine(tables, samples, s, m_prev=2.0, m0=2.0, t=5, t_total=5)
+    state = refine(tables, s, m_prev=2.0, m0=2.0, t=5, t_total=5)
     assert state.m_t == pytest.approx(40.0)
     assert state.recovered.tolist() == [v]
     assert state.levels.tolist() == [1]
@@ -176,7 +175,6 @@ def test_refine_single_recovery_per_pass():
     # a vertex present in two levels contributes exactly once
     n = 64
     s = build_schedule(n, 0.5, seed=7, profile=FAST)
-    samples = draw_levels(n, s, seed=8)
     tables = _empty_tables(n, s)
     common = 5
     tables[0] = DegreeTable(vertices=np.array([common]),
@@ -187,7 +185,7 @@ def test_refine_single_recovery_per_pass():
                             d_hat=np.array([50.0]),
                             t_min=np.zeros(1, dtype=np.int64),
                             failed=np.zeros(1, dtype=bool))
-    state = refine(tables, samples, s, m_prev=2.0, m0=2.0, t=3, t_total=3)
+    state = refine(tables, s, m_prev=2.0, m0=2.0, t=3, t_total=3)
     assert state.recovered.tolist() == [common]
     assert state.levels.tolist() == [0]
 
@@ -209,7 +207,7 @@ def test_recovery_level_matches_actual_level_with_exact_degrees():
                                 d_hat=g.degrees[verts].astype(float),
                                 t_min=np.zeros(verts.size, dtype=np.int64),
                                 failed=np.zeros(verts.size, dtype=bool))
-    state = refine(tables, samples, s, m_bar, m_bar, t=4, t_total=4)
+    state = refine(tables, s, m_bar, m_bar, t=4, t_total=4)
     lhat = dict(zip(state.recovered.tolist(), state.levels.tolist()))
     for v in range(n):
         lv = analysis.actual_level(v)
@@ -234,7 +232,7 @@ def test_refine_median_accuracy_exact_degree_injection():
                                     d_hat=g.degrees[verts].astype(float),
                                     t_min=np.zeros(verts.size, dtype=np.int64),
                                     failed=np.zeros(verts.size, dtype=bool))
-        state = refine(tables, samples, s, float(g.m), float(g.m),
+        state = refine(tables, s, float(g.m), float(g.m),
                        t=4, t_total=4)
         estimates.append(state.m_t)
     med = float(np.median(estimates))

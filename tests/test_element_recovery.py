@@ -1,30 +1,34 @@
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bisq import (BisOracle, VertexSet, gen_family, gen_gnp, plan_ser,
                   decode_ser, answer_plan, uniform_neighbor_of_set)
 from bisq import bitset
 from bisq.element_recovery import build_neighbor_recovery
 from bisq.oracle import QueryPlan, side_masks
-from bisq.params import Constants, ser_bits, ser_plan_size
+from bisq.params import (Constants, ser_bits, ser_levels, ser_plan_size,
+                         ser_reps)
 from bisq.seeding import rng_for
 
 
 def _answers_for_support(plan, support):
-    x = bitset.pack_indices(plan.domain, sorted(support))
+    domain = bitset.popcount(plan.block.base)
+    x = bitset.pack_indices(domain, sorted(support))
     return answer_plan(plan, x)
 
 
 def test_plan_shape_n8():
     plan = plan_ser(8, delta=0.2, seed=1)
     # 4 levels x reps x (2*3 + 2) rows
-    assert plan.levels == 4 and plan.bits == 3
-    assert plan.size() == 4 * plan.reps * 8
+    assert plan.block.draw_masks().shape[:2] == (plan.reps, 4)
+    assert ser_levels(8) == 4 and ser_bits(8) == 3
+    assert plan.block.n_queries() == 4 * plan.reps * 8
 
 
 def test_plan_domain_one():
     plan = plan_ser(1, delta=0.2, seed=1)
-    assert plan.levels == 1 and plan.bits == 0
+    assert plan.block.draw_masks().shape[:2] == (plan.reps, 1)
+    assert ser_levels(1) == 1 and ser_bits(1) == 0
     out = decode_ser(plan, _answers_for_support(plan, {0}))
     assert out.recovered == 0
 
@@ -47,13 +51,13 @@ def test_singleton_support_always_recovered_when_included():
     out = decode_ser(plan, _answers_for_support(plan, {5}))
     assert out.recovered == 5
     # every accepted repetition decodes the same single element
-    assert all(idx == 5 for _, _, idx in out.pool)
+    assert out.pool.size and (out.pool == 5).all()
 
 
 def test_empty_support_fails_never_fabricates():
     plan = plan_ser(16, delta=0.1, seed=4)
     out = decode_ser(plan, _answers_for_support(plan, set()))
-    assert out.recovered is None and out.pool == []
+    assert out.recovered is None and out.pool.size == 0
 
 
 def test_recovered_always_in_support():
@@ -66,7 +70,7 @@ def test_recovered_always_in_support():
         out = decode_ser(plan, _answers_for_support(plan, support))
         if out.recovered is not None:
             assert out.recovered in support
-        for _, _, idx in out.pool:
+        for idx in out.pool.tolist():
             assert idx in support
 
 
@@ -95,7 +99,7 @@ def test_pool_entries_independent_uniform():
     for seed in range(80):
         plan = plan_ser(32, delta=0.05, seed=("pool", seed))
         out = decode_ser(plan, _answers_for_support(plan, support))
-        for _, _, idx in out.pool:
+        for idx in out.pool.tolist():
             counts[idx] += 1
     assert sum(counts.values()) > 1000   # one pool entry per accepting rep
     stat, p = chisquare(list(counts.values()))
@@ -197,3 +201,39 @@ def test_side_masks_match_per_bit_packing(domain, spare, seed):
         ref[1 + b] = bitset.pack_indices(n, ids[hi])
         ref[1 + bits + b] = bitset.pack_indices(n, ids[~hi])
     assert np.array_equal(side_masks(n, ids), ref)
+
+
+def _edge_domains(test):
+    # one word, one bit short of a word, exactly a word, one bit over
+    for domain in (1, 63, 64, 65):
+        test = example(domain=domain, seed=domain)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 10 ** 6))
+@_edge_domains
+def test_answer_plan_equals_row_by_row_or(domain, seed):
+    # reference: every materialized row of the plan's block ANDed with x
+    rng = rng_for("row-or", seed)
+    reps = int(rng.integers(1, 4))
+    support = np.flatnonzero(rng.random(domain) < rng.random())
+    plan = plan_ser(domain, delta=0.3, seed=("row-or", seed), reps=reps)
+    x = bitset.pack_indices(domain, support)
+    expect = [0 if (rw & x).any() else 1 for _, rw in plan.block.iter_rows()]
+    answers = answer_plan(plan, x)
+    assert answers.dtype == np.uint8
+    assert answers.tolist() == expect
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 10 ** 6))
+@_edge_domains
+def test_plan_ser_masks_are_pinned_to_the_ser_plan_stream(domain, seed):
+    c = Constants(c_R=2.0)
+    plan = plan_ser(domain, delta=0.2, seed=("pin", seed), constants=c)
+    expect = bitset.nested_rate_masks(
+        rng_for(("pin", seed), "ser-plan"), bitset.full_words(domain),
+        ser_levels(domain), ser_reps(0.2, c))
+    assert np.array_equal(plan.block.draw_masks(), expect)
+    assert plan.block.n_queries() == ser_plan_size(domain, 0.2, c)

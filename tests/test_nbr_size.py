@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from bisq import (BisOracle, VertexSet, estimate_ns, gen_family, gen_gnp,
                   exact_neighborhood_size)
 from bisq.errors import NsDecodeError
-from bisq.nbr_size import (NsCounts, NsParams, counts_from_top,
-                            decode_ns, plan_ns)
+from bisq import nbr_size
+from bisq.nbr_size import NsParams, counts_from_top, decode_ns, plan_ns
 from bisq.params import Constants, FAST
 
 
@@ -70,8 +70,8 @@ def test_masks_nested_and_rate_halves():
 
 def test_decode_all_full_counts_gives_zero():
     ns = _params()
-    counts = NsCounts(counts=np.full(ns.levels, ns.reps), reps=ns.reps)
-    assert decode_ns(counts, ns) == 0.0
+    est = decode_ns(np.full(ns.levels, ns.reps), ns)
+    assert est.shape == () and est == 0.0
 
 
 def test_decode_frozen_log_example():
@@ -83,26 +83,42 @@ def test_decode_frozen_log_example():
     c[1] = 0
     c[2] = int(0.01 * ns.reps)          # below threshold -> crossing at 2
     c[3] = int(round(0.2 * ns.reps))
-    est = decode_ns(NsCounts(counts=c, reps=ns.reps), ns)
+    est = float(decode_ns(c, ns))
     assert est == pytest.approx(math.log(c[3] / ns.reps) / math.log(7 / 8))
     assert est == pytest.approx(12.053, abs=0.2)
 
 
 def test_decode_zero_count_at_selected_level():
     # every level below threshold (giant neighborhood): the decode falls
-    # back to the top level, and an empty count there is a hard failure
+    # back to the top level, and an empty count there is a failure (inf)
     ns = _params()
     with pytest.warns(UserWarning):
-        with pytest.raises(NsDecodeError):
-            decode_ns(NsCounts(counts=np.zeros(ns.levels, dtype=np.int64),
-                               reps=ns.reps), ns)
+        est = decode_ns(np.zeros(ns.levels, dtype=np.int64), ns)
+    assert est.shape == () and est == math.inf
+
+
+def test_estimate_ns_raises_when_its_decode_fails(monkeypatch):
+    # estimate_ns, the one-row caller, turns a failed decode into an error
+    g = gen_gnp(64, 0.1, seed=2)
+    L = VertexSet.from_indices(64, [0])
+    R = VertexSet.full(64).difference(L)
+    decoded = []
+
+    def failing_decode(counts, ns):
+        decoded.append(counts.shape)
+        return np.full(counts.shape[:-1], math.inf)
+
+    monkeypatch.setattr(nbr_size, "decode_ns", failing_decode)
+    with pytest.raises(NsDecodeError):
+        estimate_ns(BisOracle(g), L, R, 0.25, 0.1, seed=1)
+    assert decoded == [(NsParams.create(64, 0.25, 0.1, FAST).levels,)]
 
 
 def test_decode_no_level_below_threshold_warns():
     ns = _params()
     c = np.full(ns.levels, int(ns.reps * 0.9))
     with pytest.warns(UserWarning):
-        decode_ns(NsCounts(counts=c, reps=ns.reps), ns)
+        decode_ns(c, ns)
 
 
 def test_closed_form_consistency():
@@ -111,9 +127,10 @@ def test_closed_form_consistency():
     eps = 0.2
     ns = NsParams.create(n, eps, 0.1, FAST)
     for size in [4, 7, 16, 33, 100, 257, 512]:
-        c = np.array([round(ns.reps * NsCounts.expected_rate(i, size))
+        # the closed-form no-edge rate at level i is (1 - 2^-i)^size
+        c = np.array([round(ns.reps * (1.0 - 2.0 ** -i) ** size)
                       for i in range(ns.levels)], dtype=np.int64)
-        est = decode_ns(NsCounts(counts=c, reps=ns.reps), ns)
+        est = decode_ns(c, ns)
         assert (1 - eps) * size <= est <= (1 + eps) * size, (size, est)
 
 
@@ -185,17 +202,11 @@ def test_paper_profile_executes_and_is_accurate():
         assert 0.5 * 12 <= est <= 1.5 * 12
 
 
-def _scalar_or_inf(row, ns):
-    try:
-        return decode_ns(NsCounts(counts=row, reps=ns.reps), ns)
-    except NsDecodeError:
-        return math.inf
-
-
 def test_batch_decode_equals_scalar_decode_row_by_row():
     # every count 0..T at every level, placed so that the row decodes at
     # that level when the count clears the threshold; plus the all-T row
-    # (0.0) and a zero count at the selected level (inf in the batch)
+    # (0.0) and a zero count at the selected level (inf); each row alone
+    # decodes to a scalar-shaped array holding the same float
     ns = NsParams.create(64, 0.3, 0.2, FAST, Constants(c_T=2.0))
     T, L = ns.reps, ns.levels
     rows = [np.full(L, T), np.zeros(L, dtype=np.int64)]
@@ -205,23 +216,23 @@ def test_batch_decode_equals_scalar_decode_row_by_row():
             rows.append(np.array([T] * i + [c] + [0] * (L - i - 1)))
     stack = np.array(rows, dtype=np.int64)
     with pytest.warns(UserWarning) as record:
-        batch = decode_ns(NsCounts(counts=stack, reps=T), ns)
+        batch = decode_ns(stack, ns)
     messages = [str(w.message) for w in record]
     assert len(messages) == len(set(messages)) == 2   # each kind once
     assert batch.shape == (len(rows),)
     assert batch[0] == 0.0 and batch[1] == math.inf
-    with pytest.warns(UserWarning), pytest.raises(NsDecodeError):
-        decode_ns(NsCounts(counts=stack[1], reps=T), ns)
+    with pytest.warns(UserWarning):
+        assert decode_ns(stack[1], ns) == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        scalar = [_scalar_or_inf(row, ns) for row in stack]
+        alone = [decode_ns(row, ns) for row in stack]
+    assert {v.shape for v in alone} == {()}
+    scalar = [float(v) for v in alone]
     assert batch.tolist() == scalar
-    assert {type(v) for v in scalar} == {float}
     # stacking keeps the leading shape
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        shaped = decode_ns(NsCounts(counts=stack[2:8].reshape(2, 3, L),
-                                    reps=T), ns)
+        shaped = decode_ns(stack[2:8].reshape(2, 3, L), ns)
     assert shaped.tolist() == np.reshape(scalar[2:8], (2, 3)).tolist()
 
 
@@ -237,7 +248,7 @@ def test_batch_decode_logs_are_math_log_exact():
         stack[:, i] = c
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            batch = decode_ns(NsCounts(counts=stack, reps=T), ns)
+            batch = decode_ns(stack, ns)
         expect = [math.log(k / T) / math.log1p(-2.0 ** -i)
                   for k in range(1, T + 1)]
         expect = [v if v >= 1.5 else 1.0 for v in expect]
@@ -270,10 +281,9 @@ def test_counts_from_top_equal_one_bincount(parts, reps, levels, seed):
                   profile=FAST)
     counts = counts_from_top(top, ns)
     expect = _counts_by_one_bincount(top, levels)
-    assert counts.reps == reps
-    assert counts.counts.dtype == expect.dtype
-    assert counts.counts.shape == (parts, levels)
-    assert np.array_equal(counts.counts, expect)
+    assert counts.dtype == expect.dtype
+    assert counts.shape == (parts, levels)
+    assert np.array_equal(counts, expect)
 
 
 def test_counts_from_top_scratch_is_bounded():

@@ -4,8 +4,12 @@ perfbench/tracer.py is loaded by path (importing it does not import
 bisq); each SPANS target must resolve the way ``tracer.install`` reads
 it: a module attribute, or for "Class.method" an entry in the owning
 class's own ``__dict__``, so a method that a class only inherits fails.
-Two tiny commands then run under the tracer itself, so a probe that no
-longer fits what a span returns fails here rather than in a benchmark.
+perfbench/run.py is loaded by path too, read-only, for its workloads:
+each workload that BENCHMARK.json lists runs once under the tracer
+itself, with its own flags on a tiny graph, and must enter every span
+that perfbench requires of it, so a span the benchmark would miss, or a
+probe that no longer fits what a span returns, fails here rather than
+in a benchmark.
 """
 import importlib
 import importlib.util
@@ -14,20 +18,30 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module      # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-SPANS = _load_tracer().SPANS
+# run.py imports the tracer by its plain module name; both entries leave
+# sys.modules again when the block ends
+with mock.patch.dict(sys.modules):
+    _TRACER = _load(TRACER, "tracer")
+    WORKLOADS = _load(ROOT / "perfbench" / "run.py", "perfbench_run").WORKLOADS
+SPANS = _TRACER.SPANS
+LISTED = [w["name"] for w in
+          json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.mark.parametrize("name, module_name, path", SPANS,
@@ -41,35 +55,22 @@ def test_span_target_resolves(name, module_name, path):
     assert callable(target), f"{name}: {module_name}.{path} is not defined"
 
 
-# tiny commands: connectivity reaches both rounds, estimate the NS sketch;
-# each lists the spans it must enter, by name or by a "module." prefix
-_TRACED = {
-    "connectivity": (["connectivity", "--gen",
-                      "components:k=3,size=6,inner=clique", "--seed", "1",
-                      "--cT", "8", "--c2", "1", "--clambda", "16",
-                      "--pool-scale", "4", "--cnb", "2", "--with-truth"],
-                     ("connectivity.", "edge_sampler.")),
-    # estimate enters every span perfbench requires of estimate-gnp1024
-    "estimate": (["estimate", "--gen", "gnp:n=64,p=0.1,seed=1", "--seed",
-                  "1", "--cT", "8", "--c2", "4", "--clambda", "4",
-                  "--with-truth"],
-                 ("cli.main", "cli.cmd_estimate", "cli.parse_gen_spec",
-                  "cli._dump", "cli._emit", "graph.gen_gnp",
-                  "graph.Graph.__init__", "edge_estimator.",
-                  "degree_est.estimate_degrees", "nbr_size.",
-                  "bitset.nested_rate_masks", "oracle.BisOracle.submit",
-                  "oracle.QueryPlan.validate", "oracle.DenseBlock.evaluate",
-                  "oracle.SharedSubsampleBlock.")),
+# tiny graphs for the listed workloads: connectivity reaches both rounds
+# and the supernode oracle, estimate the NS sketch
+_TINY_GEN = {
+    "estimate-gnp1024": "gnp:n=64,p=0.1,seed=1",
+    "connectivity-cliques768": "components:k=3,size=6,inner=clique",
 }
 
 
-@pytest.mark.parametrize("command", sorted(_TRACED))
-def test_traced_command_enters_its_spans(command, tmp_path):
-    cli, keys = _TRACED[command]
+@pytest.mark.parametrize("workload", LISTED,
+                         ids=lambda workload: workload.split("-")[0])
+def test_traced_command_enters_its_spans(workload, tmp_path):
+    cli = list(WORKLOADS[workload].args(0))
+    cli[cli.index("--gen") + 1] = _TINY_GEN[workload]
     trace_path = tmp_path / "trace.json"
-    src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(TRACER), str(trace_path), "--", *cli,
          "--out", str(tmp_path / "report.jsonl")],
@@ -77,11 +78,8 @@ def test_traced_command_enters_its_spans(command, tmp_path):
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(trace_path.read_text())["spans"]
     assert set(spans) == {name for name, _, _ in SPANS}
-    expected = [name for name in spans
-                if any(name == key or key.endswith(".")
-                       and name.startswith(key) for key in keys)]
-    assert expected
-    for name in expected:
-        assert spans[name]["calls"] > 0, name
+    required = WORKLOADS[workload].spans
+    assert required
+    assert [name for name in required if not spans[name]["calls"]] == []
     assert {name: s["errors"] for name, s in spans.items()
             if s["errors"]} == {}
