@@ -11,18 +11,15 @@ import math
 from dataclasses import dataclass
 
 from . import params
+from .degree_est import sketch_ns
+from .nbr_size import NsParams
 from .params import Constants
 
 
 def ns_planned_queries(n: int, epsilon: float, delta: float,
                        profile: str = params.PAPER,
                        constants: Constants = Constants()) -> int:
-    return params.ns_plan_size(n, epsilon, delta, profile, constants)
-
-
-def ser_planned_queries(domain: int, delta: float,
-                        constants: Constants = Constants()) -> int:
-    return params.ser_plan_size(domain, delta, constants)
+    return NsParams.create(n, epsilon, delta, profile, constants).queries
 
 
 def estimator_planned_queries(n: int, epsilon: float,
@@ -32,8 +29,7 @@ def estimator_planned_queries(n: int, epsilon: float,
     eps_scaled, _, _, top = params.level_ladder(n, epsilon, profile)
     reps = params.deg_reps(n)
     cells = params.deg_parts(n, eps_scaled, False, constants)
-    inner = params.ns_plan_size(n, min(eps_scaled, 0.5),
-                                params.deg_delta_inner(n), profile, constants)
+    inner = sketch_ns(n, eps_scaled, profile, constants).queries
     return (top + 1) * reps * cells * inner + params.coarse_plan_size(n)
 
 
@@ -42,7 +38,10 @@ class AuditRow:
     n: int
     planned: int
     target: float
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return self.planned / self.target
 
 
 def ns_target(n: int, epsilon: float, delta: float) -> float:
@@ -58,38 +57,31 @@ def estimator_target(n: int, epsilon: float) -> float:
     return epsilon ** -5 * params.log2_raw(n) ** 5
 
 
+def _rows(grid, planned, target) -> list[AuditRow]:
+    return [AuditRow(n=n, planned=planned(n), target=target(n)) for n in grid]
+
+
 def ns_audit(ns_grid, epsilon: float, delta: float,
              constants: Constants = Constants()) -> list[AuditRow]:
-    rows = []
-    for n in ns_grid:
-        planned = ns_planned_queries(n, epsilon, delta, params.PAPER, constants)
-        target = ns_target(n, epsilon, delta)
-        rows.append(AuditRow(n=n, planned=planned, target=target,
-                             ratio=planned / target))
-    return rows
+    return _rows(ns_grid,
+                 lambda n: ns_planned_queries(n, epsilon, delta, params.PAPER,
+                                              constants),
+                 lambda n: ns_target(n, epsilon, delta))
 
 
 def ser_audit(domain_grid, delta: float,
               constants: Constants = Constants()) -> list[AuditRow]:
-    rows = []
-    for domain in domain_grid:
-        planned = ser_planned_queries(domain, delta, constants)
-        target = ser_target(domain, delta)
-        rows.append(AuditRow(n=domain, planned=planned, target=target,
-                             ratio=planned / target))
-    return rows
+    return _rows(domain_grid,
+                 lambda d: params.ser_plan_size(d, delta, constants),
+                 lambda d: ser_target(d, delta))
 
 
 def estimator_audit(ns_grid, epsilon: float,
                     constants: Constants = Constants()) -> list[AuditRow]:
-    rows = []
-    for n in ns_grid:
-        planned = estimator_planned_queries(n, epsilon, params.PAPER,
-                                            constants)
-        target = estimator_target(n, epsilon)
-        rows.append(AuditRow(n=n, planned=planned, target=target,
-                             ratio=planned / target))
-    return rows
+    return _rows(ns_grid,
+                 lambda n: estimator_planned_queries(n, epsilon, params.PAPER,
+                                                     constants),
+                 lambda n: estimator_target(n, epsilon))
 
 
 def ratio_band(rows: list[AuditRow]) -> float:
@@ -100,8 +92,3 @@ def ratio_band(rows: list[AuditRow]) -> float:
 def round1_planned_queries(n: int, constants: Constants = Constants()) -> int:
     """Dry-run size of the connectivity round-1 recovery plan."""
     return n * params.ser_queries(n - 1, params.round1_reps(n, constants))
-
-
-def round1_polylog(n: int, constants: Constants = Constants()) -> float:
-    """Known polylog factor of the round-1 plan, for exponent fitting."""
-    return round1_planned_queries(n, constants) / n

@@ -32,7 +32,6 @@ from .params import Constants
 
 @dataclass
 class RunConfig:
-    command: str
     graph_path: Optional[str] = None
     gen_spec: Optional[str] = None
     epsilon: float = 0.25
@@ -84,15 +83,20 @@ def parse_gen_spec(spec: str) -> Graph:
                 raise ValueError(f"--gen {kind}: unknown key {key!r}")
             if key == "sizes":
                 kw[key] = [int(x) for x in val.split("+")]
-            elif key in ("p",):
+            elif key == "p":
                 kw[key] = float(val)
-            elif key in ("inner",):
+            elif key == "inner":
                 kw[key] = val
             else:
                 kw[key] = int(val)
+    return _generate(kind, kw, "--gen gnp: missing n")
+
+
+def _generate(kind: str, kw: dict, missing_n: str) -> Graph:
+    """gen_gnp for gnp (which needs n), gen_family for every other kind."""
     if kind == "gnp":
         if "n" not in kw:
-            raise ValueError("--gen gnp: missing n")
+            raise ValueError(missing_n)
         return gen_gnp(kw["n"], kw.get("p", 0.5), kw.get("seed", 0))
     return gen_family(kind, **kw)
 
@@ -142,32 +146,31 @@ def _sample_trial(args):
                                  cfg.constants)
     delta = oracle.ledger.snapshot()
     samples = []
+    pairs = Counter()     # ok draws per unordered pair, in first-drawn order
+    off = Counter()       # the same, for the pairs that are not edges
     for idx, out in enumerate(outputs):
         rec = {"seed": cfg.seed, "sample_index": idx, "status": out.status,
                "weight": out.weight}
         if out.edge is not None:
             rec["v"], rec["u"] = int(out.edge[0]), int(out.edge[1])
             if cfg.with_truth:
+                pair = tuple(sorted(out.edge))
+                pairs[pair] += 1
                 rec["is_edge"] = bool(g.has_edge(*out.edge))
+                if not rec["is_edge"]:
+                    off[pair] += 1
         samples.append(rec)
     summary = {"trial": i, "n": g.n, "requested": cfg.count,
                "successes": sum(1 for o in outputs if o.status == OK),
                "bis_count": delta["bis_count"],
                "rounds": delta["round_count"]}
-    if cfg.with_truth and g.m:
-        freq = Counter()
-        for out in outputs:
-            if out.status == OK:
-                freq[tuple(sorted(out.edge))] += 1
-        total = sum(freq.values())
-        if total:
-            tv = 0.5 * sum(abs(freq.get(e, 0) / total - 1.0 / g.m)
-                           for e in g.edges())
-            tv += 0.5 * sum(c / total for e, c in freq.items()
-                            if not g.has_edge(*e))
-            summary["tv_distance"] = tv
-            summary["non_edges"] = sum(1 for o in outputs if o.status == OK
-                                       and not g.has_edge(*o.edge))
+    total = sum(pairs.values())       # 0 without --with-truth
+    if g.m and total:
+        tv = 0.5 * sum(abs(pairs.get(e, 0) / total - 1.0 / g.m)
+                       for e in g.edges())
+        tv += 0.5 * sum(c / total for c in off.values())
+        summary["tv_distance"] = tv
+        summary["non_edges"] = sum(off.values())
     return samples, summary
 
 
@@ -201,8 +204,7 @@ def _run_trials(fn, g: Graph, cfg: RunConfig):
 # commands
 # ---------------------------------------------------------------------------
 
-def _emit(lines: list[str], out: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -214,120 +216,84 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _csv_row(summary: dict) -> list[str]:
-    keys = sorted(summary)
-    return [",".join(keys),
-            ",".join(str(summary[k]) for k in keys)]
+def _summary(command: str, cfg: RunConfig, trials: list[dict]) -> dict:
+    """The summary keys every campaign reports, over per-trial records."""
+    return {"command": command, "trials": cfg.trials,
+            "mean_bis_count": float(np.mean([t["bis_count"] for t in trials])),
+            "rounds_histogram": dict(Counter(t["rounds"] for t in trials))}
+
+
+def _report(cfg: RunConfig, records: list[dict], summary: dict) -> int:
+    """One JSON line per record, the summary line, then its CSV form."""
+    lines = [_dump(r) for r in records]
+    lines.append(_dump(summary))
+    if cfg.csv:
+        keys = sorted(summary)
+        lines.append(",".join(keys))
+        lines.append(",".join(str(summary[k]) for k in keys))
+    _emit("\n".join(lines) + "\n", cfg.out)
+    return 0
 
 
 def cmd_generate(args) -> int:
-    kw = {}
-    for name in ("n", "k", "size", "a", "b"):
-        val = getattr(args, name)
-        if val is not None:
-            kw[name] = val
+    kw = {name: getattr(args, name)
+          for name in ("n", "k", "size", "a", "b", "p", "seed")
+          if getattr(args, name) is not None}
     if args.sizes:
         kw["sizes"] = [int(x) for x in args.sizes.split("+")]
     if args.inner:
         kw["inner"] = args.inner
-    if args.kind == "gnp":
-        if args.n is None:
-            raise ValueError("generate gnp: missing --n")
-        g = gen_gnp(args.n, args.p, args.seed)
-    else:
-        g = gen_family(args.kind, seed=args.seed, p=args.p, **kw)
-    text = dump_edge_list(g)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    g = _generate(args.kind, kw, "generate gnp: missing --n")
+    _emit(dump_edge_list(g), args.out)
     return 0
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    g = load_graph(cfg)
-    records = _run_trials(_estimate_trial, g, cfg)
-    lines = [_dump(r) for r in records]
-    summary = {"command": "estimate", "trials": cfg.trials,
-               "mean_bis_count": float(np.mean([r["bis_count"] for r in records])),
-               "rounds_histogram": dict(Counter(r["rounds"] for r in records))}
+    records = _run_trials(_estimate_trial, load_graph(cfg), cfg)
+    summary = _summary("estimate", cfg, records)
     if cfg.with_truth:
         errs = [r["rel_error"] for r in records]
         summary["mean_rel_error"] = float(np.mean(errs))
         summary["success_rate"] = float(np.mean(
             [e <= cfg.epsilon for e in errs]))
-    lines.append(_dump(summary))
-    if cfg.csv:
-        lines.extend(_csv_row(summary))
-    _emit(lines, cfg.out)
-    return 0
+    return _report(cfg, records, summary)
 
 
 def cmd_sample(cfg: RunConfig) -> int:
-    g = load_graph(cfg)
-    results = _run_trials(_sample_trial, g, cfg)
-    lines = []
-    summaries = []
-    for samples, summary in results:
-        lines.extend(_dump(s) for s in samples)
-        summaries.append(summary)
-    total = {"command": "sample", "trials": cfg.trials,
-             "success_rate": float(np.mean(
-                 [s["successes"] / s["requested"] for s in summaries])),
-             "mean_bis_count": float(np.mean(
-                 [s["bis_count"] for s in summaries])),
-             "rounds_histogram": dict(Counter(
-                 s["rounds"] for s in summaries))}
-    if cfg.with_truth and any("tv_distance" in s for s in summaries):
-        total["tv_distance"] = float(np.mean(
-            [s["tv_distance"] for s in summaries if "tv_distance" in s]))
-        total["non_edges"] = int(sum(
-            s.get("non_edges", 0) for s in summaries))
-    lines.extend(_dump(s) for s in summaries)
-    lines.append(_dump(total))
-    if cfg.csv:
-        lines.extend(_csv_row(total))
-    _emit(lines, cfg.out)
-    return 0
+    results = _run_trials(_sample_trial, load_graph(cfg), cfg)
+    trials = [summary for _, summary in results]
+    summary = _summary("sample", cfg, trials)
+    summary["success_rate"] = float(np.mean(
+        [t["successes"] / t["requested"] for t in trials]))
+    judged = [t for t in trials if "tv_distance" in t]
+    if judged:
+        summary["tv_distance"] = float(np.mean(
+            [t["tv_distance"] for t in judged]))
+        summary["non_edges"] = int(sum(t["non_edges"] for t in judged))
+    records = [s for samples, _ in results for s in samples]
+    return _report(cfg, records + trials, summary)
 
 
 def cmd_connectivity(cfg: RunConfig) -> int:
-    g = load_graph(cfg)
-    records = _run_trials(_connectivity_trial, g, cfg)
-    lines = [_dump(r) for r in records]
-    summary = {"command": "connectivity", "trials": cfg.trials,
-               "mean_bis_count": float(np.mean(
-                   [r["bis_count"] for r in records])),
-               "rounds_histogram": dict(Counter(
-                   r["rounds"] for r in records))}
+    records = _run_trials(_connectivity_trial, load_graph(cfg), cfg)
+    summary = _summary("connectivity", cfg, records)
     if cfg.with_truth:
         summary["accuracy"] = float(np.mean([r["correct"] for r in records]))
-    lines.append(_dump(summary))
-    if cfg.csv:
-        lines.extend(_csv_row(summary))
-    _emit(lines, cfg.out)
-    return 0
+    return _report(cfg, records, summary)
 
 
 def cmd_audit(cfg: RunConfig, n_grid: list[int]) -> int:
     c = cfg.constants
-    lines = []
-    for row in audit.ns_audit(n_grid, cfg.epsilon, cfg.delta, c):
-        lines.append(_dump({"audit": "ns", "n": row.n, "planned": row.planned,
-                            "target": row.target, "ratio": row.ratio}))
     est_rows = audit.estimator_audit(n_grid, cfg.epsilon, c)
-    for row in est_rows:
-        lines.append(_dump({"audit": "estimator", "n": row.n,
-                            "planned": row.planned, "target": row.target,
-                            "ratio": row.ratio}))
-    for row in audit.ser_audit(n_grid, cfg.delta, c):
-        lines.append(_dump({"audit": "ser", "domain": row.n,
-                            "planned": row.planned, "target": row.target,
-                            "ratio": row.ratio}))
+    tables = [("ns", "n", audit.ns_audit(n_grid, cfg.epsilon, cfg.delta, c)),
+              ("estimator", "n", est_rows),
+              ("ser", "domain", audit.ser_audit(n_grid, cfg.delta, c))]
+    lines = [_dump({"audit": kind, key: row.n, "planned": row.planned,
+                    "target": row.target, "ratio": row.ratio})
+             for kind, key, rows in tables for row in rows]
     lines.append(_dump({"audit": "summary",
                         "estimator_ratio_band": audit.ratio_band(est_rows)}))
-    _emit(lines, cfg.out)
+    _emit("\n".join(lines) + "\n", cfg.out)
     return 0
 
 
@@ -357,15 +323,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pool-scale", type=float)
 
 
-def _config_from(args, command: str) -> RunConfig:
+def _config_from(args) -> RunConfig:
     constants = Constants().with_overrides(
         c2=args.c2, c_T=args.cT, c_lambda=args.clambda,
         c_R=args.cR, c_nb=args.cnb, c_se=args.cse,
         ser_pool_scale=args.pool_scale)
     # only sample has --count and only audit has --delta
     own = {k: getattr(args, k) for k in ("count", "delta") if k in args}
-    cfg = RunConfig(command=command, graph_path=args.graph,
-                    gen_spec=args.gen, epsilon=args.epsilon, seed=args.seed,
+    cfg = RunConfig(graph_path=args.graph, gen_spec=args.gen,
+                    epsilon=args.epsilon, seed=args.seed,
                     profile=args.profile, trials=args.trials, out=args.out,
                     with_truth=args.with_truth, csv=args.csv,
                     constants=constants, **own)
@@ -412,7 +378,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "generate":
             return cmd_generate(args)
-        cfg = _config_from(args, args.command)
+        cfg = _config_from(args)
         if args.command == "estimate":
             return cmd_estimate(cfg)
         if args.command == "sample":

@@ -74,6 +74,13 @@ class NeighborTable:
     pools: list              # decoded pools, one per improving cell
 
 
+def sketch_ns(n: int, epsilon: float, profile: str,
+              constants: Constants) -> NsParams:
+    """The NS plan of every sketch cell, at failure rate deg_delta_inner(n)."""
+    return NsParams.create(n, epsilon, params.deg_delta_inner(n), profile,
+                           constants)
+
+
 def _cells(assignment_row: np.ndarray):
     """Nonempty cells, id ascending: (ids, cell index per position, sizes)."""
     return np.unique(assignment_row, return_inverse=True, return_counts=True)
@@ -102,8 +109,7 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
 
     schedule = PartitionSchedule.build(size, n, epsilon, extended, seed,
                                        constants)
-    ns = NsParams.create(n, epsilon, params.deg_delta_inner(n), profile,
-                         constants)
+    ns = sketch_ns(n, epsilon, profile, constants)
     ser_reps = params.ser_pool_reps(n, epsilon, constants)
 
     with oracle.round():
@@ -184,9 +190,7 @@ def predict_sketch_queries(n: int, subset_size: int, epsilon: float, seed,
         return 0
     schedule = PartitionSchedule.build(subset_size, n, epsilon, extended,
                                        seed, constants)
-    ns_size = params.ns_plan_size(n, min(epsilon, 0.5),
-                                  params.deg_delta_inner(n), profile,
-                                  constants)
+    ns_size = sketch_ns(n, epsilon, profile, constants).queries
     ser_reps = params.ser_pool_reps(n, epsilon, constants)
     total = 0
     for t in range(schedule.reps):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bitset, params
 from .degree_est import (DegreeTable, estimate_degrees,
-                         estimate_degrees_with_neighbors)
+                         estimate_degrees_with_neighbors, sketch_ns)
 from .errors import RefineContractError
 from .graph import Graph, VertexSet
 from .oracle import BisOracle, DenseBlock, QueryPlan
@@ -34,13 +34,11 @@ class LevelSchedule:
     exponent is defined as 0 (the raw mu(0) = -shift is never used).
     """
     n: int
-    epsilon_input: float
     eps_scaled: float
     gamma: float
     buckets: int          # B, bucket count between consecutive levels
     shift: int            # s, uniform in [0, B)
     top_level: int        # L
-    profile: str
 
     def mu(self, j: int) -> float:
         if j == 0:
@@ -54,8 +52,8 @@ class LevelSchedule:
         return 1.0 if j == 0 else self.gamma ** (-self.mu(j))
 
 
-def build_schedule(n: int, epsilon: float, seed, profile: str = params.FAST,
-                   constants: Constants = Constants()) -> LevelSchedule:
+def build_schedule(n: int, epsilon: float, seed,
+                   profile: str = params.FAST) -> LevelSchedule:
     """Scale epsilon per profile, draw the random shift, size the ladder."""
     if not 0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
@@ -63,9 +61,8 @@ def build_schedule(n: int, epsilon: float, seed, profile: str = params.FAST,
         raise ValueError("n must be >= 2")
     eps_scaled, gamma, buckets, top = params.level_ladder(n, epsilon, profile)
     shift = int(rng_for(seed, "shift").integers(0, buckets))
-    return LevelSchedule(n=n, epsilon_input=epsilon, eps_scaled=eps_scaled,
-                         gamma=gamma, buckets=buckets, shift=shift,
-                         top_level=top, profile=profile)
+    return LevelSchedule(n=n, eps_scaled=eps_scaled, gamma=gamma,
+                         buckets=buckets, shift=shift, top_level=top)
 
 
 def draw_levels(n: int, schedule: LevelSchedule, seed) -> list[VertexSet]:
@@ -131,11 +128,9 @@ def coarse_estimate(oracle: BisOracle, seed, tag: str = "coarse") -> float:
 class RefineState:
     """One refinement pass: the new estimate and who got recovered."""
     m_t: float
-    t: int
     recovered: np.ndarray          # vertex ids, at most one entry each
     levels: np.ndarray             # recovery level per recovered vertex
     weights: np.ndarray            # gamma^mu(level) * d_hat contribution
-    contribution_sum: float
 
 
 def recovery_threshold(schedule: LevelSchedule, m_bar: float, j: int,
@@ -194,8 +189,8 @@ def refine(tables: dict, schedule: LevelSchedule, m_prev: float, m0: float,
         m_t = max(m_t, 2.0)     # keep the invariant m_bar >= 2 mid-flight
     else:
         m_t = total / 2.0
-    return RefineState(m_t=m_t, t=t, recovered=vertices, levels=levels,
-                       weights=weights, contribution_sum=total)
+    return RefineState(m_t=m_t, recovered=vertices, levels=levels,
+                       weights=weights)
 
 
 def refine_pass_count(schedule: LevelSchedule, m0: float) -> int:
@@ -235,13 +230,11 @@ def run_pipeline(oracle: BisOracle, epsilon: float, seed,
                  with_neighbors: bool = False) -> PipelineResult:
     """One round of queries, then query-free refinement to the estimate."""
     n = oracle.n
-    schedule = build_schedule(n, epsilon, seed, profile, constants)
+    schedule = build_schedule(n, epsilon, seed, profile)
     if profile == params.PAPER:
         # written-constant budgets are audited arithmetically, not executed
-        inner = params.ns_plan_size(n, min(schedule.eps_scaled, 0.5),
-                                    params.deg_delta_inner(n), profile,
-                                    constants)
-        lower_bound = inner * params.deg_reps(n) * n
+        inner = sketch_ns(n, schedule.eps_scaled, profile, constants)
+        lower_bound = inner.queries * params.deg_reps(n) * n
         if lower_bound > _EXECUTION_CAP:
             raise ValueError(
                 f"paper-profile run would issue >= {lower_bound:.2e} queries;"

@@ -107,7 +107,11 @@ def sample_edges_batch(oracle: BisOracle, k: int, epsilon: float, seed,
                           with_neighbors=True)
     ds = _prepare(result)
     if ds is None:
-        return [SamplerOutput(status=NO_EDGES)] * k
+        # the coarse bootstrap gives exactly 2 only when no rate saw an
+        # edge (and at least 16 otherwise), so a larger m0 means the final
+        # pass lost a graph that has edges
+        status = FAILURE if result.m0 > 2.0 else NO_EDGES
+        return [SamplerOutput(status=status)] * k
     rng = rng_for(seed, "draw")
     cursor = _PoolCursor(rng)
     picks = np.searchsorted(ds.cum, rng.random(k) * ds.cum[-1], side="right")

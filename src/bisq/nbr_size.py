@@ -42,10 +42,8 @@ _KEYS_PER_BLOCK = 1 << 16
 @dataclass(frozen=True)
 class NsParams:
     epsilon: float
-    delta: float
     levels: int
     reps: int
-    profile: str
 
     @classmethod
     def create(cls, n: int, epsilon: float, delta: float, profile: str,
@@ -55,10 +53,13 @@ class NsParams:
         epsilon = min(epsilon, 0.5)   # threshold separation needs eps <= 1/2
         if not 0 < delta <= 0.5:
             raise ValueError("delta must lie in (0, 1/2]")
-        return cls(epsilon=epsilon, delta=delta,
-                   levels=params.ns_levels(n),
-                   reps=params.ns_reps(n, epsilon, delta, profile, constants),
-                   profile=profile)
+        return cls(epsilon=epsilon, levels=params.ns_levels(n),
+                   reps=params.ns_reps(n, epsilon, delta, profile, constants))
+
+    @property
+    def queries(self) -> int:
+        """Queries of a one-part plan: levels x reps."""
+        return self.levels * self.reps
 
 
 def plan_ns(left: VertexSet, right: VertexSet, ns: NsParams, seed,

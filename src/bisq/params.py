@@ -53,11 +53,6 @@ def ns_reps(n: int, epsilon: float, delta: float, profile: str,
     return int(math.ceil(c * math.log(log2_raw(n) / delta) / epsilon ** 2))
 
 
-def ns_plan_size(n: int, epsilon: float, delta: float, profile: str,
-                 constants: Constants) -> int:
-    return ns_levels(n) * ns_reps(n, epsilon, delta, profile, constants)
-
-
 # -- count-min style degree sketch ------------------------------------------
 
 def deg_reps(n: int) -> int:
@@ -95,10 +90,6 @@ def ser_reps(delta: float, constants: Constants) -> int:
     return max(1, int(math.ceil(constants.c_R * math.log(1.0 / delta))))
 
 
-def ser_rows_per_rep(domain: int) -> int:
-    return 2 * ser_bits(domain) + 2
-
-
 def ser_pool_reps(n: int, epsilon: float, constants: Constants) -> int:
     """Recovery repetitions per degree-sketch cell, scaled for pool mode."""
     base = ser_reps(ser_delta(n, epsilon), constants)
@@ -106,8 +97,9 @@ def ser_pool_reps(n: int, epsilon: float, constants: Constants) -> int:
 
 
 def ser_queries(domain: int, reps: int) -> int:
-    """Queries of one recovery plan: levels x reps x rows per rep."""
-    return ser_levels(domain) * reps * ser_rows_per_rep(domain)
+    """Queries of one recovery plan: levels x reps x rows per rep (the
+    whole subsample, two sides per index bit and the verify row)."""
+    return ser_levels(domain) * reps * (2 * ser_bits(domain) + 2)
 
 
 def ser_plan_size(domain: int, delta: float, constants: Constants) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -97,6 +98,55 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# SHA-256 of small reports of every command: report bytes are part of
+# the CLI contract, so a digest changes only with a declared report change
+_PINNED_REPORTS = {
+    "estimate": (["estimate", "--gen", "gnp:n=48,p=0.06,seed=1", "--seed",
+                  "9", "--cT", "4", "--c2", "4", "--with-truth"],
+                 "70e7a5c8d758cb8fba876aedc20f8c27"
+                 "c39274bbd7e3190a87b7d10a12e51252"),
+    "sample": (["sample", "--gen", "gnp:n=32,p=0.1,seed=3", "--count", "20",
+                "--seed", "4", "--cT", "4", "--c2", "1", "--pool-scale", "2",
+                "--with-truth"],
+               "2e49b3a6e79e8021675bd708c1f9630d"
+               "e80471cd960e57ddc73adc2f44fa4a9a"),
+    "connectivity": (["connectivity", "--gen",
+                      "components:k=2,size=12,inner=clique", "--seed", "6",
+                      "--cT", "4", "--cnb", "2", "--cR", "2", "--with-truth"],
+                     "1b4bdcd7c2685b16c659c7e3c92b3185"
+                     "b65ddffbab427c074b14feb80d1581bf"),
+    "csv": (["estimate", "--gen", "star:n=16", "--seed", "2", "--cT", "4",
+             "--csv", "--with-truth"],
+            "2fd06c871c14250150743ade65517f63"
+            "0f1f46e984fb172ac0c1389713c84c90"),
+    "trials": (["sample", "--gen", "gnp:n=24,p=0.2,seed=5", "--count", "10",
+                "--seed", "3", "--trials", "2", "--cT", "4", "--c2", "1",
+                "--pool-scale", "2", "--with-truth"],
+               "a1ca7056761cf759b1448307789ec819"
+               "cf96cbf9c0dc591f896cf2124704cb78"),
+    "audit": (["audit"],
+              "0ef31f21e76d7dd788a56200aee937f1"
+              "392625ab315a5e311a73b2adc679e1ef"),
+    "generate-gnp": (["generate", "gnp", "--n", "64", "--p", "0.05",
+                      "--seed", "7"],
+                     "06c99dcccfc0997a122e5cf917ce8564"
+                     "8c0bf9222a452b42e1b3e24f32910ad7"),
+    "generate-components": (["generate", "components", "--k", "3", "--size",
+                             "5", "--inner", "cycle"],
+                            "bc4971972d3310e9c205592cb44a1828"
+                            "5a54c5f7f563f14dfa4e361461a63d23"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_REPORTS))
+def test_reports_are_pinned(name, tmp_path):
+    args, digest = _PINNED_REPORTS[name]
+    out = tmp_path / "report"
+    code, _ = run_cli(args + ["--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_sample_command_summary(tmp_path):

@@ -5,8 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bisq import BisOracle, gen_gnp, sample_edges_batch
-from bisq.edge_sampler import NO_EDGES, OK, SamplerOutput
+from bisq import (BisOracle, gen_family, gen_gnp, run_pipeline,
+                  sample_edges_batch)
+from bisq.edge_sampler import FAILURE, NO_EDGES, OK, SamplerOutput
 from bisq.graph import Graph
 from bisq.params import Constants
 
@@ -27,6 +28,23 @@ def test_empty_graph_batch_and_frozen_output():
     assert all(out == SamplerOutput(status=NO_EDGES) for out in outs)
     with pytest.raises(dataclasses.FrozenInstanceError):
         outs[0].status = OK
+
+
+def test_refinement_that_recovers_nobody_is_a_failure():
+    # at the default constants the final pass on a 4-clique can recover
+    # nobody although the coarse bootstrap saw edges (m0 > 2): those draws
+    # fail instead of calling a 6-edge graph empty
+    g = gen_family("clique", n=4)
+    for seed in (("trial", 0), ("trial", 2), ("trial", 3)):
+        result = run_pipeline(BisOracle(g), 0.25, seed, with_neighbors=True)
+        assert result.final_state.recovered.size == 0 and result.m0 > 2.0
+        outs = sample_edges_batch(BisOracle(g), 5, 0.25, seed)
+        assert outs == [SamplerOutput(status=FAILURE)] * 5
+    empty = gen_gnp(16, 0.0, seed=1)
+    result = run_pipeline(BisOracle(empty), 0.25, 1, with_neighbors=True)
+    assert result.m0 == 2.0
+    outs = sample_edges_batch(BisOracle(empty), 3, 0.25, 1)
+    assert outs == [SamplerOutput(status=NO_EDGES)] * 3
 
 
 def test_single_edge_graph():

@@ -241,8 +241,7 @@ def test_batch_decode_logs_are_math_log_exact():
     # math.log(c / T) / math.log1p(-2**-i), or 1.0 below the unit cutoff
     T = 1474
     for i in range(1, 11):
-        ns = NsParams(epsilon=0.25, delta=0.1, levels=i + 1, reps=T,
-                      profile=FAST)
+        ns = NsParams(epsilon=0.25, levels=i + 1, reps=T)
         c = np.arange(1, T + 1)
         stack = np.zeros((T, i + 1), dtype=np.int64)
         stack[:, i] = c
@@ -277,8 +276,7 @@ def test_counts_from_top_equal_one_bincount(parts, reps, levels, seed):
     top = rng.integers(-1, levels, size=(parts, reps)).astype(np.int8)
     if parts:
         top[0, 0], top[-1, -1] = -1, levels - 1
-    ns = NsParams(epsilon=0.25, delta=0.1, levels=levels, reps=reps,
-                  profile=FAST)
+    ns = NsParams(epsilon=0.25, levels=levels, reps=reps)
     counts = counts_from_top(top, ns)
     expect = _counts_by_one_bincount(top, levels)
     assert counts.dtype == expect.dtype
@@ -293,8 +291,7 @@ def test_counts_from_top_scratch_is_bounded():
     levels = 12
     top = np.random.default_rng(3).integers(
         -1, levels, size=(2000, 1500)).astype(np.int8)
-    ns = NsParams(epsilon=0.25, delta=0.1, levels=levels, reps=1500,
-                  profile=FAST)
+    ns = NsParams(epsilon=0.25, levels=levels, reps=1500)
     tracemalloc.start()
     try:
         counts_from_top(top, ns)

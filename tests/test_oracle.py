@@ -209,7 +209,7 @@ def test_ns_plan_on_few_columns_matches_single_queries(n, k, tail, seed):
     ids = np.concatenate([np.arange(64 * c, min(n, 64 * c + 64))
                           for c in cols])
     ids = ids[(ids != v) & (rng.random(ids.size) < 0.5)]
-    ns = NsParams(epsilon=0.5, delta=0.25, levels=4, reps=3, profile="fast")
+    ns = NsParams(epsilon=0.5, levels=4, reps=3)
     plan = plan_ns(VertexSet.from_indices(n, [v]),
                    VertexSet.from_indices(n, ids), ns, seed)
     o = BisOracle(g)
@@ -243,8 +243,7 @@ def test_shared_top_histogram_counts_match_answer_sums(n, p, reps, levels,
                        for s in supports])
     answers = _expand_top(top, levels).reshape(expect.shape)
     assert np.array_equal(answers, expect)
-    ns = NsParams(epsilon=0.25, delta=0.1, levels=levels, reps=reps,
-                  profile="fast")
+    ns = NsParams(epsilon=0.25, levels=levels, reps=reps)
     counts = counts_from_top(top, ns)
     assert np.array_equal(counts, expect.sum(axis=1))
     assert (counts[0] == reps).all()   # empty support
