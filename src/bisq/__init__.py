@@ -17,7 +17,7 @@ from .degree_est import (DegreeTable, NeighborTable, estimate_degrees,
 from .edge_estimator import (LevelSchedule, AnalysisOracle,
                              build_schedule, draw_levels, coarse_estimate,
                              refine, estimate_edges, run_pipeline)
-from .edge_sampler import SamplerOutput, sample_edges_batch
+from .edge_sampler import SampleBatch, SamplerOutput, sample_edges_batch
 from .connectivity import (SuperGraph, SupernodeOracle, contract,
                            is_connected, round1_neighbor_sampling)
 

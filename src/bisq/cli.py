@@ -13,8 +13,7 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import audit, params
 from .connectivity import is_connected
 from .edge_estimator import run_pipeline
-from .edge_sampler import OK, sample_edges_batch
+from .edge_sampler import OK, STATUSES, sample_edges_batch
 from .errors import BisqError
 from .graph import (Graph, dump_edge_list, exact_connected, gen_family,
                     gen_gnp, load_edge_list)
@@ -141,36 +140,44 @@ def _estimate_trial(args):
 def _sample_trial(args):
     g, cfg, i = args
     oracle = BisOracle(g)
-    outputs = sample_edges_batch(oracle, cfg.count, cfg.epsilon,
-                                 (cfg.seed, "trial", i), cfg.profile,
-                                 cfg.constants)
+    batch = sample_edges_batch(oracle, cfg.count, cfg.epsilon,
+                               (cfg.seed, "trial", i), cfg.profile,
+                               cfg.constants)
     delta = oracle.ledger.snapshot()
+    ok = batch.ok
+    v, u = batch.vertex[ok], batch.neighbor[ok]
+    is_edge = g.has_edge(v, u) if cfg.with_truth else np.ones(v.size, bool)
+    edges = zip(v.tolist(), u.tolist(), is_edge.tolist())
     samples = []
-    pairs = Counter()     # ok draws per unordered pair, in first-drawn order
-    off = Counter()       # the same, for the pairs that are not edges
-    for idx, out in enumerate(outputs):
-        rec = {"seed": cfg.seed, "sample_index": idx, "status": out.status,
-               "weight": out.weight}
-        if out.edge is not None:
-            rec["v"], rec["u"] = int(out.edge[0]), int(out.edge[1])
+    for idx, (code, weight) in enumerate(zip(batch.status.tolist(),
+                                             batch.weight.tolist())):
+        rec = {"seed": cfg.seed, "sample_index": idx,
+               "status": STATUSES[code], "weight": weight}
+        if STATUSES[code] == OK:
+            rec["v"], rec["u"], edge = next(edges)
             if cfg.with_truth:
-                pair = tuple(sorted(out.edge))
-                pairs[pair] += 1
-                rec["is_edge"] = bool(g.has_edge(*out.edge))
-                if not rec["is_edge"]:
-                    off[pair] += 1
+                rec["is_edge"] = edge
         samples.append(rec)
     summary = {"trial": i, "n": g.n, "requested": cfg.count,
-               "successes": sum(1 for o in outputs if o.status == OK),
+               "successes": int(v.size),
                "bis_count": delta["bis_count"],
                "rounds": delta["round_count"]}
-    total = sum(pairs.values())       # 0 without --with-truth
-    if g.m and total:
-        tv = 0.5 * sum(abs(pairs.get(e, 0) / total - 1.0 / g.m)
-                       for e in g.edges())
-        tv += 0.5 * sum(c / total for c in off.values())
+    if cfg.with_truth and g.m and v.size:
+        # ok draws per unordered pair; TV sums run over g.edges() order,
+        # then over the non-edge pairs in first-drawn order
+        keys = np.minimum(v, u) * g.n + np.maximum(v, u)
+        pairs, counts = np.unique(keys[is_edge], return_counts=True)
+        edge_rows = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
+        per_edge = np.zeros(g.m, dtype=np.int64)
+        per_edge[np.searchsorted(edge_rows[:, 0] * g.n + edge_rows[:, 1],
+                                 pairs)] = counts
+        _, first, off = np.unique(keys[~is_edge], return_index=True,
+                                  return_counts=True)
+        total = v.size
+        tv = 0.5 * sum(abs(c / total - 1.0 / g.m) for c in per_edge.tolist())
+        tv += 0.5 * sum(c / total for c in off[np.argsort(first)].tolist())
         summary["tv_distance"] = tv
-        summary["non_edges"] = sum(off.values())
+        summary["non_edges"] = int(off.sum())
     return samples, summary
 
 
@@ -195,6 +202,9 @@ def _run_trials(fn, g: Graph, cfg: RunConfig):
     jobs = [(g, cfg, i) for i in range(cfg.trials)]
     workers = int(os.environ.get("BISQ_THREADS", "1"))
     if workers > 1 and cfg.trials > 1:
+        # imported here: the pool's modules cost every other command
+        # memory and start-up time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(j) for j in jobs]
@@ -301,19 +311,10 @@ def cmd_audit(cfg: RunConfig, n_grid: list[int]) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", help="edge-list file path")
-    p.add_argument("--gen", help="generator spec, e.g. gnp:n=1024,p=0.01")
+def _add_plan_flags(p: argparse.ArgumentParser) -> None:
+    """The flags every planning command reads: epsilon, constants, --out."""
     p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", choices=[params.FAST, params.PAPER],
-                   default=params.FAST)
-    p.add_argument("--trials", type=int, default=1)
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--with-truth", action="store_true",
-                   help="embed exact ground truth in reports")
-    p.add_argument("--csv", action="store_true",
-                   help="append a CSV flattening of the summary row")
     p.add_argument("--c2", type=float)
     p.add_argument("--cT", type=float)
     p.add_argument("--clambda", type=float)
@@ -323,18 +324,35 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pool-scale", type=float)
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that run trials on a graph."""
+    p.add_argument("--graph", dest="graph_path", metavar="GRAPH",
+                   help="edge-list file path")
+    p.add_argument("--gen", dest="gen_spec", metavar="GEN",
+                   help="generator spec, e.g. gnp:n=1024,p=0.01")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--profile", choices=[params.FAST, params.PAPER],
+                   default=params.FAST)
+    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--with-truth", action="store_true",
+                   help="embed exact ground truth in reports")
+    p.add_argument("--csv", action="store_true",
+                   help="append a CSV flattening of the summary row")
+
+
+_CONFIG_FLAGS = frozenset(f.name for f in fields(RunConfig)) - {"constants"}
+
+
 def _config_from(args) -> RunConfig:
     constants = Constants().with_overrides(
         c2=args.c2, c_T=args.cT, c_lambda=args.clambda,
         c_R=args.cR, c_nb=args.cnb, c_se=args.cse,
         ser_pool_scale=args.pool_scale)
-    # only sample has --count and only audit has --delta
-    own = {k: getattr(args, k) for k in ("count", "delta") if k in args}
-    cfg = RunConfig(graph_path=args.graph, gen_spec=args.gen,
-                    epsilon=args.epsilon, seed=args.seed,
-                    profile=args.profile, trials=args.trials, out=args.out,
-                    with_truth=args.with_truth, csv=args.csv,
-                    constants=constants, **own)
+    # each command has only the flags it reads (only sample has --count,
+    # only audit --delta), and the others keep their defaults
+    cfg = RunConfig(constants=constants,
+                    **{k: v for k, v in vars(args).items()
+                       if k in _CONFIG_FLAGS})
     cfg.validate()
     return cfg
 
@@ -360,13 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("estimate", "sample", "connectivity"):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_plan_flags(p)
+        _add_run_flags(p)
         if name == "sample":
             p.add_argument("--count", type=int, default=1,
                            help="draws per trial")
 
     aud = sub.add_parser("audit", help="dry-run complexity table")
-    _add_common(aud)
+    _add_plan_flags(aud)
     aud.add_argument("--delta", type=float, default=0.1)
     aud.add_argument("--n-grid", default="256,512,1024,2048,4096",
                      help="comma-separated sizes")

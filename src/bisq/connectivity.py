@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from . import bitset, params
-from .edge_sampler import OK, sample_edges_batch
+from .edge_sampler import sample_edges_batch
 from .element_recovery import build_neighbor_recovery
 from .graph import Graph, VertexSet, components
 from .oracle import BisOracle, QueryPlan, Results
@@ -164,11 +164,10 @@ def is_connected(oracle: BisOracle, seed,
                                   round1_edges=len(edges))
     sup = SupernodeOracle(oracle, sg)
     k = params.superedge_sample_count(n, constants)
-    outputs = sample_edges_batch(sup, k, epsilon, (seed, "round2"),
-                                 profile, constants)
-    draws = np.array([out.edge for out in outputs if out.status == OK],
-                     dtype=np.int64).reshape(-1, 2)
-    superedges = _unique_pairs(draws[:, 0], draws[:, 1], sg.p)
+    batch = sample_edges_batch(sup, k, epsilon, (seed, "round2"),
+                               profile, constants)
+    ok = batch.ok
+    superedges = _unique_pairs(batch.vertex[ok], batch.neighbor[ok], sg.p)
     delta = oracle.ledger.delta(before)
     labels = components(sg.p, superedges[:, 0], superedges[:, 1])
     return ConnectivityReport(connected=not labels.any(),

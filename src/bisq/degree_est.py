@@ -117,18 +117,22 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
             cell_ids, cell_of, sizes = _cells(schedule.assignment[t])
             lefts = bitset.pack_rows(n, cell_of, members, cell_ids.size)
             bases = bitset.trim_tail(~lefts, n)
-            recoveries = []
-            if extended:
+            # a cell holding every vertex has no outside to recover from:
+            # it plans no block and gets an empty pool (being the
+            # repetition's only cell, it moves no other block's slot)
+            recoveries = [
+                build_neighbor_recovery(
+                    VertexSet(n, left), VertexSet(n, base), ser_reps,
+                    (seed, "deg-ser", t, cell_id), tag=tag + "-ser")
+                if base.any() else None
                 for cell_id, left, base in zip(cell_ids.tolist(), lefts,
-                                               bases):
-                    recoveries.append(build_neighbor_recovery(
-                        VertexSet(n, left), VertexSet(n, base), ser_reps,
-                        (seed, "deg-ser", t, cell_id), tag=tag + "-ser"))
+                                               bases)] if extended else []
             plan = QueryPlan(n, [SharedSubsampleBlock(
                 tag, list(zip(lefts, bases)), ns.reps, ns.levels,
                 (seed, "deg-planes", t))])
             for rec in recoveries:
-                plan.add(rec.block)
+                if rec is not None:
+                    plan.add(rec.block)
             results = oracle.submit(plan)
             est = decode_ns(counts_from_top(results[0], ns), ns)
             ns_failures += int(np.count_nonzero(est == np.inf))
@@ -143,8 +147,11 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                                          return_inverse=True)
                 pool_id[improved] = len(pools) + rank
                 cell_size[improved] = sizes[cell_of[improved]]
-                pools.extend(recoveries[gi].decode_pool(results[1 + gi])
-                             for gi in gained.tolist())
+                pools.extend(
+                    recoveries[gi].decode_pool(results[1 + gi])
+                    if recoveries[gi] is not None
+                    else np.empty(0, dtype=np.int64)
+                    for gi in gained.tolist())
 
     failed = ~np.isfinite(d_hat)
     d_hat[failed] = float(n)   # sentinel, flagged
@@ -196,6 +203,6 @@ def predict_sketch_queries(n: int, subset_size: int, epsilon: float, seed,
     for t in range(schedule.reps):
         for cell_size in _cells(schedule.assignment[t])[2].tolist():
             total += ns_size
-            if extended:
+            if extended and cell_size < n:
                 total += params.ser_queries(n - cell_size, ser_reps)
     return total

@@ -9,15 +9,19 @@ one vertex are surfaced as failures instead of risking a pair that is
 not an edge.  A batch reuses one pipeline and spends each vertex's pool
 in order, so repeated draws get fresh neighbor randomness until the pool
 runs dry, after which entries are recycled uniformly.
+
+A batch is a handful of arrays, one entry per draw; its per-draw
+`SamplerOutput` records are built only when read.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import params
+from . import bitset, params
 from .edge_estimator import PipelineResult, run_pipeline
 from .oracle import BisOracle
 from .params import Constants
@@ -26,6 +30,7 @@ from .seeding import rng_for
 OK = "ok"
 NO_EDGES = "no_edges"
 FAILURE = "failure"
+STATUSES = (OK, FAILURE, NO_EDGES)      # a batch's status codes, by code
 
 
 @dataclass(frozen=True)
@@ -35,16 +40,75 @@ class SamplerOutput:
     weight: float = 0.0
 
 
+class SampleBatch(Sequence):
+    """k draws as read-only arrays: ``status`` (uint8 codes into
+    STATUSES) and, per draw, the sampled ``vertex``, its recovered
+    ``neighbor`` (-1 on a failed draw) and the vertex's ``weight``.
+
+    A batch with nothing to draw stores only its status bytes; its other
+    arrays are broadcast views of -1 and 0.0.
+    """
+
+    def __init__(self, status: np.ndarray, vertex: np.ndarray,
+                 neighbor: np.ndarray, weight: np.ndarray):
+        for array in (status, vertex, neighbor, weight):
+            array.setflags(write=False)
+        self.status, self.vertex = status, vertex
+        self.neighbor, self.weight = neighbor, weight
+
+    @classmethod
+    def undrawn(cls, k: int, status: str) -> "SampleBatch":
+        return cls(np.full(k, STATUSES.index(status), dtype=np.uint8),
+                   np.broadcast_to(np.int64(-1), (k,)),
+                   np.broadcast_to(np.int64(-1), (k,)),
+                   np.broadcast_to(np.float64(0.0), (k,)))
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Boolean mask of the draws that carry an edge."""
+        return self.status == STATUSES.index(OK)
+
+    def __len__(self) -> int:
+        return self.status.size
+
+    def __getitem__(self, i: int) -> SamplerOutput:
+        status = STATUSES[self.status[i]]
+        edge = (int(self.vertex[i]), int(self.neighbor[i]))
+        return SamplerOutput(status=status, weight=float(self.weight[i]),
+                             edge=edge if status == OK else None)
+
+    def __iter__(self):
+        # rows are read a chunk at a time, and the few distinct records
+        # without an edge are built once each
+        blank: dict = {}
+        step = bitset.SCRATCH_BYTES // 8
+        for lo in range(0, len(self), step):
+            columns = (c[lo:lo + step].tolist() for c in
+                       (self.status, self.vertex, self.neighbor, self.weight))
+            for code, v, u, weight in zip(*columns):
+                if STATUSES[code] == OK:
+                    yield SamplerOutput(status=OK, edge=(v, u), weight=weight)
+                    continue
+                if (code, weight) not in blank:
+                    blank[code, weight] = SamplerOutput(
+                        status=STATUSES[code], weight=weight)
+                yield blank[code, weight]
+
+
 @dataclass
-class _DrawState:
-    """The draw table of a finished pipeline, one entry per vertex."""
+class _DrawTable:
+    """The draw table of a finished pipeline, one entry per vertex; the
+    pool of entry e is ``flat[start[e]:start[e] + size[e]]``.  A vertex
+    whose draws fail has size 0 and starts at the trailing -1 of flat."""
     vertices: np.ndarray
     weights: np.ndarray
     cum: np.ndarray
-    pools: list              # recovery pool, None unless a nonempty singleton
+    flat: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
 
 
-def _prepare(result: PipelineResult) -> Optional[_DrawState]:
+def _prepare(result: PipelineResult) -> Optional[_DrawTable]:
     state = result.final_state
     if state is None or state.recovered.size == 0:
         return None
@@ -61,41 +125,66 @@ def _prepare(result: PipelineResult) -> Optional[_DrawState]:
         pid = int(ntable.pool_id[p])
         # a shared cell may recover a member's neighbor that is not v's;
         # its draws fail rather than emit a possible non-edge
-        usable = (pid >= 0 and ntable.cell_size[p] == 1
-                  and ntable.pools[pid].size > 0)
-        pools.append(ntable.pools[pid] if usable else None)
-    return _DrawState(vertices=vertices, weights=weights,
-                      cum=np.cumsum(weights), pools=pools)
+        usable = pid >= 0 and ntable.cell_size[p] == 1
+        pools.append(ntable.pools[pid] if usable
+                     else np.empty(0, dtype=np.int64))
+    size = np.array([pool.size for pool in pools], dtype=np.int64)
+    flat = np.concatenate([*pools, [-1]]).astype(np.int64, copy=False)
+    start = np.where(size > 0, np.cumsum(size) - size, flat.size - 1)
+    return _DrawTable(vertices=vertices, weights=weights,
+                      cum=np.cumsum(weights), flat=flat, start=start,
+                      size=size)
 
 
-class _PoolCursor:
-    """Sequential, then recycled, consumption of the draw table's pools."""
+def _draw(table: _DrawTable, k: int, rng: np.random.Generator
+          ) -> SampleBatch:
+    """k draws from the table, in chunks of ``bitset.SCRATCH_BYTES`` worth
+    of int64s so that transients stay small next to the batch itself.
 
-    def __init__(self, rng: np.random.Generator):
-        self._next: dict = {}
-        self._rng = rng
-
-    def take(self, pool: np.ndarray, idx: int) -> int:
-        i = self._next.get(idx, 0)
-        if i < pool.size:
-            self._next[idx] = i + 1
-            return int(pool[i])
-        return int(pool[self._rng.integers(0, pool.size)])
-
-
-def _draw_one(ds: _DrawState, idx: int, cursor: _PoolCursor) -> SamplerOutput:
-    weight = float(ds.weights[idx])
-    pool = ds.pools[idx]
-    if pool is None:
-        return SamplerOutput(status=FAILURE, weight=weight)
-    return SamplerOutput(status=OK, weight=weight,
-                         edge=(int(ds.vertices[idx]), cursor.take(pool, idx)))
+    The first pass picks each draw's entry by weight (one uniform per
+    draw); the second takes pool entry i for a draw that is the i-th of
+    its entry, while i is below the pool size, and a uniform pool entry
+    (one ``rng.integers`` per such draw, in draw order) after that.
+    """
+    step = bitset.SCRATCH_BYTES // 8
+    last = table.vertices.size - 1
+    vertex = np.empty(k, dtype=np.int64)     # holds entries until pass 2
+    for lo in range(0, k, step):
+        u = rng.random(min(step, k - lo))
+        u *= table.cum[-1]
+        np.minimum(np.searchsorted(table.cum, u, side="right"), last,
+                   out=vertex[lo:lo + u.size])
+    neighbor = np.empty(k, dtype=np.int64)
+    weight = np.empty(k, dtype=np.float64)
+    status = np.empty(k, dtype=np.uint8)
+    seen = np.zeros(table.vertices.size, dtype=np.int64)
+    for lo in range(0, k, step):
+        entry = vertex[lo:lo + step]
+        hi = lo + entry.size
+        counts = np.bincount(entry, minlength=seen.size)
+        order = np.argsort(entry, kind="stable")
+        rank = np.empty_like(entry)
+        rank[order] = (np.arange(entry.size)
+                       - (np.cumsum(counts) - counts)[entry[order]])
+        rank += seen[entry]
+        seen += counts
+        size = table.size[entry]
+        recycled = rank >= size
+        rank[recycled] = 0       # a failing entry reads flat's -1 there
+        recycled &= size > 0
+        if recycled.any():
+            rank[recycled] = rng.integers(0, size[recycled])
+        neighbor[lo:hi] = table.flat[table.start[entry] + rank]
+        status[lo:hi] = np.where(size > 0, STATUSES.index(OK),
+                                 STATUSES.index(FAILURE))
+        weight[lo:hi] = table.weights[entry]
+        vertex[lo:hi] = table.vertices[entry]
+    return SampleBatch(status, vertex, neighbor, weight)
 
 
 def sample_edges_batch(oracle: BisOracle, k: int, epsilon: float, seed,
                        profile: str = params.FAST,
-                       constants: Constants = Constants()
-                       ) -> list[SamplerOutput]:
+                       constants: Constants = Constants()) -> SampleBatch:
     """k draws with replacement sharing one pipeline; one round total.
 
     Per-sample failures are reported individually; callers judge the
@@ -105,15 +194,11 @@ def sample_edges_batch(oracle: BisOracle, k: int, epsilon: float, seed,
         raise ValueError("k must be >= 1")
     result = run_pipeline(oracle, epsilon, seed, profile, constants,
                           with_neighbors=True)
-    ds = _prepare(result)
-    if ds is None:
+    table = _prepare(result)
+    if table is None:
         # the coarse bootstrap gives exactly 2 only when no rate saw an
         # edge (and at least 16 otherwise), so a larger m0 means the final
         # pass lost a graph that has edges
-        status = FAILURE if result.m0 > 2.0 else NO_EDGES
-        return [SamplerOutput(status=status)] * k
-    rng = rng_for(seed, "draw")
-    cursor = _PoolCursor(rng)
-    picks = np.searchsorted(ds.cum, rng.random(k) * ds.cum[-1], side="right")
-    picks = np.minimum(picks, ds.vertices.size - 1)
-    return [_draw_one(ds, idx, cursor) for idx in picks.tolist()]
+        return SampleBatch.undrawn(k, FAILURE if result.m0 > 2.0
+                                   else NO_EDGES)
+    return _draw(table, k, rng_for(seed, "draw"))

@@ -174,8 +174,13 @@ class Graph:
                     self.adj_words[member], starts, axis=0)
         return gammas
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bitset.contains(self.adj_words[u], v)
+    def has_edge(self, u, v):
+        """Whether u and v are adjacent; for arrays of ids, elementwise in
+        one gather of adjacency bits."""
+        v = np.asarray(v)
+        bits = self.adj_words[u, v >> 6] >> (v & 63).astype(np.uint64)
+        hit = (bits & 1).astype(bool)
+        return hit if hit.ndim else bool(hit)
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge once as (u, v), u < v, sorted by u then v."""

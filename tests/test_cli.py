@@ -242,6 +242,19 @@ def test_removed_flags_are_usage_errors(flag, capsys):
                                     + " ".join(flag))
 
 
+@pytest.mark.parametrize("flag", [
+    ["--profile", "fast"], ["--csv"], ["--seed", "7"], ["--trials", "3"],
+    ["--gen", "star:n=4"], ["--graph", "g.txt"], ["--with-truth"]])
+def test_audit_refuses_flags_it_does_not_read(flag, capsys):
+    # the audit plans from epsilon, delta, the constants and the grid
+    # alone, so a run flag would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--n-grid", "256"] + flag)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "bisq: error: unrecognized arguments: " + " ".join(flag))
+
+
 def test_audit_delta_is_read_and_checked(capsys):
     grid = ["--n-grid", "256"]
     _, loose = run_cli(["audit", "--delta", "0.2"] + grid)
@@ -354,3 +367,14 @@ def test_worker_pool_matches_serial(tmp_path, monkeypatch):
     code, _ = run_cli(args + ["--out", str(out_b)])
     assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_cli_import_leaves_out_the_worker_pool():
+    # only a multi-trial run with BISQ_THREADS > 1 imports the process
+    # pool (test_worker_pool_matches_serial runs that path)
+    code = ("import sys, bisq.cli; print([m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -2,10 +2,11 @@ import numpy as np
 
 from bisq import (BisOracle, VertexSet, estimate_degrees,
                   estimate_degrees_with_neighbors, gen_family, gen_gnp,
-                  predict_sketch_queries)
+                  predict_sketch_queries, sample_edges_batch)
 from bisq.degree_est import PartitionSchedule
 from bisq.graph import Graph
-from bisq.params import Constants, deg_parts, deg_reps
+from bisq.params import (Constants, deg_parts, deg_reps, ser_pool_reps,
+                         ser_queries)
 
 FAST_C = Constants(c_T=8.0)
 
@@ -254,3 +255,28 @@ def test_extended_sketch_evaluates_only_decoded_pools(monkeypatch):
     for i, t in enumerate(table.t_min.tolist()):
         assert keys[ntable.pool_id[i]] == (
             seed, "deg-ser", t, int(schedule.assignment[t, i]))
+
+
+def test_cell_holding_every_vertex_gets_an_empty_pool():
+    # on a one-edge graph, repetition 0 of this sketch puts both vertices
+    # in one cell, whose outside is empty: the cell plans no recovery
+    # block, its members point at an empty pool, and the dry run charges
+    # it nothing
+    g = Graph.from_edges(2, [(0, 1)])
+    seed = (3, "deg", 0)     # the sketch of sample_edges_batch(..., seed=3)
+    schedule = PartitionSchedule.build(2, 2, 0.25, True, seed, Constants())
+    assert [np.unique(row).size for row in schedule.assignment] == [1, 2]
+    o = BisOracle(g)
+    table, ntable = estimate_degrees_with_neighbors(o, VertexSet.full(2),
+                                                    0.25, seed)
+    assert table.t_min.tolist() == [0, 0]
+    assert ntable.cell_size.tolist() == [2, 2]
+    assert [p.size for p in ntable.pools] == [0]
+    assert ntable.neighbor.tolist() == [-1, -1]
+    assert o.ledger.bis_count == predict_sketch_queries(
+        2, 2, 0.25, seed, extended=True)
+    # recovery blocks only for repetition 1's two one-vertex cells
+    assert o.ledger.phases["deg-ns-ser"] == 2 * ser_queries(
+        1, ser_pool_reps(2, 0.25, Constants()))
+    batch = sample_edges_batch(BisOracle(g), 1, 0.25, seed=3)
+    assert len(batch) == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from bisq import (BisOracle, gen_family, gen_gnp, run_pipeline,
 from bisq.edge_sampler import FAILURE, NO_EDGES, OK, SamplerOutput
 from bisq.graph import Graph
 from bisq.params import Constants
+from bisq.seeding import rng_for
 
 SAMP_C = Constants(c_T=8.0, c2=1.0, c_lambda=16.0, ser_pool_scale=4.0)
 
@@ -28,6 +30,8 @@ def test_empty_graph_batch_and_frozen_output():
     assert all(out == SamplerOutput(status=NO_EDGES) for out in outs)
     with pytest.raises(dataclasses.FrozenInstanceError):
         outs[0].status = OK
+    with pytest.raises(ValueError):
+        outs.status[0] = 0
 
 
 def test_refinement_that_recovers_nobody_is_a_failure():
@@ -39,12 +43,12 @@ def test_refinement_that_recovers_nobody_is_a_failure():
         result = run_pipeline(BisOracle(g), 0.25, seed, with_neighbors=True)
         assert result.final_state.recovered.size == 0 and result.m0 > 2.0
         outs = sample_edges_batch(BisOracle(g), 5, 0.25, seed)
-        assert outs == [SamplerOutput(status=FAILURE)] * 5
+        assert list(outs) == [SamplerOutput(status=FAILURE)] * 5
     empty = gen_gnp(16, 0.0, seed=1)
     result = run_pipeline(BisOracle(empty), 0.25, 1, with_neighbors=True)
     assert result.m0 == 2.0
     outs = sample_edges_batch(BisOracle(empty), 3, 0.25, 1)
-    assert outs == [SamplerOutput(status=NO_EDGES)] * 3
+    assert list(outs) == [SamplerOutput(status=NO_EDGES)] * 3
 
 
 def test_single_edge_graph():
@@ -176,3 +180,85 @@ def test_sample_log_fields():
         v, u = out.edge
         assert 0 <= v < 64 and 0 <= u < 64
         assert out.weight > 0
+
+
+# SHA-256 of repr([(status, edge, weight), ...]) over every draw of a batch,
+# each captured from the per-draw implementation the array batch replaced:
+# C6's batch (all ok; 18,567 draws outlive their vertex's pool and
+# recycle), a dense graph at default constants with ok and failed draws
+# that also recycles, a refinement that recovers nobody, and an edgeless
+# graph
+_PINNED_BATCHES = {
+    "c6": (lambda: gen_gnp(256, 0.00306, seed=0), 56000, 606, SAMP_C,
+           {OK: 56000}, "9f28194b437027a757b297e7824a2f51"
+                        "11a91ab7293c3554ae61f1dd7edab1d5"),
+    "ok-and-failure": (lambda: gen_gnp(16, 0.9, seed=0), 3000, 0,
+                       Constants(), {OK: 2791, FAILURE: 209},
+                       "db19811b327470ee34d78b93daae4da0"
+                       "7d00026148ba583d98dbf9e86fe718f1"),
+    "refinement-failure": (lambda: gen_family("clique", n=4), 5,
+                           ("trial", 0), Constants(), {FAILURE: 5},
+                           "b93f28377703c467e87a458956aeadd0"
+                           "bc51dae9cecabfe3868c4aa5cd91cb7f"),
+    "edgeless": (lambda: Graph.from_edges(16, []), 6, 1, Constants(),
+                 {NO_EDGES: 6}, "894db415b67d8b064d552a6fa222ce9a"
+                                "16a7e1f901c3b2cc67a5cba7fb3a9204"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_BATCHES))
+def test_batch_records_are_pinned(name):
+    make, k, seed, constants, statuses, digest = _PINNED_BATCHES[name]
+    batch = sample_edges_batch(BisOracle(make()), k, 0.25, seed,
+                               constants=constants)
+    triples = [(out.status, out.edge, out.weight) for out in batch]
+    assert Counter(status for status, _, _ in triples) == statuses
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
+
+
+def test_batch_arrays_match_its_records():
+    batch = sample_edges_batch(BisOracle(gen_gnp(16, 0.9, seed=0)), 300,
+                               0.25, 0)
+    records = list(batch)
+    assert len(batch) == len(records) == 300
+    assert [batch[i] for i in range(-300, 0)] == records
+    with pytest.raises(IndexError):
+        batch[300]
+    ok = batch.ok
+    assert ok.tolist() == [r.status == OK for r in records]
+    assert 0 < ok.sum() < 300
+    assert [(v, u) for v, u in zip(batch.vertex[ok].tolist(),
+                                   batch.neighbor[ok].tolist())] == \
+        [r.edge for r in records if r.status == OK]
+    assert batch.weight.tolist() == [r.weight for r in records]
+    assert (batch.neighbor[~ok] == -1).all()
+
+
+def test_array_bounded_integers_consume_the_stream_like_scalar_calls():
+    # recycled draws take one rng.integers call over all their pool
+    # sizes, which must give the values and the stream position of one
+    # scalar call per draw
+    bounds = np.arange(30) % 10 + 2          # 2..11, three times each
+    scalar, vector = rng_for(5, "draw"), rng_for(5, "draw")
+    values = [scalar.integers(0, int(b)) for b in bounds]
+    assert vector.integers(0, bounds).tolist() == values
+    assert scalar.random(4).tolist() == vector.random(4).tolist()
+
+
+@pytest.mark.parametrize("graph, bytes_per_draw", [
+    (Graph.from_edges(64, []), 2), (gen_gnp(64, 0.1, seed=1), 30)],
+    ids=["nothing-to-draw", "gnp64"])
+def test_batch_memory_per_draw(graph, bytes_per_draw):
+    # peak traced allocation of a whole 10^6-draw call, pipeline included:
+    # a status byte per draw when there is nothing to draw, else status,
+    # vertex, neighbor and weight (25 bytes) plus bounded chunk transients
+    k = 10 ** 6
+    tracemalloc.start()
+    try:
+        batch = sample_edges_batch(BisOracle(graph), k, 0.25, 1,
+                                   constants=SAMP_C)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == k
+    assert peak <= bytes_per_draw * k, peak / k
