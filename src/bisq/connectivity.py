@@ -54,8 +54,9 @@ def round1_neighbor_sampling(oracle: BisOracle, seed,
     One round.  Each vertex gets one recovery plan sized so its accepted
     pool approaches ceil(c_nb log2^2 n) independent draws; every pool
     entry is a certified neighbor, so the edges are real.  The plan holds
-    only each block's seed, and the submitted results are evaluated as
-    they are read, so one block's masks and answers are live at a time.
+    only each block's seed, and the submitted results (each block's pool)
+    are evaluated as they are read, so one block's masks are live at a
+    time.
     """
     n = oracle.n
     target = params.neighbor_sample_target(n, constants)
@@ -71,12 +72,12 @@ def round1_neighbor_sampling(oracle: BisOracle, seed,
         recs.append(rec)
         plan.add(rec.block)
     with oracle.round():
-        answers = oracle.submit(plan)
+        results = oracle.submit(plan)
     # each pool is kept as a Python list: small arrays left on the C heap
     # between the blocks' mask draws fragment it, which costs page faults
     # and peak RSS
-    pools = [np.unique(rec.decode_pool(ans)[:target]).tolist()
-             for rec, ans in zip(recs, answers)]
+    pools = [np.unique(rec.decode_pool(result)[:target]).tolist()
+             for rec, result in zip(recs, results)]
     owners = np.repeat(np.arange(n), [len(pool) for pool in pools])
     return _unique_pairs(np.fromiter(itertools.chain.from_iterable(pools),
                                      np.int64, owners.size), owners, n)

@@ -15,11 +15,15 @@ A plan is a recovery block, ``oracle.SidesSubsampleBlock``, wrapped in a
 with the implicit vector indexed by a set R and tested against a disjoint
 set L, every query is a single oracle call, which recovers a uniform
 member of Gamma(L) ∩ R.  Domain index k is the k-th member of R, and
-which sides hold it is a function of k alone (``oracle.side_bits``), so
-a plan stores only the seed of its subsample masks.  ``plan_ser`` builds
+which sides hold it is a function of k alone (``oracle.side_masks``), so
+a plan stores only the seed of its subsample masks.  The certificate
+holds exactly where one support element survives, so the block's result
+is the pool itself, counted from survivors rather than decoded from the
+answers: the domain indices of the accepted repetitions, which
+``NeighborRecovery.decode_pool`` maps to vertices.  ``plan_ser`` builds
 the same block over an abstract vector of length ``domain`` (an empty L
-and R = 0..domain-1, so index k is vertex k), and ``answer_plan``
-answers it for a known vector through the block's own answer kernel.
+and R = 0..domain-1, so index k is vertex k), and ``answer_plan`` gives
+its pool for a known vector through the block's own kernel.
 """
 from __future__ import annotations
 
@@ -43,37 +47,12 @@ class NeighborRecovery:
     def reps(self) -> int:
         return self.block.reps
 
-    def decode_pool(self, answers: np.ndarray) -> np.ndarray:
-        """Recovered vertices in scan order (independent uniform draws).
-
-        ``answers`` is flat over (level, rep, side), sides as in
-        ``side_bits``.  Within a repetition the subsamples are nested, so
-        every accepting level of one repetition carries the same survivor;
-        keeping only the first accepting level per repetition leaves
-        exactly one independent uniform draw per accepting repetition.
-        Scan order is rate-major: level 0 (the densest subsample) first,
-        repetitions in index order.
-        """
+    def decode_pool(self, pool: np.ndarray) -> np.ndarray:
+        """Recovered vertices in scan order (independent uniform draws):
+        the members of R at the domain indices of ``pool``, the block's
+        result (``SidesSubsampleBlock.pool``)."""
         base = self.block.base
-        domain = bitset.members(base, base.size * bitset.WORD_BITS)
-        bits = params.ser_bits(domain.size)
-        ans = answers.reshape(params.ser_levels(domain.size), self.reps,
-                              2 * bits + 2)
-        whole, verify = ans[:, :, 0] == 0, ans[:, :, -1] == 0
-        if bits == 0:
-            accept = whole & verify
-            index = np.zeros_like(whole, dtype=np.int64)
-        else:
-            hi = ans[:, :, 1:1 + bits] == 0
-            lo = ans[:, :, 1 + bits:1 + 2 * bits] == 0
-            isolated = (hi ^ lo).all(axis=2)
-            index = (hi.astype(np.int64)
-                     << np.arange(bits, dtype=np.int64)).sum(axis=2)
-            accept = whole & verify & isolated & (index < domain.size)
-        reps_idx = np.nonzero(accept.any(axis=0))[0]
-        levels_idx = accept.argmax(axis=0)[reps_idx]
-        order = np.lexsort((reps_idx, levels_idx))
-        return domain[index[levels_idx[order], reps_idx[order]]]
+        return bitset.members(base, base.size * bitset.WORD_BITS)[pool]
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +83,15 @@ def plan_ser(domain: int, delta: float, seed,
 
 
 def answer_plan(plan: NeighborRecovery, x_words: np.ndarray) -> np.ndarray:
-    """OR-query answers for a known vector (test and simulation helper).
-
-    The support is x itself, each member its own domain index; the
-    layout is the block's, flat over (level, rep, side).
-    """
-    base = plan.block.base
-    ids = bitset.members(x_words & base, base.size * bitset.WORD_BITS)
-    return plan.block.answer(ids, ids)
+    """The plan's result for a known vector (test and simulation helper):
+    its recovery pool, with x itself as the support."""
+    return plan.block.pool(x_words & plan.block.base)
 
 
-def decode_ser(plan: NeighborRecovery, answers: np.ndarray) -> SerOutcome:
-    """Decode aligned answers; failure yields recovered=None, never a guess."""
-    pool = plan.decode_pool(answers)
+def decode_ser(plan: NeighborRecovery, pool: np.ndarray) -> SerOutcome:
+    """Decode the plan's result; failure yields recovered=None, never a
+    guess."""
+    pool = plan.decode_pool(pool)
     return SerOutcome(recovered=int(pool[0]) if pool.size else None,
                       pool=pool)
 
@@ -152,6 +127,5 @@ def uniform_neighbor_of_set(oracle: BisOracle, left: VertexSet,
     rec = build_neighbor_recovery(left, right, reps, seed, tag=tag)
     plan = QueryPlan(oracle.n, [rec.block])
     with oracle.round():
-        answers = oracle.submit(plan)[0]
-    pool = rec.decode_pool(answers)
+        pool = rec.decode_pool(oracle.submit(plan)[0])
     return int(pool[0]) if pool.size else None

@@ -11,7 +11,7 @@ function of: explicit rows (the coarse bootstrap), subsample planes
 shared by many (left, base) parts (the degree sketch, a part per cell,
 and the NS plan, one part), and the subsample masks of single element
 recovery, cut by bit-decoding sides derived from ``base`` itself
-(``side_bits``): every SER plan, over the graph or over an abstract
+(``side_masks``): every SER plan, over the graph or over an abstract
 vector, is one such block.  Both subsample kinds hold the seed their
 planes or masks are drawn from, not the planes or masks.  Evaluation is
 exact and equivalent to answering every materialized (L, R) row
@@ -24,12 +24,15 @@ with the repetition count.
 returns its `Results`, which evaluate a block only when its result is
 read: answers are a pure function of (graph, query), so when they are
 computed changes no answer, and a caller holds only the results it
-still references.  A block's result is its answers, one uint8 per row
-in `iter_rows` order, except for a shared-plane block: its result is
-the int8 top survival depths of shape (parts, reps), and row (p, r, i)
-answers 1 iff i > top[p, r].  The degree sketch and the NS estimator
-read per-level counts from that summary directly, so the parts x reps x
-levels answers are never built.
+still references.  A block's result is a summary from which its
+callers read what they need, so no subsample block builds its answers:
+- an explicit-row block: its answers, one uint8 per row in `iter_rows`
+  order;
+- a shared-plane block: the int8 top survival depths of shape (parts,
+  reps); row (p, r, i) answers 1 iff i > top[p, r], and the degree
+  sketch and the NS estimator read per-level counts from them;
+- a recovery block: its pool, the int64 domain indices its answers
+  certify, in scan order (``SidesSubsampleBlock.pool``).
 """
 from __future__ import annotations
 
@@ -272,22 +275,20 @@ class SharedSubsampleBlock:
                     yield left, planes[r, i] & base
 
 
-def side_bits(index: np.ndarray, domain: int) -> np.ndarray:
-    """Which bit-decoding sides hold each domain index: bool (k, 2b+2).
+def side_masks(n: int, positions: np.ndarray) -> np.ndarray:
+    """The (2b+2, w) stack of bit-decoding sides of a recovery domain,
+    with b = ``params.ser_bits(domain)``; ``positions[k]`` carries domain
+    index k.
 
-    Columns: the whole domain, the b one-bit sides (bit j of the index
+    Sides: the whole domain, the b one-bit sides (bit j of the index
     set), the b zero-bit sides (bit j clear) and verify (the whole domain
-    again), with b = ``params.ser_bits(domain)``.
+    again).
     """
-    hi = ((index[:, None] >> np.arange(params.ser_bits(domain))) & 1
+    index = np.arange(positions.size)
+    hi = ((index[:, None] >> np.arange(params.ser_bits(positions.size))) & 1
           ).astype(bool)
     whole = np.ones((index.size, 1), dtype=bool)
-    return np.concatenate([whole, hi, ~hi, whole], axis=1)
-
-
-def side_masks(n: int, positions: np.ndarray) -> np.ndarray:
-    """The (2b+2, w) side stack; ``positions[k]`` carries domain index k."""
-    inside = side_bits(np.arange(positions.size), positions.size)
+    inside = np.concatenate([whole, hi, ~hi, whole], axis=1)
     side, k = np.nonzero(inside.T)
     return bitset.pack_rows(n, side, positions[k], inside.shape[1])
 
@@ -295,23 +296,27 @@ def side_masks(n: int, positions: np.ndarray) -> np.ndarray:
 class SidesSubsampleBlock:
     """Seeded subsample masks of a base cut by bit-decoding sides.
 
-    The domain is members(base) in id order and its sides are
-    ``side_bits`` of the domain indices.  The masks, of shape (reps,
-    levels, w) with levels = ``params.ser_levels(|base|)``, are nested
-    subsamples of base drawn from ``rng_for(seed, "ser-plan")``; the
-    block stores that seed, not the masks, and ``draw_masks`` draws them
-    afresh for each use.  Row for (level l, rep r, side q) is
-    masks[r, l] & side q; row index l * reps * n_sides + r * n_sides + q.
-    Every single element recovery plan is one of these blocks.
+    The domain is members(base) in id order and its sides are those of
+    ``side_masks``.  The masks, of shape (reps, levels, w) with levels =
+    ``params.ser_levels(|base|)``, are nested subsamples of base drawn
+    from ``rng_for(seed, "ser-plan")``; the block stores that seed, not
+    the masks, and ``draw_masks`` draws them afresh for each use.  Row
+    for (level l, rep r, side q) is masks[r, l] & side q; row index
+    l * reps * n_sides + r * n_sides + q.  Every single element recovery
+    plan is one of these blocks.
 
-    Answers depend only on the support Gamma(left) ∩ base.  ``evaluate``
-    finds it in the graph, as vertex ids and their domain indices, and
-    hands both to ``answer``, the one answer kernel, which the abstract
-    SER plans (``element_recovery.answer_plan``) call with a known
-    support.  The kernel gathers the mask bits of the k support vertices
-    and the side bits of their domain indices; row (l, r, q) hits iff
-    some support vertex is held by both masks[r, l] and side q, so one
-    (reps * levels, k) @ (k, n_sides) product counts every row's hits.
+    Answers depend only on the support S = Gamma(left) ∩ base, and a
+    block is read only through its decoded pool, so ``evaluate`` returns
+    the pool, not the answers.  Repetition r certifies a level l (whole
+    side hit, every bit hit on exactly one side, verify hit) iff exactly
+    one vertex of S survives in masks[r, l]: none misses the whole side,
+    and two survivors have distinct domain indices, which differ in some
+    bit, so that bit hits both sides.  The masks are nested, so the
+    survivor count cannot rise with l, and the first level where it is 1
+    is the first certified level.  ``pool`` counts survivors per (rep,
+    level) on the word columns of S alone; ``evaluate`` finds S in the
+    graph, and the abstract SER plans (``element_recovery.answer_plan``)
+    call ``pool`` with a known support.
     """
 
     __slots__ = ("tag", "left", "base", "reps", "seed")
@@ -327,11 +332,12 @@ class SidesSubsampleBlock:
     def n_queries(self) -> int:
         return params.ser_queries(bitset.popcount(self.base), self.reps)
 
-    def draw_masks(self) -> np.ndarray:
-        """The (reps, levels, w) subsample masks, drawn inside base."""
+    def draw_masks(self, cols: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (reps, levels, w) subsample masks, drawn inside base, or
+        only their word columns cols."""
         levels = params.ser_levels(bitset.popcount(self.base))
         return bitset.nested_rate_masks(rng_for(self.seed, "ser-plan"),
-                                        self.base, levels, self.reps)
+                                        self.base, levels, self.reps, cols)
 
     def validate(self) -> None:
         if (self.left & self.base).any():
@@ -339,24 +345,37 @@ class SidesSubsampleBlock:
                 f"block {self.tag!r}: left overlaps the sampled base set")
 
     def evaluate(self, graph: Graph) -> np.ndarray:
-        support = graph.neighborhood_words(
-            bitset.members(self.left, graph.n)) & self.base
-        ids = bitset.members(support, graph.n)
-        return self.answer(ids, np.searchsorted(
-            bitset.members(self.base, graph.n), ids))
+        """The recovery pool of the support Gamma(left) ∩ base; see
+        ``pool``."""
+        return self.pool(graph.neighborhood_words(
+            bitset.members(self.left, graph.n)) & self.base)
 
-    def answer(self, ids: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Answers, one uint8 per row, for the support vertices ``ids``
-        at domain indices ``index``."""
-        masks = self.draw_masks()
-        reps, levels, _ = masks.shape
-        byte, shift = ids >> 3, (ids & 7).astype(np.uint8)
-        held = (masks.view(np.uint8)[:, :, byte] >> shift) & 1
-        inside = side_bits(index, bitset.popcount(self.base))
-        counts = (held.reshape(reps * levels, -1).astype(np.float32)
-                  @ inside.astype(np.float32))
-        hit = (counts > 0.5).reshape(reps, levels, -1).transpose(1, 0, 2)
-        return (~hit).astype(np.uint8).ravel()
+    def pool(self, support: np.ndarray) -> np.ndarray:
+        """Domain indices recovered from the support words ``support`` (a
+        subset of base), int64 in scan order.
+
+        One entry per repetition with a certified level: the one survivor
+        at its first such level.  Scan order is level-major (level 0, the
+        densest subsample, first), repetitions ascending.  The masks are
+        drawn on the support's word columns only; the survivor is the one
+        set bit of its level's words, and its domain index is the number
+        of base vertices below it.
+        """
+        cols = np.flatnonzero(support)
+        if not cols.size:
+            return np.empty(0, dtype=np.int64)
+        held = self.draw_masks(cols)
+        held &= support[cols]
+        single = np.bitwise_count(held).sum(axis=2) == 1    # (reps, levels)
+        rep = np.flatnonzero(single.any(axis=1))
+        level = single.argmax(axis=1)[rep]
+        order = np.argsort(level, kind="stable")
+        words = held[rep[order], level[order]]    # one nonzero word each
+        col = cols[words.argmax(axis=1)]
+        below = words.max(axis=1) - 1             # the bits under it
+        base_counts = np.bitwise_count(self.base).astype(np.int64)
+        return ((np.cumsum(base_counts) - base_counts)[col]
+                + np.bitwise_count(self.base[col] & below))
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         masks = self.draw_masks()
@@ -400,8 +419,10 @@ class QueryPlan:
 class Results(Sequence):
     """Results of one charged submission, one per block, evaluated when read.
 
-    Item i is ``blocks[i].evaluate(graph)``, computed on every read and
-    not kept, so a caller holds only the results it still references.
+    Item i is ``blocks[i].evaluate(graph)``: explicit-row answers, a
+    shared-plane block's top depths or a recovery block's pool.  It is
+    computed on every read and not kept, so a caller holds only the
+    results it still references.
     Only `BisOracle.submit` builds one, after the plan was validated and
     charged, so a result exists only for queries already paid for.
     """
@@ -467,9 +488,10 @@ class BisOracle:
         """Validate and charge every query in the plan; one result per block.
 
         The whole plan is charged here, each block ``n_queries()``, whether
-        or not its result is ever read.  A result is the block's answer
-        array, or for a shared-plane block its (parts, reps) top depths,
-        row (p, r, i) answering 1 iff i > top[p, r]; it is evaluated when
+        or not its result is ever read.  A result is an explicit-row
+        block's answer array, a shared-plane block's (parts, reps) top
+        depths (row (p, r, i) answers 1 iff i > top[p, r]) or a recovery
+        block's pool of certified domain indices; it is evaluated when
         read (see `Results`), over the blocks the plan held at submit.
         """
         plan.validate()

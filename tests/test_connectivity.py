@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -6,11 +8,13 @@ from bisq import (BisOracle, QueryPlan, SupernodeOracle, VertexSet, contract,
                   round1_neighbor_sampling)
 from bisq import bitset, params
 from bisq.edge_sampler import OK, sample_edges_batch
-from bisq.element_recovery import build_neighbor_recovery
+from bisq.element_recovery import (NeighborRecovery,
+                                   build_neighbor_recovery)
 from bisq.graph import Graph
 from bisq.oracle import DenseBlock, SharedSubsampleBlock, SidesSubsampleBlock
 from bisq.params import Constants
 from bisq.seeding import rng_for
+from ser_reference import fresh_row_answers, reference_pool
 
 CONN_C = Constants(c_T=8.0, c2=1.0, c_lambda=16.0, ser_pool_scale=4.0,
                    c_nb=2.0, c_R=2.0)
@@ -43,9 +47,13 @@ def test_round1_isolated_vertex_contributes_nothing():
     assert all(0 not in e for e in edges)
 
 
-def _round1_reference(g, seed, constants):
+def _round1_reference(g, seed, constants, checked=None):
     """Round 1 the set-based way: per vertex, the first ``target`` pool
-    entries as (min, max) pairs; also whether any pool ran past target."""
+    entries as (min, max) pairs; also whether any pool ran past target.
+
+    The pools of the vertices in ``checked`` (all by default) must equal
+    the reference decode of fresh single answers to their blocks' rows.
+    """
     n = g.n
     target = params.neighbor_sample_target(n, constants)
     reps = params.round1_reps(n, constants)
@@ -55,10 +63,14 @@ def _round1_reference(g, seed, constants):
         left = VertexSet.from_indices(n, [v])
         recs.append(build_neighbor_recovery(left, full.difference(left), reps,
                                             (seed, "round1", v), tag="round1"))
-    answers = BisOracle(g).submit(QueryPlan(n, [r.block for r in recs]))
+    results = BisOracle(g).submit(QueryPlan(n, [r.block for r in recs]))
+    checked = range(n) if checked is None else checked
     edges, cut = set(), False
-    for v, (rec, ans) in enumerate(zip(recs, answers)):
-        pool = rec.decode_pool(ans)
+    for v, (rec, result) in enumerate(zip(recs, results)):
+        if v in checked:
+            assert result.tolist() == reference_pool(
+                rec.block, fresh_row_answers(g, rec.block)).tolist(), v
+        pool = rec.decode_pool(result)
         cut |= pool.size > target
         edges |= {(min(v, int(u)), max(v, int(u))) for u in pool[:target]}
     return edges, cut
@@ -72,12 +84,40 @@ def test_round1_matches_the_set_based_reference():
                                       inner="path")]):
         edges = round1_neighbor_sampling(BisOracle(g), seed=("ref", i),
                                          constants=c)
-        expect, cut = _round1_reference(g, ("ref", i), c)
+        # a row-by-row check of all 96 blocks would take about 20 s
+        expect, cut = _round1_reference(g, ("ref", i), c,
+                                        checked=(0, g.n // 2, g.n - 1))
         assert cut, i           # some pool is longer than target
         assert edges.dtype == np.int64 and edges.shape == (len(expect), 2)
         assert edges.tolist() == [list(e) for e in sorted(expect)]
         keys = edges[:, 0] * g.n + edges[:, 1]
         assert (edges[:, 0] < edges[:, 1]).all() and (np.diff(keys) > 0).all()
+
+
+def test_recovery_pools_are_pinned(monkeypatch):
+    # every recovery pool decoded by round 1 on a small clique graph and
+    # by the extended sketch of a small sampler batch, in decode order; a
+    # rewrite of the recovery kernel must not move a single entry
+    decode = NeighborRecovery.decode_pool
+    pools = []
+
+    def recorded(rec, result):
+        pool = decode(rec, result)
+        pools.append(pool.tolist())
+        return pool
+
+    monkeypatch.setattr(NeighborRecovery, "decode_pool", recorded)
+    g = gen_family("components", k=3, size=10, inner="clique")
+    round1_neighbor_sampling(BisOracle(g), seed=5, constants=CONN_C)
+    assert len(pools) == g.n
+    sample_edges_batch(BisOracle(gen_gnp(96, 0.03, seed=8)), 200, 0.25,
+                       seed=99, constants=Constants(
+                           c_T=8.0, c2=1.0, c_lambda=16.0,
+                           ser_pool_scale=4.0))
+    assert len(pools) > g.n and sum(map(len, pools)) > 1000
+    digest = hashlib.sha256(repr(pools).encode()).hexdigest()
+    assert digest == ("a2e04d4f389d888f2317358a0d4d4119"
+                      "4248925732a841682bc10214b1825277")
 
 
 def _bridged_cliques(k, size):
@@ -208,11 +248,11 @@ def test_contracted_oracle_matches_base_on_expanded_rows(n, density, kept,
     assert sup.ledger is base.ledger
     plan = _supernode_plan(rng, sg.p, reps, levels)
     before = base.ledger.snapshot()
-    results = list(sup.submit(plan))
-    results[1] = (np.arange(levels) > results[1][:, :, None]).ravel()
-    answers = np.concatenate(results)
+    dense, top, pool = sup.submit(plan)
+    answers = np.concatenate(
+        [dense, (np.arange(levels) > top[:, :, None]).ravel()])
     delta = base.ledger.delta(before)
-    assert delta["bis_count"] == plan.size() == answers.size
+    assert delta["bis_count"] == plan.size()
     assert delta["batch_count"] == 1 and delta["round_count"] == 1
     assert delta["phases"] == plan.phase_counts()
 
@@ -224,7 +264,12 @@ def test_contracted_oracle_matches_base_on_expanded_rows(n, density, kept,
     truth = BisOracle(g)
     expect = [truth.bis(expand(left), expand(right))
               for left, right in plan.iter_rows()]
-    assert answers.tolist() == expect
+    assert len(expect) == plan.size()
+    assert answers.tolist() == expect[:answers.size]
+    # the recovery block's result is its pool: the reference decode of
+    # its expanded rows' answers
+    assert pool.tolist() == reference_pool(
+        plan.blocks[2], expect[answers.size:]).tolist()
 
 
 def test_contracted_graph_without_recovered_edges_is_the_base_graph():

@@ -5,10 +5,12 @@ from bisq import (BisOracle, VertexSet, gen_family, gen_gnp, plan_ser,
                   decode_ser, answer_plan, uniform_neighbor_of_set)
 from bisq import bitset
 from bisq.element_recovery import build_neighbor_recovery
+from bisq.graph import Graph
 from bisq.oracle import QueryPlan, side_masks
 from bisq.params import (Constants, ser_bits, ser_levels, ser_plan_size,
                          ser_reps)
 from bisq.seeding import rng_for
+from ser_reference import fresh_row_answers, reference_pool
 
 
 def _answers_for_support(plan, support):
@@ -162,8 +164,10 @@ def test_recovery_soundness_against_oracle():
         L = VertexSet.from_indices(96, ids[:3])
         R = VertexSet.from_indices(96, ids[3:60])
         rec = build_neighbor_recovery(L, R, reps=12, seed=seed)
-        answers = o.submit(QueryPlan(96, [rec.block]))[0]
-        pool = rec.decode_pool(answers)
+        result = o.submit(QueryPlan(96, [rec.block]))[0]
+        assert result.tolist() == reference_pool(
+            rec.block, fresh_row_answers(g, rec.block)).tolist()
+        pool = rec.decode_pool(result)
         gamma = g.neighborhood_words(L.members())
         for v in pool:
             assert bitset.contains(gamma, int(v))
@@ -214,16 +218,66 @@ def _edge_domains(test):
 @given(st.integers(1, 200), st.integers(0, 10 ** 6))
 @_edge_domains
 def test_answer_plan_equals_row_by_row_or(domain, seed):
-    # reference: every materialized row of the plan's block ANDed with x
+    # reference: the decode of every materialized row of the plan's block
+    # ANDed with x
     rng = rng_for("row-or", seed)
     reps = int(rng.integers(1, 4))
     support = np.flatnonzero(rng.random(domain) < rng.random())
     plan = plan_ser(domain, delta=0.3, seed=("row-or", seed), reps=reps)
     x = bitset.pack_indices(domain, support)
     expect = [0 if (rw & x).any() else 1 for _, rw in plan.block.iter_rows()]
-    answers = answer_plan(plan, x)
-    assert answers.dtype == np.uint8
-    assert answers.tolist() == expect
+    pool = answer_plan(plan, x)
+    assert pool.dtype == np.int64
+    assert pool.tolist() == reference_pool(plan.block, expect).tolist()
+
+
+def _edge_support(domain, kind, rng):
+    """Support of the given kind in 0..domain-1: empty, one index, the
+    whole domain, or a nonempty part of the last word alone."""
+    if kind == "empty":
+        return np.zeros(0, dtype=np.int64)
+    if kind == "singleton":
+        return np.array([int(rng.integers(domain))])
+    if kind == "whole":
+        return np.arange(domain)
+    tail = np.arange(bitset.WORD_BITS * (bitset.word_count(domain) - 1),
+                     domain)
+    return np.union1d(tail[rng.random(tail.size) < 0.5],
+                      [int(rng.choice(tail))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 63, 64, 65]),
+       st.sampled_from(["empty", "singleton", "whole", "tail"]),
+       st.integers(1, 4), st.integers(0, 10 ** 6))
+def test_pool_equals_reference_decode_at_word_edges(domain, kind, reps,
+                                                    seed):
+    # the abstract plan (answer_plan) and the same domain as the
+    # neighbors of one extra vertex (evaluate), each against the decode
+    # of its rows' answers; domain 1 is the one-level plan
+    support = _edge_support(domain, kind, rng_for("edge-support", seed))
+    plan = plan_ser(domain, delta=0.3, seed=("edge", seed), reps=reps)
+    x = bitset.pack_indices(domain, support)
+    expect = [0 if (rw & x).any() else 1 for _, rw in plan.block.iter_rows()]
+    pool = answer_plan(plan, x)
+    assert pool.tolist() == reference_pool(plan.block, expect).tolist()
+    assert set(pool.tolist()) <= set(support.tolist())
+
+    g = Graph.from_edges(domain + 1, [(domain, int(v)) for v in support])
+    rec = build_neighbor_recovery(
+        VertexSet.from_indices(domain + 1, [domain]),
+        VertexSet.from_indices(domain + 1, range(domain)), reps,
+        ("edge", seed))
+    result = BisOracle(g).submit(QueryPlan(domain + 1, [rec.block]))[0]
+    assert result.dtype == np.int64
+    assert result.tolist() == reference_pool(
+        rec.block, fresh_row_answers(g, rec.block)).tolist()
+    if kind == "empty":
+        assert pool.size == result.size == 0
+    if support.size == 1:
+        # one vertex: every repetition certifies level 0
+        assert pool.size == result.size == reps
+        assert (pool == support[0]).all() and (result == support[0]).all()
 
 
 @settings(max_examples=30, deadline=None)

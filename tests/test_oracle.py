@@ -10,6 +10,7 @@ from bisq.graph import gen_family
 from bisq.oracle import (DenseBlock, SharedSubsampleBlock,
                          SidesSubsampleBlock, _depth_slab, side_masks)
 from bisq.seeding import rng_for
+from ser_reference import fresh_row_answers, reference_pool
 
 
 def _expand_top(top, levels):
@@ -451,33 +452,34 @@ def test_sides_block_matches_single_queries(n, p, reps, few, seed):
     assert blocks[4].n_queries() == reps * 2    # domain 1: whole, verify
 
     o = BisOracle(g)
-    answers = o.submit(QueryPlan(n, blocks))
+    pools = o.submit(QueryPlan(n, blocks))
     assert o.ledger.bis_count == sum(b.n_queries() for b in blocks)
     assert o.ledger.phases == {b.tag: b.n_queries() for b in blocks}
-    assert answers[0].all() and answers[4].all()   # empty support
-    fresh = BisOracle(g)
-    for block, ans in zip(blocks, answers):
-        assert ans.size == block.n_queries()
-        for a, (lw, rw) in zip(ans, block.iter_rows()):
-            assert int(a) == fresh.bis(VertexSet(n, lw.copy()),
-                                       VertexSet(n, rw.copy()))
+    rows = [fresh_row_answers(g, block) for block in blocks]
+    assert all(rows[0]) and all(rows[4])          # empty support
+    for block, pool, answers in zip(blocks, pools, rows):
+        assert len(answers) == block.n_queries()
+        assert pool.dtype == np.int64
+        assert pool.tolist() == reference_pool(block, answers).tolist()
+    assert pools[0].size == pools[4].size == 0
+    assert pools[5].size and not pools[5].any()   # domain 1: index 0
 
 
 def test_subsample_rows_lie_inside_base():
     # a seeded block over a base with no edge to left: every row is
     # masks & side, inside base, so evaluate, which reads only
-    # Gamma(left) ∩ base, agrees with a fresh bis on every iter_rows row
+    # Gamma(left) ∩ base, agrees with a fresh bis on every iter_rows row:
+    # all answer 1, and the pool is empty
     n = 70
     g = gen_gnp(n, 0.1, seed=1)
     left = VertexSet.from_indices(n, [0])
     others = VertexSet.full(n).difference(left)
     base = others.difference(VertexSet.from_indices(n, g.neighbors(0)))
     block = SidesSubsampleBlock("sides", left.words, base.words, 2, 5)
-    answers = BisOracle(g).submit(QueryPlan(n, [block]))[0]
-    fresh = BisOracle(g)
-    rows = [fresh.bis(VertexSet(n, lw.copy()), VertexSet(n, rw.copy()))
-            for lw, rw in block.iter_rows()]
-    assert answers.tolist() == rows == [1] * block.n_queries()
+    pool = BisOracle(g).submit(QueryPlan(n, [block]))[0]
+    rows = fresh_row_answers(g, block)
+    assert rows == [1] * block.n_queries()
+    assert pool.tolist() == reference_pool(block, rows).tolist() == []
 
 
 _SEED_KEYS = st.one_of(

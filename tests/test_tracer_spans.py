@@ -76,10 +76,18 @@ def test_traced_command_enters_its_spans(workload, tmp_path):
          "--out", str(tmp_path / "report.jsonl")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    spans = json.loads(trace_path.read_text())["spans"]
+    trace = json.loads(trace_path.read_text())
+    spans = trace["spans"]
     assert set(spans) == {name for name, _, _ in SPANS}
     required = WORKLOADS[workload].spans
     assert required
     assert [name for name in required if not spans[name]["calls"]] == []
     assert {name: s["errors"] for name, s in spans.items()
             if s["errors"]} == {}
+    if workload.startswith("connectivity"):
+        # the recovery probes read result.size of SidesSubsampleBlock.evaluate
+        # and NeighborRecovery.decode_pool: both results are pools, and the
+        # tiny cliques recover neighbors
+        counters = trace["counters"]
+        assert counters["sides.queries"] > 0
+        assert counters["ser_pool_entries"] > 0
