@@ -14,7 +14,8 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 # pairs per bitwise_or.at call in or_bits
 _PAIR_SLICE = 1 << 16
 # bytes per array of one step of a blocked evaluation: a repetition chunk
-# of SharedSubsampleBlock.evaluate, a row block of Graph.neighborhood_rows
+# of SharedSubsampleBlock.evaluate or a block of its histogram keys, a row
+# block of Graph.neighborhood_rows or of Graph.csr
 SCRATCH_BYTES = 1 << 18
 
 

@@ -4,11 +4,10 @@ Each repetition assigns the vertices of S to random cells; the
 neighborhood size of each nonempty cell (against everything outside it)
 upper-bounds the degree of each of its members up to the other members'
 degree mass, and the minimum over repetitions tightens the overestimate.
-Each repetition submits one shared-plane block over all its cells and
-reads back the top survival depth per (cell, rep); a cell's no-edge count
-at level i is the number of reps whose top is below i, so the counts of
-every cell are one cumulative histogram of top + 1, decoded in one
-stacked ``decode_ns`` call.
+Each repetition submits its cell assignment as one shared-plane block,
+a part per cell against the whole vertex set, whose result is every
+cell's per-level no-edge counts, decoded in one stacked ``decode_ns``
+call.
 Extended mode additionally plans, per cell, the recovery of uniform
 members of the cell's outside neighborhood.  Every recovery block is
 charged at submit, but a cell's block is evaluated and its pool decoded
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import bitset, params
 from .graph import VertexSet
-from .nbr_size import NsParams, counts_from_top, decode_ns
+from .nbr_size import NsParams, decode_ns
 from .oracle import BisOracle, QueryPlan, SharedSubsampleBlock
 from .element_recovery import build_neighbor_recovery
 from .params import Constants
@@ -86,6 +85,21 @@ def _cells(assignment_row: np.ndarray):
     return np.unique(assignment_row, return_inverse=True, return_counts=True)
 
 
+def _recoveries(n: int, members: np.ndarray, cell_ids: np.ndarray,
+                cell_of: np.ndarray, ser_reps: int, key: tuple, tag: str):
+    """One neighbor recovery per cell of a repetition, cell id ascending,
+    each from the cell to everything outside it; ``key`` + (cell id,)
+    seeds it.  A cell holding every vertex has no outside to recover
+    from: it plans no block (None) and gets an empty pool (being the
+    repetition's only cell, it moves no other block's slot)."""
+    lefts = bitset.pack_rows(n, cell_of, members, cell_ids.size)
+    bases = bitset.trim_tail(~lefts, n)
+    return [build_neighbor_recovery(VertexSet(n, left), VertexSet(n, base),
+                                    ser_reps, key + (cell_id,), tag=tag)
+            if base.any() else None
+            for cell_id, left, base in zip(cell_ids.tolist(), lefts, bases)]
+
+
 def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                 profile: str, constants: Constants, extended: bool,
                 tag: str):
@@ -111,30 +125,22 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
                                        constants)
     ns = sketch_ns(n, epsilon, profile, constants)
     ser_reps = params.ser_pool_reps(n, epsilon, constants)
+    everything = VertexSet.full(n)
 
     with oracle.round():
         for t in range(schedule.reps):
             cell_ids, cell_of, sizes = _cells(schedule.assignment[t])
-            lefts = bitset.pack_rows(n, cell_of, members, cell_ids.size)
-            bases = bitset.trim_tail(~lefts, n)
-            # a cell holding every vertex has no outside to recover from:
-            # it plans no block and gets an empty pool (being the
-            # repetition's only cell, it moves no other block's slot)
-            recoveries = [
-                build_neighbor_recovery(
-                    VertexSet(n, left), VertexSet(n, base), ser_reps,
-                    (seed, "deg-ser", t, cell_id), tag=tag + "-ser")
-                if base.any() else None
-                for cell_id, left, base in zip(cell_ids.tolist(), lefts,
-                                               bases)] if extended else []
+            recoveries = (_recoveries(n, members, cell_ids, cell_of, ser_reps,
+                                      (seed, "deg-ser", t), tag + "-ser")
+                          if extended else [])
             plan = QueryPlan(n, [SharedSubsampleBlock(
-                tag, list(zip(lefts, bases)), ns.reps, ns.levels,
-                (seed, "deg-planes", t))])
+                tag, members, cell_of, cell_ids.size, everything, ns.reps,
+                ns.levels, (seed, "deg-planes", t))])
             for rec in recoveries:
                 if rec is not None:
                     plan.add(rec.block)
             results = oracle.submit(plan)
-            est = decode_ns(counts_from_top(results[0], ns), ns)
+            est = decode_ns(results[0], ns)
             ns_failures += int(np.count_nonzero(est == np.inf))
             # inf (a failed decode) cannot sink the min over repetitions
             est = np.minimum(est, n - sizes)[cell_of]

@@ -197,8 +197,11 @@ def sample_edges_batch(oracle: BisOracle, k: int, epsilon: float, seed,
     table = _prepare(result)
     if table is None:
         # the coarse bootstrap gives exactly 2 only when no rate saw an
-        # edge (and at least 16 otherwise), so a larger m0 means the final
-        # pass lost a graph that has edges
-        return SampleBatch.undrawn(k, FAILURE if result.m0 > 2.0
-                                   else NO_EDGES)
+        # edge (and at least 16 otherwise), and a positive degree estimate
+        # (the failed sentinel n too) means every repetition's cell of
+        # that vertex had a nonempty support; either way the final pass
+        # lost a graph that has edges
+        seen = result.m0 > 2.0 or any(
+            (t.d_hat > 0).any() for t in result.tables.values())
+        return SampleBatch.undrawn(k, FAILURE if seen else NO_EDGES)
     return _draw(table, k, rng_for(seed, "draw"))

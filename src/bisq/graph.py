@@ -79,10 +79,11 @@ class Graph:
     """Simple undirected graph with packed adjacency.
 
     Vertex ids are dense 0..n-1.  Construction validates simplicity
-    (no self-loops, symmetric adjacency) and caches m.
+    (no self-loops, symmetric adjacency) and caches m.  The adjacency
+    lists (``csr``) are built on first use, not here.
     """
 
-    __slots__ = ("n", "adj_words", "m", "_degrees")
+    __slots__ = ("n", "adj_words", "m", "_degrees", "_csr")
 
     def __init__(self, n: int, adj_words: np.ndarray):
         if adj_words.shape != (n, bitset.word_count(n)):
@@ -97,6 +98,7 @@ class Graph:
         if total % 2:
             raise ValueError("degree sum is odd; adjacency not symmetric")
         self.m = total // 2
+        self._csr = None
         self._check_invariants()
 
     def _check_invariants(self) -> None:
@@ -146,6 +148,30 @@ class Graph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return bitset.members(self.adj_words[v], self.n)
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency lists (indptr, indices), int64: the neighbors of v,
+        ascending, are indices[indptr[v]:indptr[v + 1]].
+
+        O(n + m), built on first use and kept.  The bit rows are unpacked
+        in blocks of about ``bitset.SCRATCH_BYTES`` of adjacency words, so
+        the transient stays small next to the lists.
+        """
+        if self._csr is None:
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(self._degrees, out=indptr[1:])
+            indices = np.empty(indptr[-1], dtype=np.int64)
+            step = max(1, bitset.SCRATCH_BYTES
+                       // (8 * max(1, self.adj_words.shape[1])))
+            for a in range(0, self.n, step):
+                b = min(a + step, self.n)
+                indices[indptr[a]:indptr[b]] = bitset.members_rows(
+                    self.adj_words[a:b], self.n)[1]
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._csr = (indptr, indices)
+        return self._csr
 
     def neighborhood_words(self, member_ids: np.ndarray) -> np.ndarray:
         """Packed union of adjacency rows: Gamma(S) for S given by ids."""

@@ -4,9 +4,9 @@ The plan subsamples R at geometric rates 2^-i and counts, per level, how
 many of T repetitions produce a no-edge answer against L.  Decoding finds
 the first level whose no-edge frequency clears a fixed threshold and
 inverts the closed form E[count]/T = (1 - 2^-i)^N.  The plan is the
-degree sketch's shared-plane block with one part, (L, R), and its counts
-come from the block's top depths (``counts_from_top``) as a plain
-(parts, levels) array.  ``decode_ns`` decodes one row or a stack of rows
+degree sketch's shared-plane block with one part, L against the base R,
+and the block evaluates straight to its counts, a plain (parts, levels)
+array.  ``decode_ns`` decodes one row or a stack of rows
 (one per cell of the sketch) in one pass, giving ``inf`` for a row that
 fails; its logarithms are ``math.log`` values tabled by count and by
 level, so a row decodes to the same float alone or stacked.
@@ -35,8 +35,6 @@ _THRESHOLD_BASE = 1.0 / (2.0 * math.e ** 2)
 # a decoded value below this, with a provably nonempty neighborhood,
 # can only be size 1
 _UNIT_CUTOFF = 1.5
-# bincount keys per block of parts in counts_from_top
-_KEYS_PER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,39 +65,16 @@ def plan_ns(left: VertexSet, right: VertexSet, ns: NsParams, seed,
     """Build the full query plan; issues no oracle queries.
 
     Entry (i, t) is (L, R_i^t) where R_i^t keeps each member of R with
-    probability 2^-i: one shared-plane block with the one part (L, R) and
-    planes drawn from (seed, "ns-plan"), row index t * levels + i.
+    probability 2^-i: one shared-plane block whose one part is L's
+    members against the base R, planes drawn from (seed, "ns-plan"), row
+    index t * levels + i.
     """
     if not left.isdisjoint(right):
         raise ValueError("left and right sets overlap")
+    ids = left.members()
     return QueryPlan(left.n, [SharedSubsampleBlock(
-        tag, [(left.words, right.words)], ns.reps, ns.levels,
+        tag, ids, np.zeros_like(ids), 1, right, ns.reps, ns.levels,
         (seed, "ns-plan"))])
-
-
-def counts_from_top(top: np.ndarray, ns: NsParams) -> np.ndarray:
-    """Per-level no-edge counts, int64 of shape (parts, levels), each in
-    0..reps, from a shared-plane block's top.
-
-    Row (p, r, i) answers 1 iff i > top[p, r], so the count at level i is
-    the number of reps with top + 1 <= i: a cumulative histogram of
-    top + 1 over 0..levels.  The parts go through in blocks of rows whose
-    bincount keys number about ``_KEYS_PER_BLOCK``, each block's counts
-    written into the preallocated result, so the scratch stays fixed
-    however many parts and reps there are.
-    """
-    parts, reps = top.shape
-    bins = ns.levels + 1
-    counts = np.empty((parts, ns.levels), dtype=np.int64)
-    rows = max(1, _KEYS_PER_BLOCK // reps)
-    for lo in range(0, parts, rows):
-        block = top[lo:lo + rows]
-        keys = np.add(block, 1, dtype=np.int64)
-        keys += np.arange(block.shape[0])[:, None] * bins
-        hist = np.bincount(keys.ravel(), minlength=block.shape[0] * bins)
-        np.cumsum(hist.reshape(-1, bins)[:, :ns.levels], axis=1,
-                  out=counts[lo:lo + rows])
-    return counts
 
 
 def decode_ns(counts: np.ndarray, ns: NsParams) -> np.ndarray:
@@ -157,8 +132,8 @@ def estimate_ns(oracle: BisOracle, left: VertexSet, right: VertexSet,
     ns = NsParams.create(oracle.n, epsilon, delta, profile, constants)
     plan = plan_ns(left, right, ns, seed, tag=tag)
     with oracle.round():
-        top = oracle.submit(plan)[0]
-    estimate = float(decode_ns(counts_from_top(top, ns)[0], ns))
+        counts = oracle.submit(plan)[0]
+    estimate = float(decode_ns(counts[0], ns))
     if estimate == math.inf:
         raise NsDecodeError("zero count at the selected decode level")
     return min(estimate, float(len(right)))

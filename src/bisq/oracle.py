@@ -8,7 +8,8 @@ any prior answer costs one adaptivity round, which callers express with
 
 Blocks come in three kinds, each storing only what its rows are a
 function of: explicit rows (the coarse bootstrap), subsample planes
-shared by many (left, base) parts (the degree sketch, a part per cell,
+shared by many parts, each a left against one shared base minus that
+left (the degree sketch's cell assignment against the whole vertex set,
 and the NS plan, one part), and the subsample masks of single element
 recovery, cut by bit-decoding sides derived from ``base`` itself
 (``side_masks``): every SER plan, over the graph or over an abstract
@@ -28,9 +29,8 @@ still references.  A block's result is a summary from which its
 callers read what they need, so no subsample block builds its answers:
 - an explicit-row block: its answers, one uint8 per row in `iter_rows`
   order;
-- a shared-plane block: the int8 top survival depths of shape (parts,
-  reps); row (p, r, i) answers 1 iff i > top[p, r], and the degree
-  sketch and the NS estimator read per-level counts from them;
+- a shared-plane block: its per-level no-edge counts, int64 of shape
+  (parts, levels), which the degree sketch and the NS estimator decode;
 - a recovery block: its pool, the int64 domain indices its answers
   certify, in scan order (``SidesSubsampleBlock.pool``).
 """
@@ -151,9 +151,10 @@ def _rank_runs(k: np.ndarray, order: np.ndarray, rows: np.ndarray,
     """
     first = (np.cumsum(k) - k)[order]
     k = k[order]
+    rising = k[::-1]
     runs = []
     lo = 0
-    for hi in np.unique(k).tolist():
+    for hi in rising[np.diff(rising, prepend=0) > 0].tolist():
         m = int(np.count_nonzero(k > lo))
         step = max(1, bitset.SCRATCH_BYTES // (m * chunk))
         runs += [(m, rows[first[:m, None] + np.arange(j, min(j + step, hi))])
@@ -171,8 +172,35 @@ def _fold_maxima(slab: np.ndarray, runs: list, parts: int) -> np.ndarray:
     return acc
 
 
+def _add_histogram(hist: np.ndarray, acc: np.ndarray,
+                   order: np.ndarray) -> None:
+    """hist[order[j], v] += the number of entries of acc[j] equal to v,
+    in place; one bincount per block of rows holding at most
+    ``bitset.SCRATCH_BYTES`` of int64 keys."""
+    levels = hist.shape[1]
+    rows = max(1, bitset.SCRATCH_BYTES // (8 * acc.shape[1]))
+    for lo in range(0, acc.shape[0], rows):
+        keys = acc[lo:lo + rows].astype(np.intp)
+        keys += np.arange(0, keys.shape[0] * levels, levels)[:, None]
+        hist[order[lo:lo + rows]] += np.bincount(
+            keys.ravel(), minlength=keys.shape[0] * levels).reshape(-1, levels)
+
+
 class SharedSubsampleBlock:
-    """Many (left, base) pairs sharing one stack of seeded subsample planes.
+    r"""Parts (left_p, B \ left_p) sharing one stack of seeded subsample
+    planes.
+
+    The block holds the member ids of its lefts, ``members``, the part
+    id of each, ``part``, and one base vertex set B that every part
+    shares; ``parts`` is range(number of parts), and a part may have no
+    member.  Part p is (left_p, B \ left_p), left_p being the members
+    with part id p.  The lefts are disjoint, so a cell assignment is a
+    block as it stands: the degree sketch passes its cells with B = V (a
+    part per cell, each against everything outside it), and the NS plan
+    passes L as the one part with B = R.  A row of part p lies inside
+    B \ left_p, so no row can overlap its left: ``validate`` refuses only
+    a malformed block, one with a repeated or out-of-range member or an
+    out-of-range part id.
 
     The planes, of shape (reps, levels, w), are nested subsamples of the
     whole vertex domain drawn from ``rng_for(*stream)`` (level 0 holds
@@ -181,27 +209,32 @@ class SharedSubsampleBlock:
     all at once, the reference that ``iter_rows`` reads; ``evaluate``
     draws them a chunk of repetitions at a time from one generator, which
     gives the same planes.  The materialized row for part p is
-    planes[r, i] & base_p.  Row index: p * reps * levels + r * levels + i.
-    ``parts`` is nonempty: a cell each in the degree sketch, or the one
-    (L, R) of the NS plan.
+    planes[r, i] & (B \ left_p).  Row index: p * reps * levels +
+    r * levels + i.
 
     Evaluation uses survival depths (the max-rank idea of Flajolet-Martin
     and HyperLogLog): depth[u, r] is the deepest level whose plane holds
     u.  Nesting makes u present at every level up to its depth, so row
     (p, r, i) hits an edge iff the largest depth over part p's support
-    Gamma(left_p) ∩ base_p is at least i.  ``evaluate`` returns those
-    maxima, top of shape (parts, reps), instead of the answers: row
-    (p, r, i) answers 1 iff i > top[p, r], so top encodes every answer.
-    Only top is of full (parts, reps) size; every chunk array holds at
-    most ``bitset.SCRATCH_BYTES``.
+    Gamma(left_p) ∩ (B \ left_p) is at least i.  Each chunk's maxima
+    (``_maxima``) are histogrammed straight into per-level no-edge
+    counts, which is what ``evaluate`` returns; the maxima themselves
+    are never kept for all repetitions.  Supports come from the graph's
+    adjacency lists, so no array of (parts, w) words is built, and every
+    chunk array holds at most ``bitset.SCRATCH_BYTES``.
     """
 
-    __slots__ = ("tag", "parts", "reps", "levels", "stream")
+    __slots__ = ("tag", "members", "part", "parts", "base", "reps", "levels",
+                 "stream")
 
-    def __init__(self, tag: str, parts: list[tuple[np.ndarray, np.ndarray]],
-                 reps: int, levels: int, stream: tuple):
+    def __init__(self, tag: str, members: np.ndarray, part: np.ndarray,
+                 parts: int, base: VertexSet, reps: int, levels: int,
+                 stream: tuple):
         self.tag = tag
-        self.parts = parts
+        self.members = np.asarray(members, dtype=np.int64)
+        self.part = np.asarray(part, dtype=np.int64)
+        self.parts = range(parts)
+        self.base = base
         self.reps = reps
         self.levels = levels
         self.stream = stream
@@ -215,61 +248,114 @@ class SharedSubsampleBlock:
             rng_for(*self.stream), np.full(w, ~np.uint64(0)), self.levels,
             self.reps, cols)
 
-    def _stack(self, side: int) -> np.ndarray:
-        """The parts' lefts (side 0) or bases (side 1) as (parts, w)."""
-        return np.array([part[side] for part in self.parts], dtype=np.uint64)
-
     def validate(self) -> None:
-        bad = (self._stack(0) & self._stack(1)).any(axis=1)
-        if bad.any():
-            raise DisjointnessError(
-                f"block {self.tag!r}: part {int(np.argmax(bad))} left "
-                "overlaps base")
+        if self.part.shape != self.members.shape:
+            raise ValueError(f"block {self.tag!r}: one part id per member")
+        ids = np.sort(self.members)
+        if ids.size and (ids[0] < 0 or ids[-1] >= self.base.n):
+            raise ValueError(f"block {self.tag!r}: member out of range "
+                             f"0..{self.base.n - 1}")
+        if (ids[1:] == ids[:-1]).any():
+            raise ValueError(f"block {self.tag!r}: member repeated")
+        if self.part.size and (self.part.min() < 0
+                               or self.part.max() >= len(self.parts)):
+            raise ValueError(f"block {self.tag!r}: part id out of range "
+                             f"0..{len(self.parts) - 1}")
 
-    def evaluate(self, graph: Graph) -> np.ndarray:
-        """Top depths, int8 of shape (parts, reps); -1 for empty supports.
+    def _supports(self, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+        """(part, id) of every support vertex, part-major, ids ascending.
 
-        The repetitions go through in chunks sized so that no array of a
-        chunk exceeds ``bitset.SCRATCH_BYTES``.  A chunk's planes are
-        drawn from the block's one generator on the word columns holding
-        a support vertex only (full-range draws concatenate, so the chunks
-        together are the whole draw), summed into a vertex-major depth
-        slab, and each support's maximum over its slab rows is folded in
-        by runs of ranks (``_rank_runs``).
+        The members' adjacency lists are gathered in one index array;
+        a neighbor stays if it lies in B and outside its own part's left,
+        and repeats go by sorting (part, id) keys.
         """
-        top = np.full((len(self.parts), self.reps), -1, dtype=np.int8)
-        gammas = graph.neighborhood_rows(self._stack(0))   # the supports
-        gammas &= self._stack(1)
-        part, ids = bitset.members_rows(gammas, graph.n)
-        del gammas
+        n = graph.n
+        indptr, indices = graph.csr
+        start = indptr[self.members]
+        deg = indptr[self.members + 1] - start
+        at = np.repeat(start - (np.cumsum(deg) - deg), deg)
+        at += np.arange(at.size)
+        ids = indices[at]
+        part = np.repeat(self.part, deg)
+        del at, start, deg
+        owner = np.full(n, -1, dtype=np.int64)
+        owner[self.members] = self.part
+        keep = owner[ids] != part
+        keep &= (self.base.words[ids >> 6] >> (ids & 63).astype(np.uint64)
+                 & np.uint64(1)).astype(bool)
+        key = part[keep] * n + ids[keep]
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+        return key // n, key % n
+
+    def _maxima(self, graph: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each repetition chunk's top depths, chunks in draw order.
+
+        Yields (order, acc): ``order`` lists the parts with a nonempty
+        support, largest first, and acc, int8 of shape (order.size, c),
+        holds part order[j]'s maximum depth over its support in each of
+        the chunk's c repetitions.  A part with an empty support has no
+        hit at any level and appears in no chunk.  Chunks are sized so
+        that no array of a chunk exceeds ``bitset.SCRATCH_BYTES``.  A
+        chunk's planes are drawn from the block's one generator on the
+        word columns holding a support vertex only (full-range draws
+        concatenate, so the chunks together are the whole draw), summed
+        into a vertex-major depth slab, and each support's maximum over
+        its slab rows is folded in by runs of ranks (``_rank_runs``).
+        """
+        part, ids = self._supports(graph)
         if not ids.size:
-            return top
-        w = graph.adj_words.shape[1]
-        cols = np.unique(ids >> 6)
+            return
+        w = self.base.words.size
+        col = ids >> 6
+        held = np.bincount(col, minlength=w) > 0
+        cols = np.flatnonzero(held)
         k = np.bincount(part, minlength=len(self.parts))
         order = np.argsort(-k, kind="stable")[:np.count_nonzero(k)]
         # bytes per rep of the largest chunk array: the coin draw, the
         # depth slab or the maxima
         chunk = max(1, bitset.SCRATCH_BYTES // max(
             8 * self.levels * w, bitset.WORD_BITS * cols.size, order.size))
-        runs = _rank_runs(k, order, np.searchsorted(cols, ids >> 6)
+        runs = _rank_runs(k, order, (np.cumsum(held) - 1)[col]
                           * bitset.WORD_BITS + (ids & 63), chunk)
-        del part, ids
+        del part, ids, col
         rng = rng_for(*self.stream)
         full = np.full(w, ~np.uint64(0))
-        # each chunk's planes and slab are temporaries, gone before the
-        # next chunk is drawn
+        if cols.size == w:
+            cols = None       # every column: the draw needs no slicing
+        # each chunk's planes and slab are temporaries, gone before its
+        # maxima are yielded
         for r0 in range(0, self.reps, chunk):
-            c = min(chunk, self.reps - r0)
-            slab = _depth_slab(
-                bitset.nested_rate_masks(rng, full, self.levels, c, cols))
-            top[order, r0:r0 + c] = _fold_maxima(slab, runs, order.size)
-            del slab
-        return top
+            yield order, _fold_maxima(_depth_slab(bitset.nested_rate_masks(
+                rng, full, self.levels, min(chunk, self.reps - r0), cols)),
+                runs, order.size)
+
+    def evaluate(self, graph: Graph) -> np.ndarray:
+        """Per-level no-edge counts, int64 of shape (parts, levels), each
+        in 0..reps.
+
+        Row (p, r, i) answers 1 iff i exceeds part p's top depth in
+        repetition r, so the count at level i is reps minus the number of
+        repetitions whose top is i or more: a suffix sum of the histogram
+        of tops, which each chunk of ``_maxima`` adds to.  A part with an
+        empty support has no top in any repetition and counts reps at
+        every level.
+        """
+        counts = np.zeros((len(self.parts), self.levels), dtype=np.int64)
+        for order, acc in self._maxima(graph):
+            _add_histogram(counts, acc, order)
+            del acc           # gone before the next chunk is drawn
+        flipped = counts[:, ::-1]
+        np.cumsum(flipped, axis=1, out=flipped)
+        np.subtract(self.reps, counts, out=counts)
+        return counts
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        planes = self.draw_planes(self.parts[0][1].size)
-        for left, base in self.parts:
+        n = self.base.n
+        planes = self.draw_planes(self.base.words.size)
+        for p in self.parts:
+            left = bitset.pack_indices(n, self.members[self.part == p])
+            base = self.base.words & ~left
             for r in range(self.reps):
                 for i in range(self.levels):
                     yield left, planes[r, i] & base
@@ -420,7 +506,8 @@ class Results(Sequence):
     """Results of one charged submission, one per block, evaluated when read.
 
     Item i is ``blocks[i].evaluate(graph)``: explicit-row answers, a
-    shared-plane block's top depths or a recovery block's pool.  It is
+    shared-plane block's per-level no-edge counts or a recovery block's
+    pool.  It is
     computed on every read and not kept, so a caller holds only the
     results it still references.
     Only `BisOracle.submit` builds one, after the plan was validated and
@@ -489,10 +576,11 @@ class BisOracle:
 
         The whole plan is charged here, each block ``n_queries()``, whether
         or not its result is ever read.  A result is an explicit-row
-        block's answer array, a shared-plane block's (parts, reps) top
-        depths (row (p, r, i) answers 1 iff i > top[p, r]) or a recovery
-        block's pool of certified domain indices; it is evaluated when
-        read (see `Results`), over the blocks the plan held at submit.
+        block's answer array, a shared-plane block's (parts, levels)
+        no-edge counts (the count at (p, i) is the number of repetitions
+        whose row (p, r, i) answers 1) or a recovery block's pool of
+        certified domain indices; it is evaluated when read (see
+        `Results`), over the blocks the plan held at submit.
         """
         plan.validate()
         rounds = self._charge_round()

@@ -378,3 +378,40 @@ def test_cli_import_leaves_out_the_worker_pool():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _statuses(report):
+    return [rec["status"] for rec in map(json.loads, report.splitlines())
+            if "status" in rec]
+
+
+def test_sample_reports_no_edges_only_on_edgeless_graphs():
+    # on path:n=2 the coarse bootstrap sees no edge (m0 = 2) at 7 of these
+    # seeds, but the degree tables hold a positive estimate, so a draw
+    # with nothing to draw from is a failure there; an edgeless graph
+    # still reports no_edges
+    for seed in range(13):
+        code, out = run_cli(["sample", "--gen", "path:n=2", "--seed",
+                             str(seed)])
+        assert code == 0
+        statuses = _statuses(out)
+        assert len(statuses) == 1 and statuses != ["no_edges"]
+    code, out = run_cli(["sample", "--gen", "gnp:n=32,p=0,seed=1",
+                         "--seed", "3"])
+    assert code == 0
+    assert _statuses(out) == ["no_edges"]
+
+
+def test_estimate_leaves_out_numpy_ma():
+    # plain np.unique imports numpy.ma (about 0.6 MiB and 8-13 ms); no
+    # call on the estimate path may reach it
+    code = ("import io, sys, contextlib, bisq.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    bisq.cli.main(['estimate', '--gen', 'gnp:n=128,p=0.05,"
+            "seed=1', '--epsilon', '0.5', '--seed', '1', '--cT', '2', "
+            "'--c2', '4', '--clambda', '1', '--with-truth'])\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -215,18 +215,24 @@ def _disjoint_pair(rng, p):
 
 
 def _supernode_plan(rng, p, reps, levels):
-    """One block of each type, in supernode space."""
+    """One block of each type, in supernode space; the shared-plane
+    block splits a random third of the supernodes into three lefts
+    against a random shared base."""
     w = bitset.word_count(p)
     groups = [_disjoint_pair(rng, p) for _ in range(3)]
     lefts = np.array([left for left, _ in groups for _ in range(2)])
     rights = np.array([right & bitset.random_planes(rng, w)
                        for _, right in groups for _ in range(2)])
     left, base = _disjoint_pair(rng, p)
+    members = np.flatnonzero(rng.integers(0, 3, size=p) == 0)
+    shared_base = VertexSet.from_indices(
+        p, np.flatnonzero(rng.integers(0, 2, size=p)))
     return QueryPlan(p, [
         DenseBlock("dense", lefts, rights),
-        SharedSubsampleBlock("shared",
-                             [_disjoint_pair(rng, p) for _ in range(3)],
-                             reps, levels, (int(rng.integers(2 ** 32)),)),
+        SharedSubsampleBlock("shared", members,
+                             rng.integers(0, 3, size=members.size), 3,
+                             shared_base, reps, levels,
+                             (int(rng.integers(2 ** 32)),)),
         SidesSubsampleBlock("sides", left, base, reps,
                             int(rng.integers(2 ** 32)))])
 
@@ -248,9 +254,15 @@ def test_contracted_oracle_matches_base_on_expanded_rows(n, density, kept,
     assert sup.ledger is base.ledger
     plan = _supernode_plan(rng, sg.p, reps, levels)
     before = base.ledger.snapshot()
-    dense, top, pool = sup.submit(plan)
-    answers = np.concatenate(
-        [dense, (np.arange(levels) > top[:, :, None]).ravel()])
+    dense, counts, pool = sup.submit(plan)
+    top = np.full((3, reps), -1, dtype=np.int8)
+    r0 = 0
+    for order, acc in plan.blocks[1]._maxima(sup.graph):
+        top[order, r0:r0 + acc.shape[1]] = acc
+        r0 += acc.shape[1]
+    shared = np.arange(levels) > top[:, :, None]
+    assert np.array_equal(counts, shared.sum(axis=1))
+    answers = np.concatenate([dense, shared.ravel()])
     delta = base.ledger.delta(before)
     assert delta["bis_count"] == plan.size()
     assert delta["batch_count"] == 1 and delta["round_count"] == 1

@@ -367,3 +367,30 @@ def test_exact_components_group_by_least_vertex(n, p, seed):
     expect = [np.flatnonzero(labels == r).tolist() for r in np.unique(labels)]
     assert exact_components(g) == expect
     assert exact_connected(g) == (len(expect) <= 1, expect)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Graph.from_edges(1, []),
+    lambda: gen_gnp(64, 0.2, seed=3),
+    lambda: gen_gnp(65, 0.2, seed=4),
+    lambda: Graph.from_edges(70, []),
+    lambda: gen_family("star", n=65)])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_csr_lists_equal_neighbors(make, rows):
+    # built on first use only, so constructing a graph does not pay for
+    # it; ``rows`` adjacency rows per unpacked block (None: the default
+    # budget)
+    g = make()
+    assert g._csr is None
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(bitset, "SCRATCH_BYTES", rows * 8 * g.adj_words.shape[1])
+        indptr, indices = g.csr
+    assert g.csr[0] is indptr
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.shape == (g.n + 1,) and indices.size == 2 * g.m
+    for v in range(g.n):
+        assert np.array_equal(indices[indptr[v]:indptr[v + 1]],
+                              g.neighbors(v))
+    with pytest.raises(ValueError):
+        indices[:1] = 0

@@ -3,13 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bisq import (BisOracle, VertexSet, estimate_ns, gen_family, gen_gnp,
                   exact_neighborhood_size)
 from bisq.errors import NsDecodeError
 from bisq import nbr_size
-from bisq.nbr_size import NsParams, counts_from_top, decode_ns, plan_ns
+from bisq.nbr_size import NsParams, decode_ns, plan_ns
 from bisq.params import Constants, FAST
 
 
@@ -252,53 +252,6 @@ def test_batch_decode_logs_are_math_log_exact():
                   for k in range(1, T + 1)]
         expect = [v if v >= 1.5 else 1.0 for v in expect]
         assert batch.tolist() == expect
-
-
-def _counts_by_one_bincount(top, levels):
-    # the single-bincount formula over every part, kept as the reference
-    parts = top.shape[0]
-    bins = levels + 1
-    hist = np.bincount((np.arange(parts)[:, None] * bins + top + 1).ravel(),
-                       minlength=parts * bins).reshape(parts, bins)
-    return np.cumsum(hist, axis=1)[:, :levels]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([0, 1, 2, 7, 300, 5000]), st.integers(1, 40),
-       st.integers(2, 14), st.integers(0, 10 ** 6))
-@example(parts=0, reps=1, levels=2, seed=0)
-@example(parts=1, reps=1, levels=11, seed=1)
-@example(parts=5000, reps=40, levels=11, seed=2)
-def test_counts_from_top_equal_one_bincount(parts, reps, levels, seed):
-    # parts = 5000 spans several blocks of rows at every reps >= 14; the
-    # tops run over -1..levels-1, both ends included
-    rng = np.random.default_rng(seed)
-    top = rng.integers(-1, levels, size=(parts, reps)).astype(np.int8)
-    if parts:
-        top[0, 0], top[-1, -1] = -1, levels - 1
-    ns = NsParams(epsilon=0.25, levels=levels, reps=reps)
-    counts = counts_from_top(top, ns)
-    expect = _counts_by_one_bincount(top, levels)
-    assert counts.dtype == expect.dtype
-    assert counts.shape == (parts, levels)
-    assert np.array_equal(counts, expect)
-
-
-def test_counts_from_top_scratch_is_bounded():
-    # the single-bincount formula would hold two 2000 x 1500 int64 key
-    # arrays, 23 MiB each
-    import tracemalloc
-    levels = 12
-    top = np.random.default_rng(3).integers(
-        -1, levels, size=(2000, 1500)).astype(np.int8)
-    ns = NsParams(epsilon=0.25, levels=levels, reps=1500)
-    tracemalloc.start()
-    try:
-        counts_from_top(top, ns)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
 
 
 def test_ns_estimates_are_pinned():

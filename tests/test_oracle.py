@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bisq import (BisOracle, Graph, QueryPlan, VertexSet, gen_gnp,
                   exact_neighborhood_size)
@@ -16,6 +16,38 @@ from ser_reference import fresh_row_answers, reference_pool
 def _expand_top(top, levels):
     """Answers of a shared-plane block, in row order, from its top depths."""
     return (np.arange(levels) > top[:, :, None]).ravel()
+
+
+def _top(block, g):
+    """A shared-plane block's top depths, int8 of shape (parts, reps), -1
+    for an empty support, read from its per-chunk maxima."""
+    top = np.full((len(block.parts), block.reps), -1, dtype=np.int8)
+    r0 = 0
+    for order, acc in block._maxima(g):
+        top[order, r0:r0 + acc.shape[1]] = acc
+        r0 += acc.shape[1]
+    assert r0 in (0, block.reps)
+    return top
+
+
+def _cells_block(n, lefts, base, reps, levels, stream, tag="t"):
+    """A shared-plane block whose part p has left ``lefts[p]`` (id lists)
+    against the shared base vertex set ``base`` (all of 0..n-1 if None)."""
+    members = np.array([v for ids in lefts for v in ids], dtype=np.int64)
+    part = np.repeat(np.arange(len(lefts)), [len(ids) for ids in lefts])
+    return SharedSubsampleBlock(
+        tag, members, part, len(lefts),
+        VertexSet.full(n) if base is None else base, reps, levels, stream)
+
+
+def _fresh_counts(g, block):
+    """Per-level sums of fresh ``bis`` answers over ``iter_rows``."""
+    fresh = BisOracle(g)
+    n = g.n
+    answers = [fresh.bis(VertexSet(n, lw.copy()), VertexSet(n, rw.copy()))
+               for lw, rw in block.iter_rows()]
+    return np.array(answers, dtype=np.int64).reshape(
+        len(block.parts), block.reps, block.levels).sum(axis=1)
 
 
 def _triangle():
@@ -134,17 +166,17 @@ def test_shared_planes_block_rows_match_single_queries():
     for gname, g in (("sparse", gen_gnp(96, 0.03, seed=4)),
                      ("dense", gen_gnp(96, 0.6, seed=5))):
         o = BisOracle(g)
-        parts = []
-        for ids in ([0], [1, 2], [3, 4, 5]):
-            left = bitset.pack_indices(96, ids)
-            parts.append((left, bitset.trim_tail(~left, 96)))
-        block = SharedSubsampleBlock("t", parts, 7, 5, ("shared", gname))
-        answers = _expand_top(o.submit(QueryPlan(96, [block]))[0], 5)
+        block = _cells_block(96, [[0], [1, 2], [3, 4, 5]], None, 7, 5,
+                             ("shared", gname))
+        counts = o.submit(QueryPlan(96, [block]))[0]
+        answers = _expand_top(_top(block, g), 5)
         fresh = BisOracle(g)
         for ans, (lw, rw) in zip(answers, block.iter_rows()):
             expect = fresh.bis(VertexSet(96, lw.copy()),
                                VertexSet(96, rw.copy()))
             assert int(ans) == expect
+        assert np.array_equal(counts,
+                              answers.reshape(3, 7, 5).sum(axis=1))
 
 
 def _depth_kernel_case(n, p, reps, levels, extra, seed):
@@ -153,7 +185,8 @@ def _depth_kernel_case(n, p, reps, levels, extra, seed):
     n past a word boundary leaves tail bits.  Part 0 is an isolated
     vertex (empty support); part 1 is a hub adjacent to all but it
     (support > 48, in every word column); the ``extra`` parts split the
-    vertices at random into left, base and neither.
+    other vertices at random into their lefts and no left.  The shared
+    base leaves out a few random vertices.
     """
     rng = rng_for("depth-kernel", seed)
     iso, hub = rng.choice(n, size=2, replace=False)
@@ -161,18 +194,18 @@ def _depth_kernel_case(n, p, reps, levels, extra, seed):
              if iso not in (u, v)]
     edges += [(hub, v) for v in range(n) if v not in (hub, iso)]
     g = Graph.from_edges(n, edges)
-    parts = []
-    for left_ids in ([iso], [hub]):
-        left = bitset.pack_indices(n, left_ids)
-        parts.append((left, bitset.trim_tail(~left, n)))
-    for _ in range(extra):
-        side = rng.integers(0, 3, size=n)   # 0: left, 1: base, 2: neither
-        parts.append((bitset.pack_indices(n, np.nonzero(side == 0)[0]),
-                      bitset.pack_indices(n, np.nonzero(side == 1)[0])))
-    hub_support = g.neighborhood_words(np.array([hub])) & parts[1][1]
+    others = np.setdiff1d(np.arange(n), [iso, hub])
+    label = rng.integers(0, extra + 2, size=others.size)
+    lefts = [[iso], [hub]] + [others[label == k].tolist()
+                              for k in range(extra)]
+    dropped = rng.choice(others, size=int(rng.integers(0, n - 51)),
+                         replace=False)
+    base = VertexSet.full(n).difference(VertexSet.from_indices(n, dropped))
+    block = _cells_block(n, lefts, base, reps, levels,
+                         ("depth-kernel", seed))
+    hub_support = g.neighborhood_words(np.array([hub])) & base.words
     assert bitset.popcount(hub_support) > 48
-    return g, SharedSubsampleBlock("t", parts, reps, levels,
-                                   ("depth-kernel", seed))
+    return g, block
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,7 +215,8 @@ def test_shared_depth_kernel_matches_single_queries(n, p, reps, levels,
                                                     extra, seed):
     g, block = _depth_kernel_case(n, p, reps, levels, extra, seed)
     o = BisOracle(g)
-    answers = _expand_top(o.submit(QueryPlan(n, [block]))[0], levels)
+    counts = o.submit(QueryPlan(n, [block]))[0]
+    answers = _expand_top(_top(block, g), levels)
     assert o.ledger.bis_count == block.n_queries() == answers.size
     assert o.ledger.phases == {"t": block.n_queries()}
     assert answers[:reps * levels].all()   # empty support never hits
@@ -190,6 +224,8 @@ def test_shared_depth_kernel_matches_single_queries(n, p, reps, levels,
     for ans, (lw, rw) in zip(answers, block.iter_rows()):
         assert int(ans) == fresh.bis(VertexSet(n, lw.copy()),
                                      VertexSet(n, rw.copy()))
+    assert np.array_equal(counts, answers.reshape(
+        len(block.parts), reps, levels).sum(axis=1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -214,8 +250,11 @@ def test_ns_plan_on_few_columns_matches_single_queries(n, k, tail, seed):
     plan = plan_ns(VertexSet.from_indices(n, [v]),
                    VertexSet.from_indices(n, ids), ns, seed)
     o = BisOracle(g)
-    answers = _expand_top(o.submit(plan)[0], ns.levels)
+    counts = o.submit(plan)[0]
+    answers = _expand_top(_top(plan.blocks[0], g), ns.levels)
     assert answers.size == plan.size() == o.ledger.bis_count
+    assert np.array_equal(counts, answers.reshape(
+        1, ns.reps, ns.levels).sum(axis=1))
     fresh = BisOracle(g)
     for ans, (lw, rw) in zip(answers, plan.iter_rows()):
         assert int(ans) == fresh.bis(VertexSet(n, lw.copy()),
@@ -227,27 +266,60 @@ def test_ns_plan_on_few_columns_matches_single_queries(n, k, tail, seed):
        st.integers(1, 7), st.integers(0, 3), st.integers(0, 10 ** 6))
 def test_shared_top_histogram_counts_match_answer_sums(n, p, reps, levels,
                                                        extra, seed):
-    # the per-level no-edge counts the degree sketch reads from the top
-    # depths by histogram equal the per-level sums of the answers, and
-    # those answers equal a word-AND per row against each support
-    from bisq import bitset
-    from bisq.nbr_size import NsParams, counts_from_top
-
+    # the per-level no-edge counts evaluate histograms from each chunk's
+    # maxima equal the per-level sums of fresh answers over iter_rows,
+    # and those answers equal a word-AND per row against each support
     g, block = _depth_kernel_case(n, p, reps, levels, extra, seed)
-    top = block.evaluate(g)
-    assert top.dtype == np.int8 and top.shape == (len(block.parts), reps)
-    supports = [g.neighborhood_words(bitset.members(left, n)) & base
-                for left, base in block.parts]
+    counts = block.evaluate(g)
+    assert counts.dtype == np.int64
+    assert counts.shape == (len(block.parts), levels)
+    assert np.array_equal(counts, _fresh_counts(g, block))
+    supports = [g.neighborhood_words(bitset.members(left, n))
+                & block.base.words & ~left
+                for left, _ in list(block.iter_rows())[::reps * levels]]
+    # the adjacency-list supports are these word supports, each pair once
+    part, ids = block._supports(g)
+    expect_part, expect_ids = bitset.members_rows(np.array(supports), n)
+    assert part.tolist() == expect_part.tolist()
+    assert ids.tolist() == expect_ids.tolist()
     planes = block.draw_planes(g.adj_words.shape[1])
     expect = np.array([[[not (planes[r, i] & s).any()
                          for i in range(levels)] for r in range(reps)]
                        for s in supports])
-    answers = _expand_top(top, levels).reshape(expect.shape)
+    answers = _expand_top(_top(block, g), levels).reshape(expect.shape)
     assert np.array_equal(answers, expect)
-    ns = NsParams(epsilon=0.25, levels=levels, reps=reps)
-    counts = counts_from_top(top, ns)
-    assert np.array_equal(counts, expect.sum(axis=1))
     assert (counts[0] == reps).all()   # empty support
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2, 7, 40]), st.integers(1, 40),
+       st.integers(1, 14), st.sampled_from([None, 1, 3]),
+       st.integers(0, 10 ** 6))
+@example(parts=40, reps=40, levels=14, rows=1, seed=2)
+@example(parts=1, reps=1, levels=1, rows=None, seed=1)
+def test_shared_block_counts_equal_fresh_answer_sums(parts, reps, levels,
+                                                     rows, seed):
+    # one-vertex cells against the rest of a graph with hubs, so the top
+    # depths run over 0..levels-1; ``rows`` sets the histogram budget to
+    # that many rows of a chunk's maxima, so the counts add up over
+    # several bincount blocks, and the budget is one rep's coin draw or
+    # larger; a trailing empty part answers 1 everywhere
+    n = 70
+    g = gen_gnp(n, 0.05, seed)
+    g = Graph.from_edges(n, g.edges() + [(u, v) for u in (0, 1)
+                                         for v in range(2, n)
+                                         if not g.has_edge(u, v)])
+    cells = [[int(v)] for v in rng_for("cells", seed).permutation(n)[:parts]]
+    block = _cells_block(n, cells + [[]], None, reps, levels,
+                         ("fresh-sums", seed))
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(bitset, "SCRATCH_BYTES", 8 * max(
+                rows * reps, levels * bitset.word_count(n)))
+        counts = block.evaluate(g)
+    assert counts.shape == (parts + 1, levels)
+    assert np.array_equal(counts, _fresh_counts(g, block))
+    assert (counts[-1] == reps).all()
 
 
 @pytest.mark.parametrize("level", range(1, 11))
@@ -255,7 +327,7 @@ def test_depth_table_reads_every_level_of_the_planes(level):
     # the drawn planes are nested by construction, so a vertex is held at
     # `level` iff its survival depth reaches it; the depth slab is built
     # on two of the four word columns
-    block = SharedSubsampleBlock("t", [], 3, 11, ("nested", level))
+    block = _cells_block(4 * 64, [], None, 3, 11, ("nested", level))
     planes = block.draw_planes(4)
     assert not (planes[:, level] & ~planes[:, level - 1]).any()
     cols = np.array([0, 3])
@@ -331,8 +403,10 @@ def _top_from_planes(g, block):
     n = g.n
     planes = block.draw_planes(g.adj_words.shape[1])
     top = np.full((len(block.parts), block.reps), -1, dtype=np.int8)
-    for p, (left, base) in enumerate(block.parts):
-        support = g.neighborhood_words(bitset.members(left, n)) & base
+    for p in block.parts:
+        left = block.members[block.part == p]
+        support = (g.neighborhood_words(left) & block.base.words
+                   & ~bitset.pack_indices(n, left))
         for r in range(block.reps):
             held = np.flatnonzero((planes[r] & support).any(axis=1))
             if held.size:
@@ -347,22 +421,25 @@ def test_shared_block_chunks_give_the_eager_answers(monkeypatch, chunk,
                                                     reps, parts):
     # a budget of `chunk` reps' coin draw splits evaluate into chunks of
     # that many reps (1-rep chunks, reps = q * chunk + 1, an exact
-    # multiple, reps < chunk); top must not depend on the split, with many
-    # parts (one of them in every word column), the hub alone (a one-part
-    # block, as the NS plan) or supports of sizes 1, 5 and 3 and an empty
-    # one, all in column 0 (a run of ranks per size)
+    # multiple, reps < chunk); the maxima of every chunk must not depend
+    # on the split, with many parts (one of them in every word column),
+    # the hub alone (a one-part block, as the NS plan) or supports of
+    # sizes 1, 5 and 3 and an empty one, all in column 0 (a run of ranks
+    # per size)
     n, levels = 130, 8      # the coin draw is the largest chunk array
     g, block = _depth_kernel_case(n, 0.1, reps, levels, 3, chunk)
     if parts == "one":
-        block.parts = block.parts[1:2]
+        hub = block.members[block.part == 1]
+        block = SharedSubsampleBlock("t", hub, [0], 1, block.base, reps,
+                                     levels, block.stream)
     if parts == "few":
         g = Graph.from_edges(n, [(v, u) for v, lo in ((128, 0), (129, 10),
                                                       (127, 20))
                                  for u in range(lo, lo + 10)])
-        block.parts = [(bitset.pack_indices(n, [v]),
-                        bitset.pack_indices(n, base))
-                       for v, base in ((128, [0]), (129, range(10, 15)),
-                                       (127, range(20, 23)), (126, [50]))]
+        base = VertexSet.from_indices(n, [0, *range(10, 15),
+                                          *range(20, 23), 50])
+        block = _cells_block(n, [[128], [129], [127], [126]], base, reps,
+                             levels, block.stream)
     w = g.adj_words.shape[1]
     monkeypatch.setattr(bitset, "SCRATCH_BYTES", chunk * 8 * levels * w)
     drawn = []
@@ -373,39 +450,53 @@ def test_shared_block_chunks_give_the_eager_answers(monkeypatch, chunk,
         return draw(rng, base, levels, reps, cols)
 
     monkeypatch.setattr(bitset, "nested_rate_masks", spy)
-    top = block.evaluate(g)
+    counts = block.evaluate(g)
     q, rest = divmod(reps, chunk)
     assert drawn == [chunk] * q + [rest] * (rest > 0)
+    top = _top(block, g)
     assert np.array_equal(top, _top_from_planes(g, block))
+    answers = _expand_top(top, levels)
     fresh = BisOracle(g)
-    for ans, (lw, rw) in zip(_expand_top(top, levels), block.iter_rows()):
+    for ans, (lw, rw) in zip(answers, block.iter_rows()):
         assert int(ans) == fresh.bis(VertexSet(n, lw.copy()),
                                      VertexSet(n, rw.copy()))
+    assert np.array_equal(counts, answers.reshape(
+        len(block.parts), reps, levels).sum(axis=1))
+
+
+def _scratch_peak(fn):
+    import tracemalloc
+    fn()                    # lazy imports and caches are not scratch
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_shared_block_scratch_is_bounded():
     # a degree-sketch-sized block: 1000 one-vertex cells, each against
     # the rest of the graph, 1474 reps of 11 levels at n = 1024; the
-    # chunked evaluation holds no array of full (reps, ...) size besides
-    # the returned top
-    import tracemalloc
-
+    # chunked evaluation holds no array of (parts, reps) or (parts, w)
+    # size, so quadrupling reps leaves its peak where it was, and
+    # validating the block copies its members once
     n = 1024
     g = gen_gnp(n, 0.01, seed=4)
-    parts = []
-    for v in range(1000):
-        left = bitset.pack_indices(n, [v])
-        parts.append((left, bitset.trim_tail(~left, n)))
-    block = SharedSubsampleBlock("t", parts, 1474, 11, ("scratch",))
-    block.evaluate(g)       # lazy imports and caches are not scratch
-    tracemalloc.start()
-    try:
-        top = block.evaluate(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert top.shape == (1000, 1474)
-    assert peak - top.nbytes < 2 ** 20
+    peaks = []
+    for reps in (1474, 4 * 1474):
+        block = SharedSubsampleBlock("t", np.arange(1000), np.arange(1000),
+                                     1000, VertexSet.full(n), reps, 11,
+                                     ("scratch",))
+        counts = block.evaluate(g)
+        assert counts.shape == (1000, 11)
+        assert counts.max() <= reps and counts[:, 0].max() == 0
+        peaks.append(_scratch_peak(lambda: block.evaluate(g)))
+    assert peaks[0] < 2 ** 20
+    assert peaks[1] <= peaks[0] * 1.05
+    plan = QueryPlan(n, [block])
+    assert _scratch_peak(plan.validate) < 4 * block.members.nbytes + 4096
 
 
 @settings(max_examples=25, deadline=None)
@@ -522,7 +613,8 @@ def test_unread_submission_is_charged_in_full(monkeypatch):
                             lambda block, graph: evaluated.append(block))
     one, some = bitset.pack_indices(n, [1]), bitset.pack_indices(n, [5, 66])
     blocks = [DenseBlock("d", np.stack([one, one]), np.stack([some, some])),
-              SharedSubsampleBlock("sh", [(one, some)], 2, 3, ("unread",)),
+              SharedSubsampleBlock("sh", [1], [0], 1, VertexSet(n, some), 2,
+                                   3, ("unread",)),
               SidesSubsampleBlock("si", one, some, 4, "unread")]
     plan = QueryPlan(n, blocks)
     o = BisOracle(g)
@@ -539,8 +631,10 @@ def test_unread_submission_is_charged_in_full(monkeypatch):
 
 def _overlapping_block(kind, n):
     """A block of the given kind with rows that share vertex 66 with
-    their left: Dense rows 4 and 5, the level-0 rows of shared part 1, and
-    the level-0 whole-side rows of the Sides block."""
+    their left: Dense rows 4 and 5 and the level-0 whole-side rows of the
+    Sides block.  A shared-plane row lies outside its left by
+    construction, so its case is a malformed block instead: a member
+    repeated or out of range, or a part id out of range."""
     left = bitset.pack_indices(n, [0, 66])
     base = bitset.pack_indices(n, [5, 66])
     if kind == "dense":
@@ -549,22 +643,31 @@ def _overlapping_block(kind, n):
                            ([2], [3, 4], [5], [2, 9], [66], [5, 66])])
         return DenseBlock("t", lefts, rights)
     if kind == "shared":
-        clear = bitset.pack_indices(n, [7])
-        return SharedSubsampleBlock("t", [(left, clear), (left, base)], 3, 2,
-                                    ("overlap",))
+        return [SharedSubsampleBlock("t", members, part, 2,
+                                     VertexSet(n, base), 3, 2, ("overlap",))
+                for members, part in (([0, 66, 7, 66], [0, 0, 1, 1]),
+                                      ([0, 66, 7, 0], [0, 0, 1, 0]),
+                                      ([0, 66, n], [0, 0, 1]),
+                                      ([-1, 66], [0, 1]),
+                                      ([0, 66, 7], [0, 0, 2]),
+                                      ([0, 66], [-1, 1]),
+                                      ([0, 66], [0]))]
     return SidesSubsampleBlock("t", left, base, 3, "overlap")
 
 
 @pytest.mark.parametrize("kind", ["dense", "shared", "sides"])
 def test_block_rejects_row_overlapping_its_left(kind):
     n = 70
-    block = _overlapping_block(kind, n)
-    o = BisOracle(gen_gnp(n, 0.1, seed=1))
-    message = "query 4 " if kind == "dense" else "overlap"
-    with pytest.raises(DisjointnessError, match=message):
-        o.submit(QueryPlan(n, [block]))
-    assert o.ledger.snapshot() == {"bis_count": 0, "batch_count": 0,
-                                   "round_count": 0, "phases": {}}
+    blocks = _overlapping_block(kind, n)
+    message = {"dense": "query 4 ", "sides": "overlap",
+               "shared": "repeated|out of range|one part id per member"}
+    error = ValueError if kind == "shared" else DisjointnessError
+    for block in blocks if kind == "shared" else [blocks]:
+        o = BisOracle(gen_gnp(n, 0.1, seed=1))
+        with pytest.raises(error, match=message[kind]):
+            o.submit(QueryPlan(n, [block]))
+        assert o.ledger.snapshot() == {"bis_count": 0, "batch_count": 0,
+                                       "round_count": 0, "phases": {}}
 
 
 def test_or_query_via_bis():
