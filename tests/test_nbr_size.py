@@ -254,6 +254,28 @@ def test_batch_decode_logs_are_math_log_exact():
         assert batch.tolist() == expect
 
 
+def test_counts_from_top_scratch_is_bounded():
+    # the per-level counts of 2000 rows of 1500 top depths each: one
+    # bincount over all of them would hold two 2000 x 1500 int64 key
+    # arrays, 23 MiB each; the histogram works in row blocks instead
+    import tracemalloc
+    from bisq.oracle import _add_histogram
+    levels = 12
+    top = np.random.default_rng(3).integers(
+        0, levels, size=(2000, 1500)).astype(np.int8)
+    hist = np.zeros((2000, levels), dtype=np.int64)
+    order = np.arange(2000)
+    tracemalloc.start()
+    try:
+        _add_histogram(hist, top, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert (hist.sum(axis=1) == 1500).all()
+    assert (hist[17] == np.bincount(top[17], minlength=levels)).all()
+
+
 def test_ns_estimates_are_pinned():
     # estimate_ns values and ledgers over supports in one, a few and all
     # word columns, in the partial tail word, an empty support and an
