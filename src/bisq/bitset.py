@@ -14,8 +14,8 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 # pairs per bitwise_or.at call in or_bits
 _PAIR_SLICE = 1 << 16
 # bytes per array of one step of a blocked evaluation: a repetition chunk
-# of SharedSubsampleBlock.evaluate or a block of its histogram keys, a row
-# block of Graph.neighborhood_rows or of Graph.csr
+# of SharedSubsampleBlock.evaluate or a block of its histogram keys, a
+# transposed mask block or an edge block of DenseBlock.evaluate
 SCRATCH_BYTES = 1 << 18
 
 
@@ -43,14 +43,11 @@ def trim_tail(words: np.ndarray, n: int) -> np.ndarray:
 def pack_indices(n: int, indices) -> np.ndarray:
     """Bit mask with the given vertex ids set."""
     idx = np.asarray(indices, dtype=np.int64).ravel()
-    words = empty_words(n)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= n:
-            raise ValueError(f"vertex id out of range 0..{n - 1}")
-        np.bitwise_or.at(
-            words, idx >> 6, np.left_shift(_U1, (idx & 63).astype(np.uint64))
-        )
-    return words
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"vertex id out of range 0..{n - 1}")
+    flags = np.zeros(word_count(n) * WORD_BITS, dtype=bool)
+    flags[idx] = True
+    return np.packbits(flags, bitorder="little").view(np.uint64)
 
 
 def pack_rows(n: int, rows: np.ndarray, indices: np.ndarray,
@@ -93,23 +90,6 @@ def members(words: np.ndarray, n: int) -> np.ndarray:
     """Sorted array of set bit positions below n."""
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
     return np.nonzero(bits)[0].astype(np.int64)
-
-
-def members_rows(words: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, id) of every set bit below n in a (rows, w) stack of masks.
-
-    Pairs come row-major with ids ascending, as per-row ``members`` would
-    list them.  Only the nonzero words are unpacked, so the transient is
-    64 bytes per nonzero word rather than rows x n.
-    """
-    row, col = np.nonzero(words)
-    bits = np.unpackbits(words[row, col].view(np.uint8).reshape(-1, 8),
-                         axis=1, bitorder="little")
-    k, bit = np.nonzero(bits)
-    del bits
-    ids = col[k] * WORD_BITS + bit
-    keep = ids < n
-    return row[k][keep], ids[keep]
 
 
 def popcount(words: np.ndarray) -> int:

@@ -163,14 +163,13 @@ def _sample_trial(args):
                "bis_count": delta["bis_count"],
                "rounds": delta["round_count"]}
     if cfg.with_truth and g.m and v.size:
-        # ok draws per unordered pair; TV sums run over g.edges() order,
-        # then over the non-edge pairs in first-drawn order
+        # ok draws per unordered pair, keyed as the graph keys its edges;
+        # TV sums run over the edge keys in order, then over the non-edge
+        # pairs in first-drawn order
         keys = np.minimum(v, u) * g.n + np.maximum(v, u)
         pairs, counts = np.unique(keys[is_edge], return_counts=True)
-        edge_rows = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)
         per_edge = np.zeros(g.m, dtype=np.int64)
-        per_edge[np.searchsorted(edge_rows[:, 0] * g.n + edge_rows[:, 1],
-                                 pairs)] = counts
+        per_edge[np.searchsorted(g.edge_keys, pairs)] = counts
         _, first, off = np.unique(keys[~is_edge], return_index=True,
                                   return_counts=True)
         total = v.size

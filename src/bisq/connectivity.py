@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import itertools
 import numpy as np
 
-from . import bitset, params
+from . import params
 from .edge_sampler import sample_edges_batch
 from .element_recovery import build_neighbor_recovery
-from .graph import Graph, VertexSet, components
+from .graph import Graph, VertexSet, components, pair_keys
 from .oracle import BisOracle, QueryPlan, Results
 from .params import Constants
 
@@ -38,11 +38,10 @@ class SuperGraph:
 
 def _unique_pairs(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """The distinct pairs {a[i], b[i]} of 0..n-1, where a[i] != b[i], as
-    (m, 2) int64 rows (u, v) with u < v, sorted by u * n + v."""
-    keys = np.minimum(a, b) * n + np.maximum(a, b)
-    keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) > 0]
-    return np.stack([keys // n, keys % n], axis=1)
+    (m, 2) int64 rows (u, v) with u < v, sorted: the edges of the graph
+    they make."""
+    edges = Graph(n, pair_keys(n, np.stack([a, b], axis=1)))
+    return np.stack(edges.ends(), axis=1)
 
 
 def round1_neighbor_sampling(oracle: BisOracle, seed,
@@ -75,8 +74,8 @@ def round1_neighbor_sampling(oracle: BisOracle, seed,
         results = oracle.submit(plan)
     # each pool is kept as a Python list: small arrays left on the C heap
     # between the blocks' mask draws fragment it, which costs page faults
-    # and peak RSS
-    pools = [np.unique(rec.decode_pool(result)[:target]).tolist()
+    # and peak RSS; a set drops its repeats without importing numpy.ma
+    pools = [list(set(rec.decode_pool(result)[:target].tolist()))
              for rec, result in zip(recs, results)]
     owners = np.repeat(np.arange(n), [len(pool) for pool in pools])
     return _unique_pairs(np.fromiter(itertools.chain.from_iterable(pools),
@@ -93,21 +92,11 @@ def contract(edges: np.ndarray, n: int) -> SuperGraph:
 
 def contracted_graph(graph: Graph, sg: SuperGraph) -> Graph:
     """The p-vertex graph with superedge (a, b) iff a base edge joins the
-    blocks of a and b; intra-block edges become self-loops and are dropped.
-
-    Rows are ORed per block over the rows sorted by supernode, then the
-    unpacked (p, n) bits are ORed per block over the columns, so the
-    transient is p x n bytes.
-    """
-    order = np.argsort(sg.supernode_of, kind="stable")
-    sizes = np.bincount(sg.supernode_of, minlength=sg.p)
-    starts = np.cumsum(sizes) - sizes
-    rows = np.bitwise_or.reduceat(graph.adj_words[order], starts, axis=0)
-    bits = np.unpackbits(rows.view(np.uint8), axis=1,
-                         bitorder="little")[:, :sg.n]
-    adj = np.logical_or.reduceat(bits[:, order], starts, axis=1)
-    np.fill_diagonal(adj, False)
-    return Graph(sg.p, bitset.pack_bool(adj))
+    blocks of a and b: the distinct supernode pairs of the edges, where
+    intra-block edges, which would be self-loops, are dropped."""
+    a, b = (sg.supernode_of[ends] for ends in graph.ends())
+    cross = a != b
+    return Graph(sg.p, pair_keys(sg.p, np.stack([a[cross], b[cross]], axis=1)))
 
 
 class SupernodeOracle(BisOracle):

@@ -1,9 +1,11 @@
 """Hidden graph, generators, edge-list I/O, and exact brute-force oracles.
 
-The graph is immutable after construction.  Adjacency lives in a packed
-bit matrix so the query oracle can answer set-vs-set edge tests with a
-few word operations; test code uses the exact oracles here as ground
-truth for everything the estimators report.
+The graph is immutable after construction.  Its one stored adjacency is
+the sorted array of its edge keys u * n + v, u < v, and the adjacency
+lists derived from it: the query oracle reads the lists to find the
+neighbors its queries test, or the edges to test many rows at once.
+Test code uses the exact oracles here as ground truth for everything
+the estimators report.
 """
 from __future__ import annotations
 
@@ -14,6 +16,9 @@ import numpy as np
 from . import bitset
 from .errors import GraphParseError
 from .seeding import rng_for
+
+# edges per formatted block of dump_edge_list
+_DUMP_EDGES = 1 << 12
 
 
 class VertexSet:
@@ -76,143 +81,133 @@ class VertexSet:
 
 
 class Graph:
-    """Simple undirected graph with packed adjacency.
+    """Simple undirected graph on the vertex ids 0..n-1, stored as its edges.
 
-    Vertex ids are dense 0..n-1.  Construction validates simplicity
-    (no self-loops, symmetric adjacency) and caches m.  The adjacency
-    lists (``csr``) are built on first use, not here.
+    ``edge_keys``, int64 and read-only, holds every edge once as the key
+    u * n + v, u < v, sorted: the one stored adjacency, which ``ends``
+    reads back as pairs and the adjacency lists (``csr``) and degrees
+    derive from on first use.  ``pair_keys`` validates pairs into keys,
+    and ``__init__`` merges repeated keys; ``from_edges`` does both.
     """
 
-    __slots__ = ("n", "adj_words", "m", "_degrees", "_csr")
+    __slots__ = ("n", "m", "edge_keys", "_csr")
 
-    def __init__(self, n: int, adj_words: np.ndarray):
-        if adj_words.shape != (n, bitset.word_count(n)):
-            raise ValueError("adjacency matrix shape mismatch")
+    def __init__(self, n: int, keys: np.ndarray):
+        """``keys``: int64, u * n + v with u < v per edge, in any order
+        and possibly repeated; it is sorted in place and kept."""
+        keys.sort()
+        # a flag per key, not a diff: the keys can be most of the scratch
+        repeats = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeats.size:
+            keys = np.delete(keys, repeats + 1)
+        keys.setflags(write=False)
         self.n = n
-        self.adj_words = adj_words
-        self.adj_words.setflags(write=False)
-        degs = np.bitwise_count(adj_words).sum(axis=1).astype(np.int64)
-        self._degrees = degs
-        self._degrees.setflags(write=False)
-        total = int(degs.sum())
-        if total % 2:
-            raise ValueError("degree sum is odd; adjacency not symmetric")
-        self.m = total // 2
+        self.m = keys.size
+        self.edge_keys = keys
         self._csr = None
-        self._check_invariants()
-
-    def _check_invariants(self) -> None:
-        """No self-loop, then symmetry one 64-row slab at a time.
-
-        Rows 64j..64j+63, unpacked, must equal word column j of every
-        row, unpacked and transposed, so the scratch is O(64 n) bytes.
-        """
-        n = self.n
-        v = np.arange(n)
-        diag = self.adj_words[v, v >> 6] >> (v & 63).astype(np.uint64)
-        loops = np.flatnonzero(diag & np.uint64(1))
-        if loops.size:
-            raise ValueError(f"self-loop at vertex {loops[0]}")
-        for j in range(self.adj_words.shape[1]):
-            rows = np.unpackbits(
-                self.adj_words[j * 64:(j + 1) * 64].view(np.uint8), axis=1,
-                bitorder="little")[:, :n]
-            column = self.adj_words[:, j:j + 1].copy().view(np.uint8)
-            bits = np.unpackbits(column, axis=1, bitorder="little")
-            if not np.array_equal(rows, bits[:, :rows.shape[0]].T):
-                raise ValueError("adjacency is not symmetric")
 
     def __reduce__(self):
         # rebuild through __init__ so an unpickled graph is read-only too
-        return Graph, (self.n, self.adj_words)
+        return Graph, (self.n, self.edge_keys)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
-        if bad.any():
-            u, v = e[np.argmax(bad)].tolist()
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v})")
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        return cls(n, bitset.pack_rows(n, rows, cols, n))
+        return cls(n, pair_keys(n, list(edges)))
+
+    def ends(self, lo: int = 0,
+             hi: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v), int64: the ends of edges lo..hi-1, every edge by
+        default, u < v, sorted by u then v."""
+        return np.divmod(self.edge_keys[lo:hi], self.n)
 
     def degree(self, v: int) -> int:
-        return int(self._degrees[v])
+        indptr = self.csr[0]
+        return int(indptr[v + 1] - indptr[v])
 
     @property
     def degrees(self) -> np.ndarray:
-        return self._degrees
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return bitset.members(self.adj_words[v], self.n)
+        degs = np.diff(self.csr[0])
+        degs.setflags(write=False)
+        return degs
 
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency lists (indptr, indices), int64: the neighbors of v,
         ascending, are indices[indptr[v]:indptr[v + 1]].
 
-        O(n + m), built on first use and kept.  The bit rows are unpacked
-        in blocks of about ``bitset.SCRATCH_BYTES`` of adjacency words, so
-        the transient stays small next to the lists.
+        O(n + m), built on first use and kept.  Edge (u, v) goes in as
+        v's neighbor u and u's neighbor v; the edges come sorted by u then
+        v, so a stable sort by owner keeps each list ascending.
         """
         if self._csr is None:
+            u, v = self.ends()
+            owner = np.concatenate([v, u])
+            indices = np.concatenate([u, v])[np.argsort(owner, kind="stable")]
             indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(self._degrees, out=indptr[1:])
-            indices = np.empty(indptr[-1], dtype=np.int64)
-            step = max(1, bitset.SCRATCH_BYTES
-                       // (8 * max(1, self.adj_words.shape[1])))
-            for a in range(0, self.n, step):
-                b = min(a + step, self.n)
-                indices[indptr[a]:indptr[b]] = bitset.members_rows(
-                    self.adj_words[a:b], self.n)[1]
+            np.cumsum(np.bincount(owner, minlength=self.n), out=indptr[1:])
             indptr.setflags(write=False)
             indices.setflags(write=False)
             self._csr = (indptr, indices)
         return self._csr
 
-    def neighborhood_words(self, member_ids: np.ndarray) -> np.ndarray:
-        """Packed union of adjacency rows: Gamma(S) for S given by ids."""
-        if len(member_ids) == 0:
-            return bitset.empty_words(self.n)
-        return np.bitwise_or.reduce(self.adj_words[member_ids], axis=0)
+    def neighbors(self, v: int) -> np.ndarray:
+        indptr, indices = self.csr
+        return indices[indptr[v]:indptr[v + 1]]
 
-    def neighborhood_rows(self, lefts: np.ndarray) -> np.ndarray:
-        """Gamma(left) of every row of a (rows, w) stack of left masks.
+    def neighbor_lists(self, member_ids) -> tuple[np.ndarray, np.ndarray]:
+        """(deg, ids): each list's length and the adjacency lists of
+        member_ids concatenated in order, gathered in one index array."""
+        indptr, indices = self.csr
+        start = indptr[member_ids]
+        deg = indptr[member_ids + 1] - start
+        at = np.repeat(start - (np.cumsum(deg) - deg), deg)
+        at += np.arange(at.size)
+        return deg, indices[at]
 
-        Rows go through in blocks of about ``bitset.SCRATCH_BYTES`` of
-        member adjacency rows (a block holds at least one row); each
-        block's members are gathered and OR-reduced per row.  A row whose
-        left is empty stays zero.
-        """
-        gammas = np.zeros_like(lefts)
-        counts = np.bitwise_count(lefts).sum(axis=1, dtype=np.int64)
-        step = max(1, bitset.SCRATCH_BYTES // (8 * max(1, lefts.shape[1])))
-        cuts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // step,
-                                      prepend=-1))
-        for a, b in zip(cuts, np.append(cuts[1:], counts.size)):
-            row, member = bitset.members_rows(lefts[a:b], self.n)
-            if row.size:
-                starts = np.flatnonzero(np.diff(row, prepend=-1))
-                gammas[a + row[starts]] = np.bitwise_or.reduceat(
-                    self.adj_words[member], starts, axis=0)
-        return gammas
+    def neighborhood_words(self, member_ids) -> np.ndarray:
+        """Packed union of adjacency lists: Gamma(S) for S given by ids."""
+        return bitset.pack_indices(self.n, self.neighbor_lists(member_ids)[1])
 
     def has_edge(self, u, v):
-        """Whether u and v are adjacent; for arrays of ids, elementwise in
-        one gather of adjacency bits."""
-        v = np.asarray(v)
-        bits = self.adj_words[u, v >> 6] >> (v & 63).astype(np.uint64)
-        hit = (bits & 1).astype(bool)
+        """Whether u and v are adjacent; for arrays of ids, elementwise:
+        a key is an edge's iff its right insertion point in the edge keys
+        lies past its left one."""
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        want = np.minimum(u, v) * self.n + np.maximum(u, v)
+        hit = (np.searchsorted(self.edge_keys, want, side="right")
+               > np.searchsorted(self.edge_keys, want))
         return hit if hit.ndim else bool(hit)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Every edge once as (u, v), u < v, sorted by u then v."""
-        u, v = bitset.members_rows(self.adj_words, self.n)
-        keep = u < v
-        return list(zip(u[keep].tolist(), v[keep].tolist()))
+    def edges(self, lo: int = 0,
+              hi: Optional[int] = None) -> list[tuple[int, int]]:
+        """Edges lo..hi-1 (all by default) as (u, v) tuples of ints, u < v,
+        sorted by u then v."""
+        u, v = self.ends(lo, hi)
+        return list(zip(u.tolist(), v.tolist()))
+
+    @property
+    def adj_words(self) -> np.ndarray:
+        """The (n, word_count(n)) bit matrix, packed from the lists on each
+        read.  No code in bisq reads it; it stays for the generate-gnp8k
+        gate of perfbench/run.py, and goes when ROADMAP item 1 makes that
+        gate compare edges."""
+        u, v = self.ends()
+        return bitset.pack_rows(self.n, np.concatenate([u, v]),
+                                np.concatenate([v, u]), self.n)
+
+
+def pair_keys(n: int, pairs) -> np.ndarray:
+    """``Graph`` keys min(u, v) * n + max(u, v), int64, of the rows of a
+    (k, 2) array-like of pairs; a self-loop or an id outside 0..n-1
+    raises ValueError naming the first bad pair."""
+    e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= n)).any(axis=1)
+    if bad.any():
+        u, v = e[np.argmax(bad)].tolist()
+        if u == v:
+            raise ValueError(f"self-loop ({u},{v})")
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    return e.min(axis=1) * n + e.max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +247,7 @@ def components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def exact_components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, least vertex first."""
-    label = components(g.n, *bitset.members_rows(g.adj_words, g.n))
+    label = components(g.n, *g.ends())
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order])) + 1
     return [part.tolist() for part in np.split(order, starts)] if g.n else []
@@ -276,28 +271,29 @@ def gen_gnp(n: int, p: float, seed=0) -> Graph:
     falls below p.  The draw is made row by row from the same stream:
     row i skips its i + 1 entries up to the diagonal with
     ``bit_generator.advance`` (a double takes one 64-bit output) and
-    draws its n - i - 1 entries right of it.  The scratch is the kept
-    (i, j) as int32 ids, O(n + m), never the n x n draw.
+    draws its n - i - 1 entries right of it.  The scratch is each row's
+    kept offsets j - i - 1 as int32 ids, O(n + m), never the n x n draw;
+    they become the edge keys row by row, so the peak is the keys plus
+    those ids, 12 bytes per edge.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    adj = np.zeros((n, bitset.word_count(n)), dtype=np.uint64)
     if p == 0.0 or n < 2:
-        return Graph(n, adj)
+        return Graph(n, np.empty(0, dtype=np.int64))
     rng = rng_for(seed, "gnp", n)
     kept = []
     for i in range(n):
         rng.bit_generator.advance(i + 1)
         kept.append((rng.random(n - i - 1) < p).nonzero()[0]
                     .astype(np.int32))
-    u = np.repeat(np.arange(n, dtype=np.int32), [k.size for k in kept])
-    v = np.concatenate(kept)
-    del kept    # the per-row arrays, before the adjacency is filled
-    v += u
-    v += 1
-    bitset.or_bits(adj, u, v)
-    bitset.or_bits(adj, v, u)
-    return Graph(n, adj)
+    keys = np.empty(sum(k.size for k in kept), dtype=np.int64)
+    at = 0
+    for i in range(n):     # row i's offset k is pair (i, i + 1 + k)
+        row = keys[at:at + kept[i].size]
+        np.add(kept[i], i * (n + 1) + 1, out=row, dtype=np.int64)
+        at += row.size
+        kept[i] = None
+    return Graph(n, keys)
 
 
 def _block_edges(kind: str, size: int, offset: int, p: float,
@@ -396,13 +392,17 @@ def load_edge_list(text: str) -> Graph:
             raise GraphParseError(
                 f"line {lineno}: vertex id exceeds declared n={n_header}")
         max_id = max(max_id, u, v)
-        edges.append((min(u, v), max(u, v)))
+        edges.append((u, v))
     n = n_header if n_header is not None else max_id + 1
-    return Graph.from_edges(n, sorted(set(edges)))
+    return Graph.from_edges(n, edges)
 
 
 def dump_edge_list(g: Graph) -> str:
-    """Writer form: header plus one "u v" line per edge, u < v, sorted."""
-    lines = [f"# n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """Writer form: header plus one "u v" line per edge, u < v, sorted.
+
+    The lines are formatted ``_DUMP_EDGES`` edges at a time, so one
+    block's tuples and strings are alive at once beside the text.
+    """
+    blocks = ("".join(f"{u} {v}\n" for u, v in g.edges(lo, lo + _DUMP_EDGES))
+              for lo in range(0, g.m, _DUMP_EDGES))
+    return "".join([f"# n={g.n}\n", *blocks])

@@ -36,6 +36,7 @@ callers read what they need, so no subsample block builds its answers:
 """
 from __future__ import annotations
 
+import itertools
 import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -94,7 +95,12 @@ class QueryLedger:
 # ---------------------------------------------------------------------------
 
 class DenseBlock:
-    """Explicit query rows: row k is (left[k], right[k])."""
+    """Explicit query rows: row k is (left[k], right[k]), packed masks.
+
+    The coarse bootstrap's block: a few thousand rows, each over a large
+    part of the graph, so ``evaluate`` passes over the edges once for
+    all rows rather than over each row's neighborhood.
+    """
 
     __slots__ = ("tag", "left", "right")
 
@@ -116,11 +122,41 @@ class DenseBlock:
                 "has overlapping L and R")
 
     def evaluate(self, graph: Graph) -> np.ndarray:
-        hit = (self.right & graph.neighborhood_rows(self.left)).any(axis=1)
-        return (~hit).astype(np.uint8)
+        """One uint8 answer per row.  With bit k of L[u] saying that u is
+        in left[k] (``_row_bits``), row k hits iff bit k is set in the OR
+        over the edges (u, v) of L[u] & R[v] | L[v] & R[u], taken a block
+        whose four gathers hold about ``bitset.SCRATCH_BYTES`` at a time."""
+        lt = _row_bits(self.left, graph.n)
+        rt = _row_bits(self.right, graph.n)
+        hit = np.zeros(lt.shape[1], dtype=np.uint64)
+        step = max(1, bitset.SCRATCH_BYTES // (32 * max(1, hit.size)))
+        for lo in range(0, graph.m, step):
+            u, v = graph.ends(lo, lo + step)
+            both = lt[u] & rt[v]
+            both |= lt[v] & rt[u]
+            hit |= np.bitwise_or.reduce(both, axis=0)
+        hit = np.unpackbits(hit.view(np.uint8), bitorder="little")
+        return 1 - hit[:len(self.left)]
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         return zip(self.left, self.right)
+
+
+def _row_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """The transpose of a (rows, w) mask stack: (n, word_count(rows))
+    words, bit k of row u being bit u of masks[k].  Blocks of whole bytes
+    of rows by whole words of vertices, about ``bitset.SCRATCH_BYTES``
+    once unpacked, are unpacked, transposed and packed again."""
+    rows, w = masks.shape
+    out = np.zeros((n, 8 * bitset.word_count(rows)), dtype=np.uint8)
+    r_step = max(8, bitset.SCRATCH_BYTES // 512 * 8)
+    c_step = max(1, bitset.SCRATCH_BYTES // (64 * max(1, min(rows, r_step))))
+    for r, c in itertools.product(range(0, rows, r_step), range(0, w, c_step)):
+        bits = np.unpackbits(masks[r:r + r_step, c:c + c_step].view(np.uint8),
+                             axis=1, bitorder="little")[:, :n - 64 * c]
+        out[64 * c:64 * c + bits.shape[1], r // 8:(r + len(bits) + 7) // 8] = (
+            np.packbits(bits.T, axis=1, bitorder="little"))
+    return out.view(np.uint64)
 
 
 def _depth_slab(planes: np.ndarray) -> np.ndarray:
@@ -270,14 +306,8 @@ class SharedSubsampleBlock:
         and repeats go by sorting (part, id) keys.
         """
         n = graph.n
-        indptr, indices = graph.csr
-        start = indptr[self.members]
-        deg = indptr[self.members + 1] - start
-        at = np.repeat(start - (np.cumsum(deg) - deg), deg)
-        at += np.arange(at.size)
-        ids = indices[at]
+        deg, ids = graph.neighbor_lists(self.members)
         part = np.repeat(self.part, deg)
-        del at, start, deg
         owner = np.full(n, -1, dtype=np.int64)
         owner[self.members] = self.part
         keep = owner[ids] != part

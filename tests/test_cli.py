@@ -402,14 +402,20 @@ def test_sample_reports_no_edges_only_on_edgeless_graphs():
     assert _statuses(out) == ["no_edges"]
 
 
-def test_estimate_leaves_out_numpy_ma():
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--gen", "gnp:n=128,p=0.05,seed=1", "--epsilon", "0.5",
+     "--seed", "1", "--cT", "2", "--c2", "4", "--clambda", "1",
+     "--with-truth"],
+    ["sample", "--gen", "gnp:n=64,p=0.05,seed=1", "--count", "50",
+     "--seed", "1", "--with-truth"],
+    ["connectivity", "--gen", "components:k=3,size=10,inner=clique",
+     "--seed", "1", "--with-truth"]], ids=lambda argv: argv[0])
+def test_estimate_leaves_out_numpy_ma(argv):
     # plain np.unique imports numpy.ma (about 0.6 MiB and 8-13 ms); no
-    # call on the estimate path may reach it
+    # call on the path of a command may reach it
     code = ("import io, sys, contextlib, bisq.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    bisq.cli.main(['estimate', '--gen', 'gnp:n=128,p=0.05,"
-            "seed=1', '--epsilon', '0.5', '--seed', '1', '--cT', '2', "
-            "'--c2', '4', '--clambda', '1', '--with-truth'])\n"
+            f"    bisq.cli.main({argv!r})\n"
             "print('numpy.ma' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)

@@ -288,7 +288,7 @@ def test_contracted_graph_without_recovered_edges_is_the_base_graph():
     g = gen_gnp(70, 0.1, seed=13)
     sup = SupernodeOracle(BisOracle(g), contract(_rows(set()), g.n))
     assert sup.n == g.n
-    assert np.array_equal(sup.graph.adj_words, g.adj_words)
+    assert np.array_equal(sup.graph.edge_keys, g.edge_keys)
 
 
 def test_connected_path():

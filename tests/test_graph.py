@@ -52,7 +52,7 @@ def test_round_trip():
     g = gen_gnp(50, 0.1, seed=2)
     g2 = load_edge_list(dump_edge_list(g))
     assert g2.n == g.n and g2.m == g.m
-    assert np.array_equal(g.adj_words, g2.adj_words)
+    assert np.array_equal(g.edge_keys, g2.edge_keys)
 
 
 def test_gnp_extremes():
@@ -61,12 +61,13 @@ def test_gnp_extremes():
 
 
 def _gnp_full_draw(n, p, seed):
-    # G(n, p) from one n x n uniform draw, kept as the reference
+    # G(n, p) from one n x n uniform draw, kept as the reference: the
+    # (u, v) rows of its edges, u < v, sorted
     from bisq.seeding import rng_for
     if p == 0.0:
-        return np.zeros((n, bitset.word_count(n)), dtype=np.uint64)
-    tri = np.triu(rng_for(seed, "gnp", n).random((n, n)) < p, k=1)
-    return bitset.pack_bool(tri | tri.T)
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.argwhere(np.triu(rng_for(seed, "gnp", n).random((n, n)) < p,
+                               k=1))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 300])
@@ -74,7 +75,9 @@ def _gnp_full_draw(n, p, seed):
 def test_gnp_rows_equal_the_full_draw(n, p):
     for seed in (0, 7, ("c7", 1)):
         g = gen_gnp(n, p, seed)
-        assert np.array_equal(g.adj_words, _gnp_full_draw(n, p, seed))
+        ref = _gnp_full_draw(n, p, seed)
+        assert np.array_equal(np.stack(g.ends(), axis=1), ref)
+        assert g.edges() == [tuple(e) for e in ref.tolist()]
 
 
 def test_gnp_scratch_stays_under_the_full_draw():
@@ -102,7 +105,7 @@ def test_gnp_binomial_mean():
 
 def test_gnp_deterministic_given_seed():
     a, b = gen_gnp(128, 0.05, seed=9), gen_gnp(128, 0.05, seed=9)
-    assert np.array_equal(a.adj_words, b.adj_words)
+    assert np.array_equal(a.edge_keys, b.edge_keys)
 
 
 def test_star_degrees():
@@ -161,16 +164,20 @@ def test_graph_rejects_self_loop_edges():
 def test_adjacency_immutable():
     g = gen_gnp(16, 0.2, seed=1)
     with pytest.raises(ValueError):
-        g.adj_words[0, 0] = np.uint64(1)
+        g.edge_keys[0] = 1
+    for lists in g.csr:
+        with pytest.raises(ValueError):
+            lists[0] = 1
 
 
 def test_unpickled_graph_is_read_only():
     g = gen_gnp(70, 0.2, seed=3)
     h = pickle.loads(pickle.dumps(g))
     assert h.n == g.n and h.m == g.m
-    assert np.array_equal(h.adj_words, g.adj_words)
+    assert np.array_equal(h.edge_keys, g.edge_keys)
+    assert h.edges() == g.edges()
     with pytest.raises(ValueError):
-        h.adj_words[0, 0] = np.uint64(1)
+        h.edge_keys[0] = 1
     assert not h.degrees.flags.writeable
 
 
@@ -235,53 +242,6 @@ def test_vertex_set_matches_python_sets(n, data):
     assert A.isdisjoint(B) == a.isdisjoint(b)
 
 
-def test_members_rows_matches_members():
-    # the support-pair helper lists, row by row, exactly what members
-    # lists: stray bits past n (tail bits) are dropped, empty rows give
-    # no pairs
-    rng = np.random.default_rng(11)
-    for n in (1, 63, 64, 65, 130, 200):
-        w = bitset.word_count(n)
-        words = bitset.random_planes(rng, (5, w))
-        words[1] = 0
-        words[2, 0] = 0
-        words[3] &= bitset.random_planes(rng, w)
-        row, ids = bitset.members_rows(words, n)
-        assert bool(n % 64) == any(
-            bitset.members(r, w * 64).max() >= n for r in words if r.any())
-        for r in range(words.shape[0]):
-            assert np.array_equal(ids[row == r],
-                                  bitset.members(words[r], n))
-        assert np.array_equal(row, np.sort(row, kind="stable"))
-    row, ids = bitset.members_rows(np.zeros((0, 2), dtype=np.uint64), 100)
-    assert row.size == ids.size == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 150), st.floats(0.0, 0.6), st.integers(0, 12),
-       st.sampled_from([1, 3, 64, None]), st.integers(0, 10 ** 6))
-def test_neighborhood_rows_equal_per_row_unions(n, p, rows, block, seed):
-    # a stack of lefts of mixed density, some empty, through blocks of
-    # about `block` member adjacency rows (None: the default budget)
-    g = gen_gnp(n, p, seed)
-    w = bitset.word_count(n)
-    rng = np.random.default_rng(seed)
-    lefts = bitset.random_planes(rng, (rows, w))
-    for r in range(rows):
-        for _ in range(r % 4):
-            lefts[r] &= bitset.random_planes(rng, w)
-    lefts[::5] = 0
-    bitset.trim_tail(lefts, n)
-    with pytest.MonkeyPatch.context() as mp:
-        if block is not None:
-            mp.setattr(bitset, "SCRATCH_BYTES", block * 8 * w)
-        got = g.neighborhood_rows(lefts)
-    assert got.shape == lefts.shape
-    for left, gamma in zip(lefts, got):
-        assert np.array_equal(
-            gamma, g.neighborhood_words(bitset.members(left, n)))
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 150), st.floats(0.0, 0.6), st.integers(0, 10 ** 6))
 def test_edges_match_the_row_by_row_loop(n, p, seed):
@@ -291,29 +251,6 @@ def test_edges_match_the_row_by_row_loop(n, p, seed):
     expect = [(u, int(v)) for u in range(n) for v in g.neighbors(u) if u < v]
     assert g.edges() == expect
     assert all(type(u) is int and type(v) is int for u, v in g.edges())
-
-
-def _packed(n, pairs):
-    """Adjacency words with exactly the given (row, column) bits set."""
-    rows, cols = zip(*pairs)
-    return bitset.pack_rows(n, np.array(rows), np.array(cols), n)
-
-
-def test_graph_rejects_asymmetric_adjacency():
-    # an even degree sum, so only the symmetry check can catch it; the
-    # one-way bits sit in both words of a 70-vertex row
-    adj = _packed(70, [(1, 2), (2, 1), (3, 67), (66, 69)])
-    with pytest.raises(ValueError, match="^adjacency is not symmetric$"):
-        Graph(70, adj)
-    Graph(70, _packed(70, [(1, 2), (2, 1), (3, 67), (67, 3)]))
-
-
-def test_graph_rejects_self_looped_adjacency():
-    # two loops keep the degree sum even; the lowest one is named, even
-    # though the matrix is also asymmetric
-    adj = _packed(70, [(68, 68), (5, 5), (0, 65), (1, 65)])
-    with pytest.raises(ValueError, match="^self-loop at vertex 5$"):
-        Graph(70, adj)
 
 
 def _least_vertex_labels(n, u, v):
@@ -375,17 +312,16 @@ def test_exact_components_group_by_least_vertex(n, p, seed):
     lambda: gen_gnp(65, 0.2, seed=4),
     lambda: Graph.from_edges(70, []),
     lambda: gen_family("star", n=65)])
-@pytest.mark.parametrize("rows", [None, 3])
-def test_csr_lists_equal_neighbors(make, rows):
+@pytest.mark.parametrize("repeats", [None, 3])
+def test_csr_lists_equal_neighbors(make, repeats):
     # built on first use only, so constructing a graph does not pay for
-    # it; ``rows`` adjacency rows per unpacked block (None: the default
-    # budget)
+    # it; with ``repeats``, the graph is rebuilt from its edges reversed
+    # and given that many times, which must merge into the same lists
     g = make()
+    if repeats is not None:
+        g = Graph.from_edges(g.n, [(v, u) for u, v in g.edges()] * repeats)
     assert g._csr is None
-    with pytest.MonkeyPatch.context() as mp:
-        if rows is not None:
-            mp.setattr(bitset, "SCRATCH_BYTES", rows * 8 * g.adj_words.shape[1])
-        indptr, indices = g.csr
+    indptr, indices = g.csr
     assert g.csr[0] is indptr
     assert indptr.dtype == indices.dtype == np.int64
     assert indptr.shape == (g.n + 1,) and indices.size == 2 * g.m
@@ -394,3 +330,105 @@ def test_csr_lists_equal_neighbors(make, rows):
                               g.neighbors(v))
     with pytest.raises(ValueError):
         indices[:1] = 0
+
+
+def _reference_case(n, source, p, seed):
+    """(graph, the pairs it was built from) for one reference case."""
+    from bisq.graph import _block_edges
+    if source == "gnp":
+        return gen_gnp(n, p, seed), _gnp_full_draw(n, p, seed).tolist()
+    if source == "pairs":
+        rng = np.random.default_rng(seed)
+        pairs = [(int(u), int(v)) for u, v in rng.integers(0, max(n, 1),
+                                                           (2 * n, 2))
+                 if u != v]
+        # reversed and repeated pairs merge into one edge each
+        pairs += [(v, u) for u, v in pairs[::3]] + pairs[::4]
+        return Graph.from_edges(n, pairs), pairs
+    if n < 2:
+        return Graph.from_edges(n, []), []
+    if source == "complete_bipartite":
+        a = n // 3 + 1
+        pairs = [(i, a + j) for i in range(a) for j in range(n - a)]
+        return gen_family(source, a=a, b=n - a), pairs
+    if source == "components":
+        sizes = [n // 3, n - 2 * (n // 3), n // 3]
+        pairs, offset = [], 0
+        for idx, size in enumerate(sizes):
+            pairs += _block_edges("gnp", size, offset, p, (seed, idx))
+            offset += size
+        g = gen_family(source, k=3, sizes=sizes, inner="gnp", p=p, seed=seed)
+        return g, pairs
+    return gen_family(source, n=n), _block_edges(source, n, 0, p, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 2, 63, 64, 65]),
+       st.sampled_from(["gnp", "pairs", "star", "path", "clique", "cycle",
+                        "complete_bipartite", "components"]),
+       st.floats(0.0, 0.5), st.integers(0, 10 ** 6), st.data())
+def test_graph_readers_match_the_dense_reference(n, source, p, seed, data):
+    # every reader of the edge keys and the lists they derive, against a
+    # packed n x n matrix built from the same pairs
+    from graph_reference import DenseReference
+    g, pairs = _reference_case(n, source, p, seed)
+    ref = DenseReference(n, pairs)
+    assert g.n == n
+    assert g.degrees.tolist() == ref.degrees()
+    assert [g.degree(v) for v in range(n)] == ref.degrees()
+    assert g.m == sum(ref.degrees()) // 2
+    assert g.edges() == ref.edges()
+    lo = data.draw(st.integers(0, g.m))
+    assert g.edges(lo, lo + 5) == ref.edges()[lo:lo + 5]
+    indptr, indices = g.csr
+    for v in range(n):
+        assert np.array_equal(g.neighbors(v), ref.neighbors(v))
+        assert np.array_equal(indices[indptr[v]:indptr[v + 1]],
+                              ref.neighbors(v))
+    if n:
+        u = np.repeat(np.arange(n), n)
+        v = np.tile(np.arange(n), n)
+        expect = [ref.has_edge(a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert g.has_edge(u, v).tolist() == expect
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        assert g.has_edge(a, b) is ref.has_edge(a, b)
+        ids = data.draw(st.lists(st.integers(0, n - 1), max_size=6,
+                                 unique=True))
+        assert np.array_equal(g.neighborhood_words(np.array(ids, dtype=int)),
+                              ref.neighborhood_words(ids))
+    assert exact_components(g) == ref.components()
+
+
+def _traced_peak(fn):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_from_edges_scratch_is_o_of_n_plus_m():
+    # about n edges on n = 16384 vertices; the n x n bit matrix alone was
+    # n^2 / 8 bytes, 32 MiB (measured: 0.9 MB)
+    n = 16384
+    rng = np.random.default_rng(3)
+    pairs = [(u, v) for u, v in rng.integers(0, n, (n, 2)).tolist() if u != v]
+    Graph.from_edges(64, [(0, 1)])      # lazy imports are not scratch
+    g, peak = _traced_peak(lambda: Graph.from_edges(n, pairs))
+    assert 0.99 * n < g.m <= n
+    assert peak < 64 * (n + g.m)
+
+
+def test_dump_edge_list_scratch_is_bounded():
+    # the lines are formatted a block of edges at a time, so the scratch
+    # is about the text and its blocks, not a tuple and a line per edge
+    # (measured: 1.1 MB for a 0.33 MB text; all the lines at once took
+    # 6.4 MB)
+    g = gen_gnp(8192, 0.001, seed=1)
+    dump_edge_list(gen_gnp(64, 0.1, seed=1))
+    text, peak = _traced_peak(lambda: dump_edge_list(g))
+    assert text.count("\n") == g.m + 1
+    assert peak < 2 * len(text) + (1 << 20)

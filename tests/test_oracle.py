@@ -102,7 +102,7 @@ def test_plan_of_k_queries_counts_k():
     o = BisOracle(g)
     rng = rng_for(1)
     k = 17
-    lefts = np.zeros((k, g.adj_words.shape[1]), dtype=np.uint64)
+    lefts = np.zeros((k, bitset.word_count(g.n)), dtype=np.uint64)
     rights = np.zeros_like(lefts)
     for i in range(k):
         ids = rng.permutation(32)
@@ -113,6 +113,40 @@ def test_plan_of_k_queries_counts_k():
     assert answers.size == k
     assert o.ledger.bis_count == k
     assert o.ledger.phases == {"t": k}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.sampled_from([0.0, 0.02, 0.2]),
+       st.integers(0, 40), st.sampled_from([None, 1, 8]),
+       st.integers(0, 10 ** 6))
+@example(n=130, p=0.2, rows=40, budget=1, seed=1)
+@example(n=65, p=0.0, rows=9, budget=1, seed=2)
+def test_dense_block_matches_fresh_answers(n, p, rows, budget, seed):
+    # the edge pass against a fresh oracle's bis answer to every row; each
+    # vertex is left, right or neither per row, and every fourth row has
+    # an empty left and every fifth an empty right.  A sparse gnp leaves
+    # isolated vertices and p = 0 no edge; ``budget`` sets the scratch to
+    # that many 64-byte units, so with 1 the transpose goes 8 rows by one
+    # word column at a time and the edge pass an edge or two at a time
+    from bisq.oracle import _row_bits
+    g = gen_gnp(n, p, seed)
+    side = np.random.default_rng(seed).integers(0, 3, size=(rows, n))
+    side[::4][side[::4] == 0] = 2
+    side[::5][side[::5] == 1] = 2
+    block = DenseBlock("d", bitset.pack_bool(side == 0),
+                       bitset.pack_bool(side == 1))
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(bitset, "SCRATCH_BYTES", 64 * budget)
+        answers = block.evaluate(g)
+        bits = _row_bits(block.left, n)
+    assert answers.dtype == np.uint8 and answers.shape == (rows,)
+    assert answers.tolist() == fresh_row_answers(g, block)
+    # bit k of vertex u's row bits says whether u is in left k
+    assert bits.shape == (n, bitset.word_count(rows))
+    unpacked = np.unpackbits(bits.view(np.uint8), axis=1,
+                             bitorder="little")[:, :rows]
+    assert np.array_equal(unpacked.T, side == 0)
 
 
 def test_two_batches_one_round_scope():
@@ -279,10 +313,10 @@ def test_shared_top_histogram_counts_match_answer_sums(n, p, reps, levels,
                 for left, _ in list(block.iter_rows())[::reps * levels]]
     # the adjacency-list supports are these word supports, each pair once
     part, ids = block._supports(g)
-    expect_part, expect_ids = bitset.members_rows(np.array(supports), n)
-    assert part.tolist() == expect_part.tolist()
-    assert ids.tolist() == expect_ids.tolist()
-    planes = block.draw_planes(g.adj_words.shape[1])
+    expect = [(q, v) for q, support in enumerate(supports)
+              for v in bitset.members(support, n).tolist()]
+    assert list(zip(part.tolist(), ids.tolist())) == expect
+    planes = block.draw_planes(bitset.word_count(n))
     expect = np.array([[[not (planes[r, i] & s).any()
                          for i in range(levels)] for r in range(reps)]
                        for s in supports])
@@ -401,7 +435,7 @@ def test_nested_rate_masks_calls_concatenate(n, levels, chunks, key, pick):
 def _top_from_planes(g, block):
     """Top depths read off the eagerly drawn planes, part by part."""
     n = g.n
-    planes = block.draw_planes(g.adj_words.shape[1])
+    planes = block.draw_planes(bitset.word_count(n))
     top = np.full((len(block.parts), block.reps), -1, dtype=np.int8)
     for p in block.parts:
         left = block.members[block.part == p]
@@ -440,7 +474,7 @@ def test_shared_block_chunks_give_the_eager_answers(monkeypatch, chunk,
                                           *range(20, 23), 50])
         block = _cells_block(n, [[128], [129], [127], [126]], base, reps,
                              levels, block.stream)
-    w = g.adj_words.shape[1]
+    w = bitset.word_count(n)
     monkeypatch.setattr(bitset, "SCRATCH_BYTES", chunk * 8 * levels * w)
     drawn = []
     draw = bitset.nested_rate_masks
