@@ -1,15 +1,24 @@
 #!/usr/bin/env python3
-"""Wall time, peak RSS and report digest of ``bisq estimate`` as n grows.
+"""Wall time, peak RSS and report digest of a bisq command as n grows.
 
-For each n, runs ``bisq estimate`` on gnp:n=N,p=10/N,seed=1 (mean degree
-10) with run seed 1 and the acceptance suite's estimate constants
-(--cT 8 --c2 4 --clambda 4), each in a fresh interpreter with one
-BLAS/OpenMP thread, and prints its wall time, its own max RSS (from
-``os.wait4``) and the SHA-256 of its report.  Equal digests across two
-checkouts mean equal reports.  Standard library only.
+For each n, runs one command with run seed 1, each in a fresh
+interpreter with one BLAS/OpenMP thread, and prints its wall time, its
+own max RSS (from ``os.wait4``) and the SHA-256 of its report.  Equal
+digests across two checkouts mean equal reports.  Standard library only.
+The modes:
+
+- estimate: ``bisq estimate`` on gnp:n=N,p=10/N,seed=1 (mean degree 10)
+  with the acceptance suite's estimate constants (--cT 8 --c2 4
+  --clambda 4);
+- connectivity: ``bisq connectivity`` on four disjoint paths of N/4
+  vertices each (components:k=4,size=N/4,inner=path) with the
+  connectivity tests' constants (--cT 8 --c2 1 --clambda 16
+  --pool-scale 4 --cnb 2 --cR 2): round 1 plans one recovery block per
+  vertex, and round 2 runs the sampler on the four supernodes.
 
 Usage:
-    python scripts/estimate_scaling.py [--n 4096,8192,16384] [--src DIR]
+    python scripts/estimate_scaling.py [--mode estimate|connectivity]
+                                       [--n 4096,8192,16384] [--src DIR]
 """
 from __future__ import annotations
 
@@ -31,6 +40,16 @@ def estimate_argv(n: int) -> list:
             "--cT", "8", "--c2", "4", "--clambda", "4"]
 
 
+def connectivity_argv(n: int) -> list:
+    return [sys.executable, "-m", "bisq.cli", "connectivity", "--gen",
+            f"components:k=4,size={n // 4},inner=path", "--seed", "1",
+            "--cT", "8", "--c2", "1", "--clambda", "16", "--pool-scale", "4",
+            "--cnb", "2", "--cR", "2"]
+
+
+MODES = {"estimate": estimate_argv, "connectivity": connectivity_argv}
+
+
 def run(argv: list, env: dict) -> tuple[float, float, str, int]:
     """(wall s, max RSS MiB, report SHA-256, exit code) of one child."""
     t0 = time.perf_counter()
@@ -47,6 +66,8 @@ def run(argv: list, env: dict) -> tuple[float, float, str, int]:
 
 def main() -> int:
     ap = argparse.ArgumentParser()
+    ap.add_argument("--mode", choices=sorted(MODES), default="estimate",
+                    help="the command to scale")
     ap.add_argument("--n", default="4096,8192,16384",
                     help="comma-separated vertex counts")
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1]
@@ -57,7 +78,7 @@ def main() -> int:
     failed = 0
     print(f"{'n':>7}  {'wall_s':>8}  {'max_rss_mib':>11}  report_sha256")
     for n in (int(x) for x in args.n.split(",")):
-        wall, rss, digest, code = run(estimate_argv(n), env)
+        wall, rss, digest, code = run(MODES[args.mode](n), env)
         failed += code != 0
         print(f"{n:>7}  {wall:>8.2f}  {rss:>11.1f}  {digest}"
               + (f"  (exit {code})" if code else ""), flush=True)

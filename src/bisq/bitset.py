@@ -11,7 +11,7 @@ import numpy as np
 WORD_BITS = 64
 _U1 = np.uint64(1)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
-# pairs per bitwise_or.at call in or_bits
+# pairs per bitwise_or.at call in pack_rows
 _PAIR_SLICE = 1 << 16
 # bytes per array of one step of a blocked evaluation: a repetition chunk
 # of SharedSubsampleBlock.evaluate or a block of its histogram keys, a
@@ -52,21 +52,16 @@ def pack_indices(n: int, indices) -> np.ndarray:
 
 def pack_rows(n: int, rows: np.ndarray, indices: np.ndarray,
               count: int) -> np.ndarray:
-    """Stack of ``count`` masks; mask rows[k] has bit indices[k] set."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"vertex id out of range 0..{n - 1}")
-    words = np.zeros((count, word_count(n)), dtype=np.uint64)
-    or_bits(words, np.asarray(rows, dtype=np.int64), idx)
-    return words
-
-
-def or_bits(words: np.ndarray, rows: np.ndarray, indices: np.ndarray) -> None:
-    """Set bit indices[k] of mask rows[k] in a (rows, w) stack, in place.
+    """Stack of ``count`` masks; mask rows[k] has bit indices[k] set.
 
     The pairs go through in slices of ``_PAIR_SLICE``, so the scratch is
     a few MiB however many pairs there are.
     """
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError(f"vertex id out of range 0..{n - 1}")
+    rows = np.asarray(rows, dtype=np.int64)
+    words = np.zeros((count, word_count(n)), dtype=np.uint64)
     flat = words.reshape(-1)
     for lo in range(0, rows.size, _PAIR_SLICE):
         idx = indices[lo:lo + _PAIR_SLICE]
@@ -75,6 +70,7 @@ def or_bits(words: np.ndarray, rows: np.ndarray, indices: np.ndarray) -> None:
         at += idx >> 6
         np.bitwise_or.at(flat, at,
                          np.left_shift(_U1, (idx & 63).astype(np.uint64)))
+    return words
 
 
 def pack_bool(flags: np.ndarray) -> np.ndarray:
@@ -86,8 +82,8 @@ def pack_bool(flags: np.ndarray) -> np.ndarray:
     return words.view(np.uint64)
 
 
-def members(words: np.ndarray, n: int) -> np.ndarray:
-    """Sorted array of set bit positions below n."""
+def members(words: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Sorted array of set bit positions (below n, if given)."""
     bits = np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
     return np.nonzero(bits)[0].astype(np.int64)
 

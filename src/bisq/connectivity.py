@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import itertools
 import numpy as np
 
-from . import params
+from . import bitset, params
 from .edge_sampler import sample_edges_batch
 from .element_recovery import build_neighbor_recovery
-from .graph import Graph, VertexSet, components, pair_keys
+from .graph import Graph, components, pair_keys
 from .oracle import BisOracle, QueryPlan, Results
 from .params import Constants
 
@@ -52,24 +52,20 @@ def round1_neighbor_sampling(oracle: BisOracle, seed,
 
     One round.  Each vertex gets one recovery plan sized so its accepted
     pool approaches ceil(c_nb log2^2 n) independent draws; every pool
-    entry is a certified neighbor, so the edges are real.  The plan holds
-    only each block's seed, and the submitted results (each block's pool)
-    are evaluated as they are read, so one block's masks are live at a
-    time.
+    entry is a certified neighbor, so the edges are real.  v's block
+    holds v, its seed and the full vertex set that all blocks share as
+    their base (its domain is V minus v), and the results (each block's
+    pool) are evaluated as they are read, so one block's masks are live
+    at a time.
     """
     n = oracle.n
     target = params.neighbor_sample_target(n, constants)
     reps = params.round1_reps(n, constants)
-    full = VertexSet.full(n)
-    recs = []
-    plan = QueryPlan(n)
-    for v in range(n):
-        left = VertexSet.from_indices(n, [v])
-        right = full.difference(left)
-        rec = build_neighbor_recovery(left, right, reps, (seed, "round1", v),
-                                      tag=tag)
-        recs.append(rec)
-        plan.add(rec.block)
+    full = bitset.full_words(n)
+    recs = [build_neighbor_recovery(np.array([v]), full, reps,
+                                    (seed, "round1", v), tag=tag)
+            for v in range(n)]
+    plan = QueryPlan(n, [rec.block for rec in recs])
     with oracle.round():
         results = oracle.submit(plan)
     # each pool is kept as a Python list: small arrays left on the C heap

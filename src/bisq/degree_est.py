@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from . import bitset, params
+from . import params
 from .graph import VertexSet
 from .nbr_size import NsParams, decode_ns
 from .oracle import BisOracle, QueryPlan, SharedSubsampleBlock
@@ -85,19 +85,35 @@ def _cells(assignment_row: np.ndarray):
     return np.unique(assignment_row, return_inverse=True, return_counts=True)
 
 
-def _recoveries(n: int, members: np.ndarray, cell_ids: np.ndarray,
-                cell_of: np.ndarray, ser_reps: int, key: tuple, tag: str):
-    """One neighbor recovery per cell of a repetition, cell id ascending,
-    each from the cell to everything outside it; ``key`` + (cell id,)
-    seeds it.  A cell holding every vertex has no outside to recover
-    from: it plans no block (None) and gets an empty pool (being the
-    repetition's only cell, it moves no other block's slot)."""
-    lefts = bitset.pack_rows(n, cell_of, members, cell_ids.size)
-    bases = bitset.trim_tail(~lefts, n)
-    return [build_neighbor_recovery(VertexSet(n, left), VertexSet(n, base),
-                                    ser_reps, key + (cell_id,), tag=tag)
-            if base.any() else None
-            for cell_id, left, base in zip(cell_ids.tolist(), lefts, bases)]
+def _sketch_plans(n: int, members: np.ndarray, epsilon: float, seed,
+                  ns: NsParams, constants: Constants, extended: bool,
+                  tag: str):
+    """Each repetition's plan with the cell of each member (``_cells``),
+    the cell sizes and, if extended, each cell's neighbor recovery, from
+    its members to V, which every block shares.  The plan is a
+    shared-plane block, a part per cell against V, then the recovery
+    blocks, cell id ascending.  A cell holding every vertex has no
+    outside: it plans no block (None), so it gets an empty pool.  An
+    empty subset plans nothing, so it costs no round."""
+    if not members.size:
+        return
+    schedule = PartitionSchedule.build(members.size, n, epsilon, extended,
+                                       seed, constants)
+    ser_reps = params.ser_pool_reps(n, epsilon, constants)
+    everything = VertexSet.full(n)
+    for t in range(schedule.reps):
+        cell_ids, cell_of, sizes = _cells(schedule.assignment[t])
+        lefts = np.split(members[np.argsort(cell_of, kind="stable")],
+                         np.cumsum(sizes)[:-1]) if extended else []
+        recoveries = [build_neighbor_recovery(
+            left, everything.words, ser_reps, (seed, "deg-ser", t, cell_id),
+            tag=tag + "-ser") if left.size < n else None
+            for cell_id, left in zip(cell_ids.tolist(), lefts)]
+        plan = QueryPlan(n, [SharedSubsampleBlock(
+            tag, members, cell_of, cell_ids.size, everything, ns.reps,
+            ns.levels, (seed, "deg-planes", t))])
+        plan.blocks += [rec.block for rec in recoveries if rec is not None]
+        yield plan, cell_of, sizes, recoveries
 
 
 def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
@@ -112,33 +128,10 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
     pool_id = np.full(size, -1, dtype=np.int64)
     pools: list = []
     ns_failures = 0
-    if size == 0:
-        table = DegreeTable(vertices=members, d_hat=d_hat, t_min=t_min,
-                            failed=np.zeros(0, dtype=bool))
-        if extended:
-            return table, NeighborTable(
-                vertices=members, neighbor=pool_id.copy(),
-                cell_size=cell_size, pool_id=pool_id, pools=pools)
-        return table, None
-
-    schedule = PartitionSchedule.build(size, n, epsilon, extended, seed,
-                                       constants)
     ns = sketch_ns(n, epsilon, profile, constants)
-    ser_reps = params.ser_pool_reps(n, epsilon, constants)
-    everything = VertexSet.full(n)
-
     with oracle.round():
-        for t in range(schedule.reps):
-            cell_ids, cell_of, sizes = _cells(schedule.assignment[t])
-            recoveries = (_recoveries(n, members, cell_ids, cell_of, ser_reps,
-                                      (seed, "deg-ser", t), tag + "-ser")
-                          if extended else [])
-            plan = QueryPlan(n, [SharedSubsampleBlock(
-                tag, members, cell_of, cell_ids.size, everything, ns.reps,
-                ns.levels, (seed, "deg-planes", t))])
-            for rec in recoveries:
-                if rec is not None:
-                    plan.add(rec.block)
+        for t, (plan, cell_of, sizes, recoveries) in enumerate(_sketch_plans(
+                n, members, epsilon, seed, ns, constants, extended, tag)):
             results = oracle.submit(plan)
             est = decode_ns(results[0], ns)
             ns_failures += int(np.count_nonzero(est == np.inf))
@@ -198,17 +191,9 @@ def predict_sketch_queries(n: int, subset_size: int, epsilon: float, seed,
                            profile: str = params.FAST,
                            constants: Constants = Constants(),
                            extended: bool = False) -> int:
-    """Seed-exact dry-run query count for the sketch; matches execution."""
-    if subset_size == 0:
-        return 0
-    schedule = PartitionSchedule.build(subset_size, n, epsilon, extended,
-                                       seed, constants)
-    ns_size = sketch_ns(n, epsilon, profile, constants).queries
-    ser_reps = params.ser_pool_reps(n, epsilon, constants)
-    total = 0
-    for t in range(schedule.reps):
-        for cell_size in _cells(schedule.assignment[t])[2].tolist():
-            total += ns_size
-            if extended and cell_size < n:
-                total += params.ser_queries(n - cell_size, ser_reps)
-    return total
+    """Seed-exact dry-run query count for the sketch: the sizes of the
+    very plans it would submit, which depend on the subset's size alone."""
+    ns = sketch_ns(n, epsilon, profile, constants)
+    return sum(plan.size() for plan, *_ in _sketch_plans(
+        n, np.arange(subset_size), epsilon, seed, ns, constants, extended,
+        "dry-run"))

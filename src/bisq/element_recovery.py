@@ -11,18 +11,19 @@ support.  Accepted repetitions are independent, so one plan yields a pool
 of independent uniform draws; callers consume the first or the whole pool.
 
 A plan is a recovery block, ``oracle.SidesSubsampleBlock``, wrapped in a
-`NeighborRecovery` that decodes it.  Instantiated over the edge oracle,
-with the implicit vector indexed by a set R and tested against a disjoint
-set L, every query is a single oracle call, which recovers a uniform
-member of Gamma(L) ∩ R.  Domain index k is the k-th member of R, and
-which sides hold it is a function of k alone (``oracle.side_masks``), so
-a plan stores only the seed of its subsample masks.  The certificate
-holds exactly where one support element survives, so the block's result
-is the pool itself, counted from survivors rather than decoded from the
-answers: the domain indices of the accepted repetitions, which
-``NeighborRecovery.decode_pool`` maps to vertices.  ``plan_ser`` builds
-the same block over an abstract vector of length ``domain`` (an empty L
-and R = 0..domain-1, so index k is vertex k), and ``answer_plan`` gives
+`NeighborRecovery` that decodes it; ``build_neighbor_recovery`` builds
+every one.  Over the edge oracle the block holds the member ids of L and
+a packed base B that plans may share, its domain R = B minus L indexes the
+implicit vector, and every query is a single oracle call: the plan
+recovers a uniform member of Gamma(L) ∩ R.  Domain index k is the k-th
+member of R, and which sides hold it is a function of k alone
+(``oracle.side_masks``), so a plan stores only the seed of its masks.
+The certificate holds exactly where one support element survives, so the
+block's result is the pool itself, counted from survivors: the domain
+indices of the accepted repetitions, which ``NeighborRecovery.decode_pool``
+maps to vertices.  ``plan_ser`` builds
+the block over an abstract vector of length ``domain`` (no member ids
+and B = 0..domain-1, so index k is vertex k), and ``answer_plan`` gives
 its pool for a known vector through the block's own kernel.
 """
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .oracle import BisOracle, QueryPlan, SidesSubsampleBlock
 from .params import Constants
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborRecovery:
-    """A recovery block over Gamma(L) ∩ R; its domain is members(R)."""
+    r"""A recovery block over Gamma(L) ∩ (B \ L); its domain is
+    members(B) \ L."""
     block: SidesSubsampleBlock
 
     @property
@@ -49,10 +51,9 @@ class NeighborRecovery:
 
     def decode_pool(self, pool: np.ndarray) -> np.ndarray:
         """Recovered vertices in scan order (independent uniform draws):
-        the members of R at the domain indices of ``pool``, the block's
+        the domain's members at the indices of ``pool``, the block's
         result (``SidesSubsampleBlock.pool``)."""
-        base = self.block.base
-        return bitset.members(base, base.size * bitset.WORD_BITS)[pool]
+        return bitset.members(self.block.domain())[pool]
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +78,14 @@ def plan_ser(domain: int, delta: float, seed,
         raise ValueError("domain must be >= 1")
     if reps is None:
         reps = params.ser_reps(delta, constants)
-    return NeighborRecovery(SidesSubsampleBlock(
-        "ser", bitset.empty_words(domain), bitset.full_words(domain), reps,
-        seed))
+    return build_neighbor_recovery(np.empty(0, dtype=np.int64),
+                                   bitset.full_words(domain), reps, seed)
 
 
 def answer_plan(plan: NeighborRecovery, x_words: np.ndarray) -> np.ndarray:
     """The plan's result for a known vector (test and simulation helper):
     its recovery pool, with x itself as the support."""
-    return plan.block.pool(x_words & plan.block.base)
+    return plan.block.pool(x_words & plan.block.domain())
 
 
 def decode_ser(plan: NeighborRecovery, pool: np.ndarray) -> SerOutcome:
@@ -100,18 +100,15 @@ def decode_ser(plan: NeighborRecovery, pool: np.ndarray) -> SerOutcome:
 # oracle instantiation: uniform neighbor of L inside R
 # ---------------------------------------------------------------------------
 
-def build_neighbor_recovery(left: VertexSet, right: VertexSet, reps: int,
+def build_neighbor_recovery(left: np.ndarray, base: np.ndarray, reps: int,
                             seed, tag: str = "ser") -> NeighborRecovery:
-    """Plan recovery of a uniform member of Gamma(L) ∩ R; no queries.
+    r"""Plan recovery of a uniform member of Gamma(L) ∩ (B \ L); no
+    queries.  ``left`` holds the member ids of L and ``base`` the packed
+    words of B, which plans may share.
 
     The block keeps ``seed`` and draws its masks from it when evaluated.
     """
-    if not left.isdisjoint(right):
-        raise ValueError("left and right sets overlap")
-    if not right.words.any():
-        raise ValueError("right set is empty")
-    return NeighborRecovery(
-        SidesSubsampleBlock(tag, left.words, right.words, reps, seed))
+    return NeighborRecovery(SidesSubsampleBlock(tag, left, base, reps, seed))
 
 
 def uniform_neighbor_of_set(oracle: BisOracle, left: VertexSet,
@@ -123,8 +120,13 @@ def uniform_neighbor_of_set(oracle: BisOracle, left: VertexSet,
     One non-adaptive batch; ~levels * reps * (2 bits + 2) oracle queries
     with reps = ceil(c_R ln(1/delta)).
     """
+    if not left.isdisjoint(right):
+        raise ValueError("left and right sets overlap")
+    if not right.words.any():
+        raise ValueError("right set is empty")
     reps = params.ser_reps(delta, constants)
-    rec = build_neighbor_recovery(left, right, reps, seed, tag=tag)
+    rec = build_neighbor_recovery(left.members(), right.words, reps, seed,
+                                  tag=tag)
     plan = QueryPlan(oracle.n, [rec.block])
     with oracle.round():
         pool = rec.decode_pool(oracle.submit(plan)[0])

@@ -9,6 +9,7 @@ the estimators report.
 """
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -359,12 +360,16 @@ def load_edge_list(text: str) -> Graph:
     An optional leading header "# n=<N>" fixes the vertex count; without
     it, n is 1 + the largest id seen.  Lines that are blank are skipped.
     Self-loops and malformed lines raise GraphParseError naming the line.
+    Lines, ended by newlines, are read one at a time into one array('q').
     """
+    # imported here: its extension module costs every command that reads
+    # no file resident memory
+    from array import array
     n_header: Optional[int] = None
-    edges: list[tuple[int, int]] = []
+    ids = array("q")
     max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, match in enumerate(re.finditer("^.*$", text, re.M), start=1):
+        line = match.group().strip()
         if not line:
             continue
         if line.startswith("#"):
@@ -377,11 +382,8 @@ def load_edge_list(text: str) -> Graph:
                 except ValueError:
                     raise GraphParseError(f"line {lineno}: bad header {line!r}")
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"line {lineno}: expected two integers, got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, line.split())
         except ValueError:
             raise GraphParseError(f"line {lineno}: expected two integers, got {line!r}")
         if u == v:
@@ -392,9 +394,9 @@ def load_edge_list(text: str) -> Graph:
             raise GraphParseError(
                 f"line {lineno}: vertex id exceeds declared n={n_header}")
         max_id = max(max_id, u, v)
-        edges.append((u, v))
+        ids.extend((u, v))
     n = n_header if n_header is not None else max_id + 1
-    return Graph.from_edges(n, edges)
+    return Graph(n, pair_keys(n, np.frombuffer(ids, dtype=np.int64)))
 
 
 def dump_edge_list(g: Graph) -> str:

@@ -7,19 +7,20 @@ any prior answer costs one adaptivity round, which callers express with
 ``with oracle.round(): ...`` scopes.
 
 Blocks come in three kinds, each storing only what its rows are a
-function of: explicit rows (the coarse bootstrap), subsample planes
-shared by many parts, each a left against one shared base minus that
-left (the degree sketch's cell assignment against the whole vertex set,
-and the NS plan, one part), and the subsample masks of single element
-recovery, cut by bit-decoding sides derived from ``base`` itself
-(``side_masks``): every SER plan, over the graph or over an abstract
-vector, is one such block.  Both subsample kinds hold the seed their
-planes or masks are drawn from, not the planes or masks.  Evaluation is
-exact and equivalent to answering every materialized (L, R) row
-separately, which `iter_rows` exposes for verification.  A shared-plane
-block evaluates its repetitions in chunks of bounded size, drawn one
-after another from the block's one stream, so its scratch does not grow
-with the repetition count.
+function of: explicit rows (the coarse bootstrap), and two subsample
+kinds that describe their sets alike, as member ids against a packed
+base B that blocks may share, a left's domain being B minus that left.
+Shared planes serve many parts (the degree sketch's cells against the
+whole vertex set, and the NS plan, one part); the masks of single
+element recovery are cut by bit-decoding sides of the domain
+(``side_masks``), and every SER plan, over the graph or over an
+abstract vector, is one such block.  Both hold the seed their planes or
+masks are drawn from, not the planes or masks, and find their supports
+in the graph's adjacency lists (``_supports``).  Evaluation is exact
+and equivalent to answering every materialized (L, R) row separately,
+which `iter_rows` exposes for verification.  A shared-plane block
+evaluates its repetitions in chunks drawn one after another from its
+one stream, so its scratch does not grow with the repetition count.
 
 `BisOracle.submit` validates and charges a whole plan at once and
 returns its `Results`, which evaluate a block only when its result is
@@ -222,6 +223,37 @@ def _add_histogram(hist: np.ndarray, acc: np.ndarray,
             keys.ravel(), minlength=keys.shape[0] * levels).reshape(-1, levels)
 
 
+def _check_members(tag: str, members: np.ndarray, n: int) -> None:
+    """Refuse a repeated member, or one outside 0..n-1."""
+    ids = np.sort(members)
+    if ids.size and (ids[0] < 0 or ids[-1] >= n):
+        raise ValueError(f"block {tag!r}: member out of range 0..{n - 1}")
+    if (ids[1:] == ids[:-1]).any():
+        raise ValueError(f"block {tag!r}: member repeated")
+
+
+def _supports(graph: Graph, members: np.ndarray, part: np.ndarray,
+              base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r"""(part, id) of every vertex of Gamma(left_p) ∩ (B \ left_p),
+    part-major, ids ascending, left_p being the members with part id p
+    and B the packed words ``base``: the (part, id) keys of the members'
+    neighbors in B, gathered from the adjacency lists in one index
+    array and sorted, less repeats and the members' own keys (found by
+    binary search), so no array of n entries is built."""
+    n = graph.n
+    deg, ids = graph.neighbor_lists(members)
+    keep = (base[ids >> 6] >> (ids & 63).astype(np.uint64)
+            & np.uint64(1)).astype(bool)
+    key = np.repeat(part, deg)[keep] * n + ids[keep]
+    key.sort()
+    own = part * n + members
+    at = np.searchsorted(key, own)
+    key = np.delete(key, np.concatenate([     # repeats, then own keys
+        np.flatnonzero(key[1:] == key[:-1]) + 1,
+        at[np.searchsorted(key, own, side="right") > at]]))
+    return np.divmod(key, n)
+
+
 class SharedSubsampleBlock:
     r"""Parts (left_p, B \ left_p) sharing one stack of seeded subsample
     planes.
@@ -287,36 +319,11 @@ class SharedSubsampleBlock:
     def validate(self) -> None:
         if self.part.shape != self.members.shape:
             raise ValueError(f"block {self.tag!r}: one part id per member")
-        ids = np.sort(self.members)
-        if ids.size and (ids[0] < 0 or ids[-1] >= self.base.n):
-            raise ValueError(f"block {self.tag!r}: member out of range "
-                             f"0..{self.base.n - 1}")
-        if (ids[1:] == ids[:-1]).any():
-            raise ValueError(f"block {self.tag!r}: member repeated")
+        _check_members(self.tag, self.members, self.base.n)
         if self.part.size and (self.part.min() < 0
                                or self.part.max() >= len(self.parts)):
             raise ValueError(f"block {self.tag!r}: part id out of range "
                              f"0..{len(self.parts) - 1}")
-
-    def _supports(self, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-        """(part, id) of every support vertex, part-major, ids ascending.
-
-        The members' adjacency lists are gathered in one index array;
-        a neighbor stays if it lies in B and outside its own part's left,
-        and repeats go by sorting (part, id) keys.
-        """
-        n = graph.n
-        deg, ids = graph.neighbor_lists(self.members)
-        part = np.repeat(self.part, deg)
-        owner = np.full(n, -1, dtype=np.int64)
-        owner[self.members] = self.part
-        keep = owner[ids] != part
-        keep &= (self.base.words[ids >> 6] >> (ids & 63).astype(np.uint64)
-                 & np.uint64(1)).astype(bool)
-        key = part[keep] * n + ids[keep]
-        key.sort()
-        key = key[np.diff(key, prepend=-1) != 0]
-        return key // n, key % n
 
     def _maxima(self, graph: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each repetition chunk's top depths, chunks in draw order.
@@ -333,7 +340,8 @@ class SharedSubsampleBlock:
         into a vertex-major depth slab, and each support's maximum over
         its slab rows is folded in by runs of ranks (``_rank_runs``).
         """
-        part, ids = self._supports(graph)
+        part, ids = _supports(graph, self.members, self.part,
+                              self.base.words)
         if not ids.size:
             return
         w = self.base.words.size
@@ -410,18 +418,22 @@ def side_masks(n: int, positions: np.ndarray) -> np.ndarray:
 
 
 class SidesSubsampleBlock:
-    """Seeded subsample masks of a base cut by bit-decoding sides.
+    r"""Seeded subsample masks of a domain cut by bit-decoding sides.
 
-    The domain is members(base) in id order and its sides are those of
-    ``side_masks``.  The masks, of shape (reps, levels, w) with levels =
-    ``params.ser_levels(|base|)``, are nested subsamples of base drawn
-    from ``rng_for(seed, "ser-plan")``; the block stores that seed, not
-    the masks, and ``draw_masks`` draws them afresh for each use.  Row
-    for (level l, rep r, side q) is masks[r, l] & side q; row index
-    l * reps * n_sides + r * n_sides + q.  Every single element recovery
-    plan is one of these blocks.
+    The block holds the member ids of its left and a packed base B,
+    which blocks may share; its domain is B \ left (``domain``), in id
+    order, and its sides are those of ``side_masks``.  A row lies
+    inside the domain, so no row can overlap its left: ``validate``
+    refuses only a malformed block, one with a repeated member or one
+    outside B's words.  The masks, of shape (reps, levels, w) with
+    levels = ``params.ser_levels(|domain|)``, are nested subsamples of
+    the domain drawn from ``rng_for(seed, "ser-plan")``; the block
+    stores that seed, not the masks, and ``draw_masks`` draws them
+    afresh for each use.  Row for (level l, rep r, side q) is
+    masks[r, l] & side q; row index l * reps * n_sides + r * n_sides + q.
+    Every single element recovery plan is one of these blocks.
 
-    Answers depend only on the support S = Gamma(left) ∩ base, and a
+    Answers depend only on the support S = Gamma(left) ∩ domain, and a
     block is read only through its decoded pool, so ``evaluate`` returns
     the pool, not the answers.  Repetition r certifies a level l (whole
     side hit, every bit hit on exactly one side, verify hit) iff exactly
@@ -431,8 +443,9 @@ class SidesSubsampleBlock:
     survivor count cannot rise with l, and the first level where it is 1
     is the first certified level.  ``pool`` counts survivors per (rep,
     level) on the word columns of S alone; ``evaluate`` finds S in the
-    graph, and the abstract SER plans (``element_recovery.answer_plan``)
-    call ``pool`` with a known support.
+    graph's adjacency lists, as a shared-plane block finds its supports,
+    and the abstract SER plans (``element_recovery.answer_plan``) call
+    ``pool`` with a known support.
     """
 
     __slots__ = ("tag", "left", "base", "reps", "seed")
@@ -440,42 +453,49 @@ class SidesSubsampleBlock:
     def __init__(self, tag: str, left: np.ndarray, base: np.ndarray,
                  reps: int, seed):
         self.tag = tag
-        self.left = left
+        self.left = np.asarray(left, dtype=np.int64)
         self.base = base
         self.reps = reps
         self.seed = seed
 
+    def domain(self) -> np.ndarray:
+        """The packed domain: base with the left's bits cleared, in a
+        copy of base's words."""
+        words = self.base.copy()
+        np.bitwise_and.at(words, self.left >> 6, ~np.left_shift(
+            np.uint64(1), (self.left & 63).astype(np.uint64)))
+        return words
+
     def n_queries(self) -> int:
-        return params.ser_queries(bitset.popcount(self.base), self.reps)
+        return params.ser_queries(bitset.popcount(self.domain()), self.reps)
 
     def draw_masks(self, cols: Optional[np.ndarray] = None) -> np.ndarray:
-        """The (reps, levels, w) subsample masks, drawn inside base, or
-        only their word columns cols."""
-        levels = params.ser_levels(bitset.popcount(self.base))
+        """The (reps, levels, w) subsample masks, drawn inside the domain,
+        or only their word columns cols."""
+        domain = self.domain()
+        levels = params.ser_levels(bitset.popcount(domain))
         return bitset.nested_rate_masks(rng_for(self.seed, "ser-plan"),
-                                        self.base, levels, self.reps, cols)
+                                        domain, levels, self.reps, cols)
 
     def validate(self) -> None:
-        if (self.left & self.base).any():
-            raise DisjointnessError(
-                f"block {self.tag!r}: left overlaps the sampled base set")
+        _check_members(self.tag, self.left, bitset.WORD_BITS * self.base.size)
 
     def evaluate(self, graph: Graph) -> np.ndarray:
-        """The recovery pool of the support Gamma(left) ∩ base; see
+        """The recovery pool of the support Gamma(left) ∩ domain; see
         ``pool``."""
-        return self.pool(graph.neighborhood_words(
-            bitset.members(self.left, graph.n)) & self.base)
+        return self.pool(bitset.pack_indices(graph.n, _supports(
+            graph, self.left, np.zeros_like(self.left), self.base)[1]))
 
     def pool(self, support: np.ndarray) -> np.ndarray:
         """Domain indices recovered from the support words ``support`` (a
-        subset of base), int64 in scan order.
+        subset of the domain), int64 in scan order.
 
         One entry per repetition with a certified level: the one survivor
         at its first such level.  Scan order is level-major (level 0, the
         densest subsample, first), repetitions ascending.  The masks are
         drawn on the support's word columns only; the survivor is the one
         set bit of its level's words, and its domain index is the number
-        of base vertices below it.
+        of domain vertices below it.
         """
         cols = np.flatnonzero(support)
         if not cols.size:
@@ -489,19 +509,21 @@ class SidesSubsampleBlock:
         words = held[rep[order], level[order]]    # one nonzero word each
         col = cols[words.argmax(axis=1)]
         below = words.max(axis=1) - 1             # the bits under it
-        base_counts = np.bitwise_count(self.base).astype(np.int64)
-        return ((np.cumsum(base_counts) - base_counts)[col]
-                + np.bitwise_count(self.base[col] & below))
+        domain = self.domain()
+        counts = np.bitwise_count(domain).astype(np.int64)
+        return ((np.cumsum(counts) - counts)[col]
+                + np.bitwise_count(domain[col] & below))
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         masks = self.draw_masks()
         reps, levels, w = masks.shape
         n = w * bitset.WORD_BITS
-        sides = side_masks(n, bitset.members(self.base, n))
+        left = bitset.pack_indices(n, self.left)
+        sides = side_masks(n, bitset.members(self.domain()))
         for l in range(levels):
             for r in range(reps):
                 for side in sides:
-                    yield self.left, masks[r, l] & side
+                    yield left, masks[r, l] & side
 
 
 class QueryPlan:
@@ -510,9 +532,6 @@ class QueryPlan:
     def __init__(self, n: int, blocks: Optional[list] = None):
         self.n = n
         self.blocks = list(blocks) if blocks else []
-
-    def add(self, block) -> None:
-        self.blocks.append(block)
 
     def size(self) -> int:
         return sum(b.n_queries() for b in self.blocks)

@@ -20,7 +20,8 @@ def reference_pool(block, answers) -> np.ndarray:
     keeps its first accepting level.  Scan order is level-major,
     repetitions ascending.
     """
-    domain = bitset.popcount(block.base)
+    domain = np.setdiff1d(bitset.members(
+        block.base, bitset.WORD_BITS * block.base.size), block.left).size
     bits = params.ser_bits(domain)
     ans = np.asarray(answers).reshape(params.ser_levels(domain), block.reps,
                                       2 * bits + 2)

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisq import (BisOracle, QueryPlan, SupernodeOracle, VertexSet, contract,
@@ -61,7 +62,8 @@ def _round1_reference(g, seed, constants, checked=None):
     recs = []
     for v in range(n):
         left = VertexSet.from_indices(n, [v])
-        recs.append(build_neighbor_recovery(left, full.difference(left), reps,
+        recs.append(build_neighbor_recovery(left.members(),
+                                            full.difference(left).words, reps,
                                             (seed, "round1", v), tag="round1"))
     results = BisOracle(g).submit(QueryPlan(n, [r.block for r in recs]))
     checked = range(n) if checked is None else checked
@@ -92,6 +94,42 @@ def test_round1_matches_the_set_based_reference():
         assert edges.tolist() == [list(e) for e in sorted(expect)]
         keys = edges[:, 0] * g.n + edges[:, 1]
         assert (edges[:, 0] < edges[:, 1]).all() and (np.diff(keys) > 0).all()
+
+
+class _Submitted(Exception):
+    pass
+
+
+def test_round1_plan_holds_no_words_per_block(monkeypatch):
+    # at n = 4096 a block holds its vertex's id, its seed and the one
+    # full base every block shares: about 340 bytes a vertex, the block,
+    # its id array, its seed key and its recovery wrapper, where a left
+    # and a base words array per block held 6.3 MiB in all
+    import tracemalloc
+    n = 4096
+    o = BisOracle(gen_family("path", n=n))
+    seen = {}
+
+    def submit(oracle, plan):
+        seen["held"] = tracemalloc.get_traced_memory()[0] - seen["before"]
+        seen["plan"] = plan
+        raise _Submitted
+
+    monkeypatch.setattr(BisOracle, "submit", submit)
+    for traced in (False, True):    # the first run warms lazy imports
+        if traced:
+            tracemalloc.start()
+        seen["before"] = tracemalloc.get_traced_memory()[0]
+        try:
+            with pytest.raises(_Submitted):
+                round1_neighbor_sampling(o, seed=1, constants=CONN_C)
+        finally:
+            tracemalloc.stop()
+    blocks = seen["plan"].blocks
+    assert len(blocks) == n
+    assert all(b.base is blocks[0].base for b in blocks)
+    assert [b.left.tolist() for b in blocks] == [[v] for v in range(n)]
+    assert seen["held"] < 1.5 * 2 ** 20
 
 
 def test_recovery_pools_are_pinned(monkeypatch):
@@ -233,7 +271,7 @@ def _supernode_plan(rng, p, reps, levels):
                              rng.integers(0, 3, size=members.size), 3,
                              shared_base, reps, levels,
                              (int(rng.integers(2 ** 32)),)),
-        SidesSubsampleBlock("sides", left, base, reps,
+        SidesSubsampleBlock("sides", bitset.members(left, p), base, reps,
                             int(rng.integers(2 ** 32)))])
 
 

@@ -163,7 +163,8 @@ def test_recovery_soundness_against_oracle():
         ids = rng.permutation(96)
         L = VertexSet.from_indices(96, ids[:3])
         R = VertexSet.from_indices(96, ids[3:60])
-        rec = build_neighbor_recovery(L, R, reps=12, seed=seed)
+        rec = build_neighbor_recovery(L.members(), R.words, reps=12,
+                                      seed=seed)
         result = o.submit(QueryPlan(96, [rec.block]))[0]
         assert result.tolist() == reference_pool(
             rec.block, fresh_row_answers(g, rec.block)).tolist()
@@ -265,9 +266,8 @@ def test_pool_equals_reference_decode_at_word_edges(domain, kind, reps,
 
     g = Graph.from_edges(domain + 1, [(domain, int(v)) for v in support])
     rec = build_neighbor_recovery(
-        VertexSet.from_indices(domain + 1, [domain]),
-        VertexSet.from_indices(domain + 1, range(domain)), reps,
-        ("edge", seed))
+        np.array([domain]), bitset.pack_indices(domain + 1, range(domain)),
+        reps, ("edge", seed))
     result = BisOracle(g).submit(QueryPlan(domain + 1, [rec.block]))[0]
     assert result.dtype == np.int64
     assert result.tolist() == reference_pool(

@@ -55,6 +55,31 @@ def test_round_trip():
     assert np.array_equal(g.edge_keys, g2.edge_keys)
 
 
+def test_parse_errors_count_blank_and_crlf_lines():
+    text = "# n=4\r\n0 1\r\n\r\n  \n1 2\r\n2 2\r\n"
+    with pytest.raises(GraphParseError, match="line 6: self-loop 2"):
+        load_edge_list(text)
+    g = load_edge_list(text.replace("2 2", "2 3"))
+    assert g.n == 4 and g.edges() == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_load_scratch_is_sixteen_bytes_an_edge_and_keys():
+    # the ids of every line go into one array('q'): no list of lines or
+    # of (u, v) tuples, which held about 170 bytes an edge
+    import tracemalloc
+    g = gen_gnp(2000, 0.01, seed=1)
+    text = dump_edge_list(g)
+    load_edge_list(text)            # lazy imports are not scratch
+    tracemalloc.start()
+    try:
+        loaded = load_edge_list(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.edge_keys, g.edge_keys)
+    assert peak < 64 * g.m
+
+
 def test_gnp_extremes():
     assert gen_gnp(10, 0.0, seed=1).m == 0
     assert gen_gnp(10, 1.0, seed=1).m == 45

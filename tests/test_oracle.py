@@ -8,7 +8,8 @@ from bisq import bitset, params
 from bisq.errors import DisjointnessError
 from bisq.graph import gen_family
 from bisq.oracle import (DenseBlock, SharedSubsampleBlock,
-                         SidesSubsampleBlock, _depth_slab, side_masks)
+                         SidesSubsampleBlock, _depth_slab, _supports,
+                         side_masks)
 from bisq.seeding import rng_for
 from ser_reference import fresh_row_answers, reference_pool
 
@@ -312,7 +313,7 @@ def test_shared_top_histogram_counts_match_answer_sums(n, p, reps, levels,
                 & block.base.words & ~left
                 for left, _ in list(block.iter_rows())[::reps * levels]]
     # the adjacency-list supports are these word supports, each pair once
-    part, ids = block._supports(g)
+    part, ids = _supports(g, block.members, block.part, block.base.words)
     expect = [(q, v) for q, support in enumerate(supports)
               for v in bitset.members(support, n).tolist()]
     assert list(zip(part.tolist(), ids.tolist())) == expect
@@ -565,11 +566,9 @@ def test_sides_block_matches_single_queries(n, p, reps, few, seed):
                  VertexSet.from_indices(n, [hub]))),
              (iso, VertexSet.from_indices(n, [hub])),
              (hub, VertexSet.from_indices(n, [one]))]
-    blocks = []
-    for k, (v, right) in enumerate(cases):
-        left = VertexSet.from_indices(n, [v])
-        blocks.append(build_neighbor_recovery(
-            left, right, reps, (seed, k), tag=f"b{k}").block)
+    blocks = [build_neighbor_recovery(np.array([v]), right.words, reps,
+                                      (seed, k), tag=f"b{k}").block
+              for k, (v, right) in enumerate(cases)]
     sizes = [bitset.popcount(g.neighborhood_words(np.array([v])) & r.words)
              for v, r in cases]
     assert sizes[:3] == [0, 1, few] and sizes[3] > 48
@@ -600,7 +599,7 @@ def test_subsample_rows_lie_inside_base():
     left = VertexSet.from_indices(n, [0])
     others = VertexSet.full(n).difference(left)
     base = others.difference(VertexSet.from_indices(n, g.neighbors(0)))
-    block = SidesSubsampleBlock("sides", left.words, base.words, 2, 5)
+    block = SidesSubsampleBlock("sides", left.members(), base.words, 2, 5)
     pool = BisOracle(g).submit(QueryPlan(n, [block]))[0]
     rows = fresh_row_answers(g, block)
     assert rows == [1] * block.n_queries()
@@ -623,7 +622,8 @@ def test_seeded_sides_rows_equal_the_eager_draw(n, reps, draw, key):
     where[draw % n] = 1
     left = bitset.pack_indices(n, np.flatnonzero(where == 0))
     base = bitset.pack_indices(n, np.flatnonzero(where == 1))
-    block = SidesSubsampleBlock("s", left, base, reps, key)
+    block = SidesSubsampleBlock("s", np.flatnonzero(where == 0), base, reps,
+                                key)
     domain = bitset.members(base, n)
     levels = params.ser_levels(domain.size)
     masks = bitset.nested_rate_masks(rng_for(key, "ser-plan"), base,
@@ -649,11 +649,11 @@ def test_unread_submission_is_charged_in_full(monkeypatch):
     blocks = [DenseBlock("d", np.stack([one, one]), np.stack([some, some])),
               SharedSubsampleBlock("sh", [1], [0], 1, VertexSet(n, some), 2,
                                    3, ("unread",)),
-              SidesSubsampleBlock("si", one, some, 4, "unread")]
+              SidesSubsampleBlock("si", [1], some, 4, "unread")]
     plan = QueryPlan(n, blocks)
     o = BisOracle(g)
     results = o.submit(plan)
-    plan.add(blocks[0])
+    plan.blocks.append(blocks[0])
     assert len(results) == 3 and evaluated == []
     assert o.ledger.snapshot() == {
         "bis_count": 2 + 6 + 4 * 2 * 4, "batch_count": 1, "round_count": 1,
@@ -665,17 +665,17 @@ def test_unread_submission_is_charged_in_full(monkeypatch):
 
 def _overlapping_block(kind, n):
     """A block of the given kind with rows that share vertex 66 with
-    their left: Dense rows 4 and 5 and the level-0 whole-side rows of the
-    Sides block.  A shared-plane row lies outside its left by
-    construction, so its case is a malformed block instead: a member
-    repeated or out of range, or a part id out of range."""
+    their left: Dense rows 4 and 5.  A subsample row lies outside its
+    left by construction, so a subsample kind's case is a malformed block
+    instead: a member repeated or out of range, or a shared-plane part id
+    out of range."""
     left = bitset.pack_indices(n, [0, 66])
     base = bitset.pack_indices(n, [5, 66])
     if kind == "dense":
         lefts = np.stack([bitset.pack_indices(n, [1])] * 3 + [left] * 3)
         rights = np.stack([bitset.pack_indices(n, ids) for ids in
                            ([2], [3, 4], [5], [2, 9], [66], [5, 66])])
-        return DenseBlock("t", lefts, rights)
+        return [DenseBlock("t", lefts, rights)]
     if kind == "shared":
         return [SharedSubsampleBlock("t", members, part, 2,
                                      VertexSet(n, base), 3, 2, ("overlap",))
@@ -686,22 +686,51 @@ def _overlapping_block(kind, n):
                                       ([0, 66, 7], [0, 0, 2]),
                                       ([0, 66], [-1, 1]),
                                       ([0, 66], [0]))]
-    return SidesSubsampleBlock("t", left, base, 3, "overlap")
+    # n = 70 fills two words, so 128 is the first id outside them
+    return [SidesSubsampleBlock("t", members, base, 3, "overlap")
+            for members in ([0, 66, 66], [66, 0, 66], [0, 128], [-1, 66])]
 
 
 @pytest.mark.parametrize("kind", ["dense", "shared", "sides"])
 def test_block_rejects_row_overlapping_its_left(kind):
     n = 70
-    blocks = _overlapping_block(kind, n)
-    message = {"dense": "query 4 ", "sides": "overlap",
+    message = {"dense": "query 4 ", "sides": "repeated|out of range",
                "shared": "repeated|out of range|one part id per member"}
-    error = ValueError if kind == "shared" else DisjointnessError
-    for block in blocks if kind == "shared" else [blocks]:
+    error = DisjointnessError if kind == "dense" else ValueError
+    for block in _overlapping_block(kind, n):
         o = BisOracle(gen_gnp(n, 0.1, seed=1))
         with pytest.raises(error, match=message[kind]):
             o.submit(QueryPlan(n, [block]))
         assert o.ledger.snapshot() == {"bis_count": 0, "batch_count": 0,
                                        "round_count": 0, "phases": {}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 150), st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_sides_block_left_overlapping_base_is_the_block_over_the_rest(
+        n, reps, seed):
+    # a recovery block whose left overlaps its base has the pool,
+    # n_queries and rows of the block over base minus left, against that
+    # left: the same domain, so the same masks, levels and indices
+    rng = rng_for("overlap-base", seed)
+    g = gen_gnp(n, float(rng.random()), seed)
+    left = np.flatnonzero(rng.random(n) < rng.random())
+    base = bitset.pack_indices(n, np.flatnonzero(rng.random(n) < 0.7))
+    rest = base & ~bitset.pack_indices(n, left)
+    got = SidesSubsampleBlock("s", left, base, reps, ("overlap", seed))
+    want = SidesSubsampleBlock("s", left, rest, reps, ("overlap", seed))
+    assert got.n_queries() == want.n_queries()
+    assert np.array_equal(got.domain(), rest)
+    o = BisOracle(g)
+    pools = o.submit(QueryPlan(n, [got, want]))
+    assert pools[0].tolist() == pools[1].tolist()
+    assert o.ledger.phases == {"s": 2 * want.n_queries()}
+    rows = list(got.iter_rows())
+    assert len(rows) == got.n_queries()
+    for (gl, gr), (wl, wr) in zip(rows, want.iter_rows(), strict=True):
+        assert np.array_equal(gl, wl) and np.array_equal(gr, wr)
+    assert pools[0].tolist() == reference_pool(
+        got, fresh_row_answers(g, got)).tolist()
 
 
 def test_or_query_via_bis():
