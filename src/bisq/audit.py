@@ -1,9 +1,10 @@
 """Dry-run complexity audits: planned query counts with zero execution.
 
-The written-constant ("paper") profile is not executable at desk scale,
-so its budgets are checked arithmetically: nominal plan sizes against the
-target growth rates.  The nominal estimator count charges every sketch
-cell at every level, matching how the target rate counts them.
+The written-constant ("paper") profile is not executable at desk scale
+(no run path takes a profile), so its budgets are checked here
+arithmetically: nominal plan sizes against the target growth rates.
+The nominal estimator count charges every sketch cell at every level,
+matching how the target rate counts them.
 """
 from __future__ import annotations
 

@@ -36,7 +36,6 @@ class RunConfig:
     epsilon: float = 0.25
     delta: float = 0.1
     seed: int = 0
-    profile: str = params.FAST
     trials: int = 1
     count: int = 1
     out: Optional[str] = None
@@ -49,8 +48,6 @@ class RunConfig:
             raise ValueError("--epsilon must lie in (0, 0.5]")
         if not 0 < self.delta <= 0.5:
             raise ValueError("--delta must lie in (0, 0.5]")
-        if self.profile not in (params.FAST, params.PAPER):
-            raise ValueError("--profile must be fast or paper")
         if self.trials < 1 or self.count < 1:
             raise ValueError("--trials and --count must be >= 1")
         for name in ("c2", "c_T", "c_lambda", "c_R", "c_nb", "c_se",
@@ -117,14 +114,14 @@ def _estimate_trial(args):
     g, cfg, i = args
     oracle = BisOracle(g)
     result = run_pipeline(oracle, cfg.epsilon, (cfg.seed, "trial", i),
-                          cfg.profile, cfg.constants)
+                          cfg.constants)
     delta = result.ledger_delta
     rec = {
         "trial": i,
         "n": g.n,
         "m_hat": result.m_hat,
         "epsilon": cfg.epsilon,
-        "profile": cfg.profile,
+        "profile": params.FAST,
         "seed": cfg.seed,
         "bis_count": delta["bis_count"],
         "rounds": delta["round_count"],
@@ -141,8 +138,7 @@ def _sample_trial(args):
     g, cfg, i = args
     oracle = BisOracle(g)
     batch = sample_edges_batch(oracle, cfg.count, cfg.epsilon,
-                               (cfg.seed, "trial", i), cfg.profile,
-                               cfg.constants)
+                               (cfg.seed, "trial", i), cfg.constants)
     delta = oracle.ledger.snapshot()
     ok = batch.ok
     v, u = batch.vertex[ok], batch.neighbor[ok]
@@ -184,7 +180,7 @@ def _connectivity_trial(args):
     g, cfg, i = args
     oracle = BisOracle(g)
     rep = is_connected(oracle, (cfg.seed, "trial", i), cfg.constants,
-                       cfg.epsilon, cfg.profile)
+                       cfg.epsilon)
     rec = {"trial": i, "n": g.n,
            "verdict": "connected" if rep.connected else "disconnected",
            "rounds": rep.rounds, "bis_count": rep.bis_count,
@@ -330,8 +326,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gen", dest="gen_spec", metavar="GEN",
                    help="generator spec, e.g. gnp:n=1024,p=0.01")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", choices=[params.FAST, params.PAPER],
-                   default=params.FAST)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--with-truth", action="store_true",
                    help="embed exact ground truth in reports")

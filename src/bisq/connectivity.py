@@ -128,8 +128,7 @@ class ConnectivityReport:
 
 def is_connected(oracle: BisOracle, seed,
                  constants: Constants = Constants(),
-                 epsilon: float = 0.25,
-                 profile: str = params.FAST) -> ConnectivityReport:
+                 epsilon: float = 0.25) -> ConnectivityReport:
     """Connectivity verdict in at most two adaptivity rounds: connected
     iff the edges recovered in both rounds join all vertices into one
     component."""
@@ -150,8 +149,7 @@ def is_connected(oracle: BisOracle, seed,
                                   round1_edges=len(edges))
     sup = SupernodeOracle(oracle, sg)
     k = params.superedge_sample_count(n, constants)
-    batch = sample_edges_batch(sup, k, epsilon, (seed, "round2"),
-                               profile, constants)
+    batch = sample_edges_batch(sup, k, epsilon, (seed, "round2"), constants)
     ok = batch.ok
     superedges = _unique_pairs(batch.vertex[ok], batch.neighbor[ok], sg.p)
     delta = oracle.ledger.delta(before)

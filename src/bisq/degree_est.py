@@ -117,8 +117,7 @@ def _sketch_plans(n: int, members: np.ndarray, epsilon: float, seed,
 
 
 def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
-                profile: str, constants: Constants, extended: bool,
-                tag: str):
+                constants: Constants, extended: bool, tag: str):
     n = oracle.n
     members = subset.members()
     size = int(members.size)
@@ -128,7 +127,7 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
     pool_id = np.full(size, -1, dtype=np.int64)
     pools: list = []
     ns_failures = 0
-    ns = sketch_ns(n, epsilon, profile, constants)
+    ns = sketch_ns(n, epsilon, params.FAST, constants)
     with oracle.round():
         for t, (plan, cell_of, sizes, recoveries) in enumerate(_sketch_plans(
                 n, members, epsilon, seed, ns, constants, extended, tag)):
@@ -168,32 +167,30 @@ def _run_sketch(oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
 
 
 def estimate_degrees(oracle: BisOracle, subset: VertexSet, epsilon: float,
-                     seed, profile: str = params.FAST,
-                     constants: Constants = Constants(),
+                     seed, constants: Constants = Constants(),
                      tag: str = "deg-ns") -> DegreeTable:
     """Degree estimates for every vertex of the subset; one round."""
-    table, _ = _run_sketch(oracle, subset, epsilon, seed, profile, constants,
+    table, _ = _run_sketch(oracle, subset, epsilon, seed, constants,
                            extended=False, tag=tag)
     return table
 
 
 def estimate_degrees_with_neighbors(
         oracle: BisOracle, subset: VertexSet, epsilon: float, seed,
-        profile: str = params.FAST, constants: Constants = Constants(),
+        constants: Constants = Constants(),
         tag: str = "deg-ns") -> tuple[DegreeTable, NeighborTable]:
     """Extended mode: degree estimates plus per-vertex neighbor candidates."""
-    table, ntable = _run_sketch(oracle, subset, epsilon, seed, profile,
-                                constants, extended=True, tag=tag)
+    table, ntable = _run_sketch(oracle, subset, epsilon, seed, constants,
+                                extended=True, tag=tag)
     return table, ntable
 
 
 def predict_sketch_queries(n: int, subset_size: int, epsilon: float, seed,
-                           profile: str = params.FAST,
                            constants: Constants = Constants(),
                            extended: bool = False) -> int:
     """Seed-exact dry-run query count for the sketch: the sizes of the
     very plans it would submit, which depend on the subset's size alone."""
-    ns = sketch_ns(n, epsilon, profile, constants)
+    ns = sketch_ns(n, epsilon, params.FAST, constants)
     return sum(plan.size() for plan, *_ in _sketch_plans(
         n, np.arange(subset_size), epsilon, seed, ns, constants, extended,
         "dry-run"))

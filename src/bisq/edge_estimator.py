@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bitset, params
 from .degree_est import (DegreeTable, estimate_degrees,
-                         estimate_degrees_with_neighbors, sketch_ns)
+                         estimate_degrees_with_neighbors)
 from .errors import RefineContractError
 from .graph import Graph, VertexSet
 from .oracle import BisOracle, DenseBlock, QueryPlan
@@ -52,14 +52,14 @@ class LevelSchedule:
         return 1.0 if j == 0 else self.gamma ** (-self.mu(j))
 
 
-def build_schedule(n: int, epsilon: float, seed,
-                   profile: str = params.FAST) -> LevelSchedule:
-    """Scale epsilon per profile, draw the random shift, size the ladder."""
+def build_schedule(n: int, epsilon: float, seed) -> LevelSchedule:
+    """Size the fast profile's ladder and draw its random shift."""
     if not 0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
     if n < 2:
         raise ValueError("n must be >= 2")
-    eps_scaled, gamma, buckets, top = params.level_ladder(n, epsilon, profile)
+    eps_scaled, gamma, buckets, top = params.level_ladder(
+        n, epsilon, params.FAST)
     shift = int(rng_for(seed, "shift").integers(0, buckets))
     return LevelSchedule(n=n, eps_scaled=eps_scaled, gamma=gamma,
                          buckets=buckets, shift=shift, top_level=top)
@@ -221,24 +221,12 @@ class PipelineResult:
     refine_queries: int
 
 
-_EXECUTION_CAP = 2 * 10 ** 9
-
-
 def run_pipeline(oracle: BisOracle, epsilon: float, seed,
-                 profile: str = params.FAST,
                  constants: Constants = Constants(),
                  with_neighbors: bool = False) -> PipelineResult:
     """One round of queries, then query-free refinement to the estimate."""
     n = oracle.n
-    schedule = build_schedule(n, epsilon, seed, profile)
-    if profile == params.PAPER:
-        # written-constant budgets are audited arithmetically, not executed
-        inner = sketch_ns(n, schedule.eps_scaled, profile, constants)
-        lower_bound = inner.queries * params.deg_reps(n) * n
-        if lower_bound > _EXECUTION_CAP:
-            raise ValueError(
-                f"paper-profile run would issue >= {lower_bound:.2e} queries;"
-                " use the dry-run audit for paper-profile budgets")
+    schedule = build_schedule(n, epsilon, seed)
     before = oracle.ledger.snapshot()
     samples = draw_levels(n, schedule, seed)
     tables: dict = {}
@@ -248,11 +236,11 @@ def run_pipeline(oracle: BisOracle, epsilon: float, seed,
             if with_neighbors:
                 tables[j], neighbor_tables[j] = estimate_degrees_with_neighbors(
                     oracle, samples[j], schedule.eps_scaled,
-                    (seed, "deg", j), profile, constants)
+                    (seed, "deg", j), constants)
             else:
                 tables[j] = estimate_degrees(
                     oracle, samples[j], schedule.eps_scaled,
-                    (seed, "deg", j), profile, constants)
+                    (seed, "deg", j), constants)
         m0 = coarse_estimate(oracle, (seed, "coarse"))
     snap = oracle.ledger.snapshot()
     t_total = refine_pass_count(schedule, m0)
@@ -275,10 +263,9 @@ def run_pipeline(oracle: BisOracle, epsilon: float, seed,
 
 
 def estimate_edges(oracle: BisOracle, epsilon: float, seed,
-                   profile: str = params.FAST,
                    constants: Constants = Constants()) -> float:
     """Non-adaptive edge-count estimate; one adaptivity round."""
-    return run_pipeline(oracle, epsilon, seed, profile, constants).m_hat
+    return run_pipeline(oracle, epsilon, seed, constants).m_hat
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bitset, params
+from . import bitset
 from .edge_estimator import PipelineResult, run_pipeline
 from .oracle import BisOracle
 from .params import Constants
@@ -183,7 +183,6 @@ def _draw(table: _DrawTable, k: int, rng: np.random.Generator
 
 
 def sample_edges_batch(oracle: BisOracle, k: int, epsilon: float, seed,
-                       profile: str = params.FAST,
                        constants: Constants = Constants()) -> SampleBatch:
     """k draws with replacement sharing one pipeline; one round total.
 
@@ -192,7 +191,7 @@ def sample_edges_batch(oracle: BisOracle, k: int, epsilon: float, seed,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    result = run_pipeline(oracle, epsilon, seed, profile, constants,
+    result = run_pipeline(oracle, epsilon, seed, constants,
                           with_neighbors=True)
     table = _prepare(result)
     if table is None:

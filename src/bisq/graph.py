@@ -277,6 +277,8 @@ def gen_gnp(n: int, p: float, seed=0) -> Graph:
     they become the edge keys row by row, so the peak is the keys plus
     those ids, 12 bytes per edge.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if p == 0.0 or n < 2:

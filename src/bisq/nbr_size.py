@@ -121,7 +121,6 @@ def decode_ns(counts: np.ndarray, ns: NsParams) -> np.ndarray:
 
 def estimate_ns(oracle: BisOracle, left: VertexSet, right: VertexSet,
                 epsilon: float, delta: float, seed,
-                profile: str = params.FAST,
                 constants: Constants = Constants(),
                 tag: str = "ns") -> float:
     """Plan, submit one batch, decode.  Contributes one adaptivity round.
@@ -129,7 +128,7 @@ def estimate_ns(oracle: BisOracle, left: VertexSet, right: VertexSet,
     Raises NsDecodeError when the decode fails (a zero count at the
     selected level).
     """
-    ns = NsParams.create(oracle.n, epsilon, delta, profile, constants)
+    ns = NsParams.create(oracle.n, epsilon, delta, params.FAST, constants)
     plan = plan_ns(left, right, ns, seed, tag=tag)
     with oracle.round():
         counts = oracle.submit(plan)[0]

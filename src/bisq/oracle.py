@@ -115,7 +115,8 @@ class DenseBlock:
     def n_queries(self) -> int:
         return self.right.shape[0]
 
-    def validate(self) -> None:
+    def validate(self, n: int) -> None:
+        _check_words(self.tag, self.left, n)
         bad = (self.left & self.right).any(axis=1)
         if bad.any():
             raise DisjointnessError(
@@ -223,6 +224,13 @@ def _add_histogram(hist: np.ndarray, acc: np.ndarray,
             keys.ravel(), minlength=keys.shape[0] * levels).reshape(-1, levels)
 
 
+def _check_words(tag: str, words: np.ndarray, n: int) -> None:
+    """Refuse packed sets that are not ``word_count(n)`` words long."""
+    if words.shape[-1] != bitset.word_count(n):
+        raise ValueError(f"block {tag!r}: sets of {words.shape[-1]} words, "
+                         f"not the {bitset.word_count(n)} of n={n}")
+
+
 def _check_members(tag: str, members: np.ndarray, n: int) -> None:
     """Refuse a repeated member, or one outside 0..n-1."""
     ids = np.sort(members)
@@ -267,8 +275,8 @@ class SharedSubsampleBlock:
     part per cell, each against everything outside it), and the NS plan
     passes L as the one part with B = R.  A row of part p lies inside
     B \ left_p, so no row can overlap its left: ``validate`` refuses only
-    a malformed block, one with a repeated or out-of-range member or an
-    out-of-range part id.
+    a malformed block, one with a repeated or out-of-range member, an
+    out-of-range part id or a base that is not the plan's size.
 
     The planes, of shape (reps, levels, w), are nested subsamples of the
     whole vertex domain drawn from ``rng_for(*stream)`` (level 0 holds
@@ -316,10 +324,11 @@ class SharedSubsampleBlock:
             rng_for(*self.stream), np.full(w, ~np.uint64(0)), self.levels,
             self.reps, cols)
 
-    def validate(self) -> None:
+    def validate(self, n: int) -> None:
         if self.part.shape != self.members.shape:
             raise ValueError(f"block {self.tag!r}: one part id per member")
-        _check_members(self.tag, self.members, self.base.n)
+        _check_words(self.tag, self.base.words, n)
+        _check_members(self.tag, self.members, n)
         if self.part.size and (self.part.min() < 0
                                or self.part.max() >= len(self.parts)):
             raise ValueError(f"block {self.tag!r}: part id out of range "
@@ -424,13 +433,14 @@ class SidesSubsampleBlock:
     which blocks may share; its domain is B \ left (``domain``), in id
     order, and its sides are those of ``side_masks``.  A row lies
     inside the domain, so no row can overlap its left: ``validate``
-    refuses only a malformed block, one with a repeated member or one
-    outside B's words.  The masks, of shape (reps, levels, w) with
-    levels = ``params.ser_levels(|domain|)``, are nested subsamples of
-    the domain drawn from ``rng_for(seed, "ser-plan")``; the block
-    stores that seed, not the masks, and ``draw_masks`` draws them
-    afresh for each use.  Row for (level l, rep r, side q) is
-    masks[r, l] & side q; row index l * reps * n_sides + r * n_sides + q.
+    refuses only a malformed block, one with a repeated or out-of-range
+    member or a base that is not the plan's size.  The masks, of shape
+    (reps, levels, w) with levels = ``params.ser_levels(|domain|)``, are
+    nested subsamples of the domain drawn from ``rng_for(seed,
+    "ser-plan")``; the block stores that seed, not the masks, and
+    ``draw_masks`` draws them afresh for each use.  Row for (level l,
+    rep r, side q) is masks[r, l] & side q; row index
+    l * reps * n_sides + r * n_sides + q.
     Every single element recovery plan is one of these blocks.
 
     Answers depend only on the support S = Gamma(left) ∩ domain, and a
@@ -477,8 +487,9 @@ class SidesSubsampleBlock:
         return bitset.nested_rate_masks(rng_for(self.seed, "ser-plan"),
                                         domain, levels, self.reps, cols)
 
-    def validate(self) -> None:
-        _check_members(self.tag, self.left, bitset.WORD_BITS * self.base.size)
+    def validate(self, n: int) -> None:
+        _check_words(self.tag, self.base, n)
+        _check_members(self.tag, self.left, n)
 
     def evaluate(self, graph: Graph) -> np.ndarray:
         """The recovery pool of the support Gamma(left) ∩ domain; see
@@ -543,8 +554,9 @@ class QueryPlan:
         return out
 
     def validate(self) -> None:
+        """Check every block against the plan's n."""
         for b in self.blocks:
-            b.validate()
+            b.validate(self.n)
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for b in self.blocks:
@@ -629,8 +641,13 @@ class BisOracle:
         no-edge counts (the count at (p, i) is the number of repetitions
         whose row (p, r, i) answers 1) or a recovery block's pool of
         certified domain indices; it is evaluated when read (see
-        `Results`), over the blocks the plan held at submit.
+        `Results`), over the blocks the plan held at submit.  A plan
+        built for another n, or with a block that does not fit its n, is
+        refused before any charge.
         """
+        if plan.n != self.n:
+            raise ValueError(f"plan for n={plan.n} submitted to a graph "
+                             f"of n={self.n}")
         plan.validate()
         rounds = self._charge_round()
         self.ledger.charge("_batch", 0, batches=1, rounds=rounds)

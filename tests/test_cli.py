@@ -230,16 +230,20 @@ def test_bad_inputs_exit_cleanly(tmp_path, capsys):
         parse_gen_spec("gnp:p=0.1")
 
 
-@pytest.mark.parametrize("flag", [["--c1", "1"], ["--delta", "0.1"]])
+@pytest.mark.parametrize("flag", [["--c1", "1"], ["--delta", "0.1"],
+                                  ["--profile", "paper"],
+                                  ["--profile", "fast"]])
 def test_removed_flags_are_usage_errors(flag, capsys):
-    # c1 was read by nothing, and only audit reads --delta
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--gen", "gnp:n=16,p=0.1"] + flag)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: bisq ")
-    assert err.splitlines()[-1] == ("bisq: error: unrecognized arguments: "
-                                    + " ".join(flag))
+    # c1 was read by nothing, only audit reads --delta, and every run
+    # plans at the fast profile (the paper one is audited, not run)
+    for command in ("estimate", "sample", "connectivity"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--gen", "gnp:n=16,p=0.1"] + flag)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bisq ")
+        assert err.splitlines()[-1] == (
+            "bisq: error: unrecognized arguments: " + " ".join(flag))
 
 
 @pytest.mark.parametrize("flag", [
@@ -318,8 +322,6 @@ def test_out_of_memory_exits_cleanly(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["estimate", "--profile", "paper", "--gen", "star:n=2"],
-    ["sample", "--profile", "paper", "--gen", "star:n=2"],
     ["audit", "--n-grid", "1"], ["audit", "--n-grid", "2"],
     ["audit", "--n-grid", "0"], ["audit", "--n-grid=-4"],
     ["audit", "--n-grid", "256,2"]])
@@ -335,6 +337,14 @@ def test_paper_profile_below_three_vertices_exits_cleanly(args, capsys):
 def test_audit_accepts_three_vertices():
     code, out = run_cli(["audit", "--n-grid", "3"])
     assert code == 0 and '"audit":"estimator","n":3' in out
+
+
+def test_negative_gnp_size_exits_cleanly(capsys):
+    for args in (["connectivity", "--gen", "gnp:n=-3"],
+                 ["generate", "gnp", "--n", "-3"]):
+        code, out = run_cli(args)
+        assert code == 2 and out == "", args
+        assert capsys.readouterr().err == "bisq: n must be >= 0\n", args
 
 
 def test_negative_header_exits_cleanly(tmp_path, capsys):

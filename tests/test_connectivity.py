@@ -177,7 +177,7 @@ def test_report_counts_match_the_set_based_loops():
     sg = contract(_rows(edges), g.n)
     outputs = sample_edges_batch(SupernodeOracle(BisOracle(g), sg),
                                  params.superedge_sample_count(g.n, c), 0.25,
-                                 (3, "round2"), params.FAST, c)
+                                 (3, "round2"), c)
     draws = [out.edge for out in outputs if out.status == OK]
     superedges = {(min(a, b), max(a, b)) for a, b in draws}
     assert len(draws) > len(superedges) > 0

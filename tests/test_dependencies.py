@@ -44,3 +44,46 @@ def test_declared_dependencies_match_imports():
     imported = _third_party_imports()
     assert declared == {"numpy", "pytest", "hypothesis", "scipy"}
     assert set(imported) == declared, imported
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _imports_in(scope):
+    """The import statements of a module or function, leaving out those
+    of the functions defined in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """"file:line name" for each name an import binds that no name in the
+    importing module or function reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    unread = []
+    for scope in [tree, *(node for node in ast.walk(tree)
+                          if isinstance(node, _FUNCTIONS))]:
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name)}
+        for node in _imports_in(scope):
+            if isinstance(node, ast.ImportFrom) and \
+                    node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.name}:{node.lineno} {name}")
+    return unread
+
+
+def test_every_import_is_read():
+    # no linter ships with the toolchain; __init__ imports to re-export
+    unread = [entry for path in sorted((ROOT / "src" / "bisq").glob("*.py"))
+              if path.name != "__init__.py"
+              for entry in _unread_imports(path)]
+    assert unread == []

@@ -10,14 +10,14 @@ from bisq import bitset, params
 from bisq.degree_est import DegreeTable
 from bisq.edge_estimator import recovery_threshold, refine_pass_count
 from bisq.graph import Graph
-from bisq.params import Constants, FAST, PAPER
+from bisq.params import Constants, PAPER
 from bisq.seeding import rng_for
 
 EST_C = Constants(c_T=8.0, c2=4.0, c_lambda=4.0)
 
 
 def test_schedule_fast_arithmetic():
-    s = build_schedule(1024, 0.5, seed=1, profile=FAST)
+    s = build_schedule(1024, 0.5, seed=1)
     assert s.eps_scaled == 0.5
     assert s.buckets == 4
     assert s.gamma == pytest.approx(2.0)
@@ -27,14 +27,14 @@ def test_schedule_fast_arithmetic():
 
 
 def test_schedule_paper_scaling():
-    s = build_schedule(2 ** 16, 0.25, seed=1, profile=PAPER)
-    assert s.eps_scaled == pytest.approx(0.25 / 1200)
-    assert s.buckets == 9600
+    eps_scaled, _, buckets, _ = params.level_ladder(2 ** 16, 0.25, PAPER)
+    assert eps_scaled == pytest.approx(0.25 / 1200)
+    assert buckets == 9600
 
 
 def test_schedule_shift_zero_case():
     for seed in range(40):
-        s = build_schedule(256, 0.5, seed=seed, profile=FAST)
+        s = build_schedule(256, 0.5, seed=seed)
         if s.shift == 0:
             assert s.mu(1) == s.buckets
             assert s.rate(0) == 1.0
@@ -43,14 +43,14 @@ def test_schedule_shift_zero_case():
 
 
 def test_mu_strictly_increasing_and_top_level_bound():
-    s = build_schedule(4096, 0.25, seed=3, profile=FAST)
+    s = build_schedule(4096, 0.25, seed=3)
     mus = [s.mu(j) for j in range(1, s.top_level + 1)]
     assert all(b > a for a, b in zip(mus, mus[1:]))
     assert s.top_level <= 0.5 * math.log2(4096) + 2
 
 
 def test_levels_nested_every_seed():
-    s = build_schedule(512, 0.25, seed=5, profile=FAST)
+    s = build_schedule(512, 0.25, seed=5)
     for seed in range(10):
         samples = draw_levels(512, s, seed)
         assert len(samples) == s.top_level + 1
@@ -61,7 +61,7 @@ def test_levels_nested_every_seed():
 
 def test_level_sizes_match_rates():
     n = 4096
-    s = build_schedule(n, 0.5, seed=11, profile=FAST)
+    s = build_schedule(n, 0.5, seed=11)
     reps = 100
     for j in (1, 2):
         sizes = [len(draw_levels(n, s, seed)[j]) for seed in range(reps)]
@@ -139,7 +139,7 @@ def _empty_tables(n, schedule):
 
 def test_refine_normalization_only():
     n = 1024
-    s = build_schedule(n, 0.25, seed=1, profile=FAST)
+    s = build_schedule(n, 0.25, seed=1)
     tables = _empty_tables(n, s)
     m0 = 5000.0
     state = refine(tables, s, m0, m0, t=1, t_total=10)
@@ -152,12 +152,12 @@ def test_refine_normalization_only():
 def test_refine_final_pass_formula():
     # one vertex recovered with weight gamma^mu * d_hat = 8 * 10 -> m = 40
     n = 64
-    s = build_schedule(n, 0.5, seed=100, profile=FAST)
+    s = build_schedule(n, 0.5, seed=100)
     j = next(j for j in range(1, s.top_level + 1))
     # pick a seed/shift where gamma^mu(1) == 8 (gamma=2, mu = 4 - s => s=1)
     seed = next(k for k in range(100)
-                if build_schedule(n, 0.5, seed=k, profile=FAST).shift == 1)
-    s = build_schedule(n, 0.5, seed=seed, profile=FAST)
+                if build_schedule(n, 0.5, seed=k).shift == 1)
+    s = build_schedule(n, 0.5, seed=seed)
     assert s.gamma_pow_mu(1) == pytest.approx(8.0)
     samples = draw_levels(n, s, seed=3)
     tables = _empty_tables(n, s)
@@ -174,7 +174,7 @@ def test_refine_final_pass_formula():
 def test_refine_single_recovery_per_pass():
     # a vertex present in two levels contributes exactly once
     n = 64
-    s = build_schedule(n, 0.5, seed=7, profile=FAST)
+    s = build_schedule(n, 0.5, seed=7)
     tables = _empty_tables(n, s)
     common = 5
     tables[0] = DegreeTable(vertices=np.array([common]),
@@ -196,7 +196,7 @@ def test_recovery_level_matches_actual_level_with_exact_degrees():
     n = 256
     star = gen_family("star", n=101)
     g = Graph.from_edges(n, star.edges())
-    s = build_schedule(n, 0.25, seed=21, profile=FAST)
+    s = build_schedule(n, 0.25, seed=21)
     samples = draw_levels(n, s, seed=22)
     m_bar = float(g.m)
     analysis = AnalysisOracle(graph=g, schedule=s, m_bar=m_bar)
@@ -223,7 +223,7 @@ def test_refine_median_accuracy_exact_degree_injection():
     g = Graph.from_edges(n, star.edges())
     estimates = []
     for seed in range(101):
-        s = build_schedule(n, 0.25, seed=("inj", seed), profile=FAST)
+        s = build_schedule(n, 0.25, seed=("inj", seed))
         samples = draw_levels(n, s, seed=("inj-l", seed))
         tables = {}
         for j in range(s.top_level + 1):
@@ -245,7 +245,7 @@ def test_boundary_probability_over_shifts():
     inside = 0
     total = 0
     for seed in range(400):
-        s = build_schedule(n, 0.25, seed=("bnd", seed), profile=FAST)
+        s = build_schedule(n, 0.25, seed=("bnd", seed))
         analysis = AnalysisOracle(graph=g, schedule=s, m_bar=float(g.m))
         for v in range(0, n, 97):
             total += 1
@@ -287,14 +287,6 @@ def test_estimator_accuracy_small_statistical():
 
 
 def test_threshold_level_zero_uses_unit_rate():
-    s = build_schedule(256, 0.25, seed=1, profile=FAST)
+    s = build_schedule(256, 0.25, seed=1)
     thr0 = recovery_threshold(s, 100.0, 0, Constants())
     assert thr0 == pytest.approx(100.0 * 50 * 0.0625 / math.log2(256))
-
-
-def test_paper_profile_execution_refused_at_scale():
-    g = gen_gnp(1024, 0.01, seed=1)
-    o = BisOracle(g)
-    with pytest.raises(ValueError, match="audit"):
-        run_pipeline(o, 0.25, seed=1, profile=PAPER)
-    assert o.ledger.bis_count == 0

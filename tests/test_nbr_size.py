@@ -197,8 +197,11 @@ def test_paper_profile_executes_and_is_accurate():
     o = BisOracle(g)
     L = VertexSet.from_indices(n, [0])
     R = VertexSet.full(n).difference(L)
+    # no run path plans at the paper profile; its NS plan still submits
+    ns = NsParams.create(n, 0.5, 0.25, PAPER)
     for seed in range(3):
-        est = estimate_ns(o, L, R, 0.5, 0.25, seed=seed, profile=PAPER)
+        counts = o.submit(plan_ns(L, R, ns, seed))[0]
+        est = float(decode_ns(counts[0], ns))
         assert 0.5 * 12 <= est <= 1.5 * 12
 
 

@@ -686,9 +686,11 @@ def _overlapping_block(kind, n):
                                       ([0, 66, 7], [0, 0, 2]),
                                       ([0, 66], [-1, 1]),
                                       ([0, 66], [0]))]
-    # n = 70 fills two words, so 128 is the first id outside them
+    # n = 70 fills two words: 70 lies inside them, 128 outside; a member
+    # in n..127 used to be charged at submit and raise IndexError when read
     return [SidesSubsampleBlock("t", members, base, 3, "overlap")
-            for members in ([0, 66, 66], [66, 0, 66], [0, 128], [-1, 66])]
+            for members in ([0, 66, 66], [66, 0, 66], [0, 128], [-1, 66],
+                            [0, 70])]
 
 
 @pytest.mark.parametrize("kind", ["dense", "shared", "sides"])
@@ -703,6 +705,28 @@ def test_block_rejects_row_overlapping_its_left(kind):
             o.submit(QueryPlan(n, [block]))
         assert o.ledger.snapshot() == {"bis_count": 0, "batch_count": 0,
                                        "round_count": 0, "phases": {}}
+
+
+def test_plan_for_another_size_is_refused():
+    # a plan's blocks are checked against its own n, and the oracle
+    # refuses a plan whose n is not its graph's
+    plan = QueryPlan(64, [SidesSubsampleBlock(
+        "t", [0], bitset.full_words(64), 3, 1)])
+    o = BisOracle(gen_gnp(65, 0.1, seed=1))
+    with pytest.raises(ValueError, match="plan for n=64"):
+        o.submit(plan)
+    uncharged = {"bis_count": 0, "batch_count": 0, "round_count": 0,
+                 "phases": {}}
+    assert o.ledger.snapshot() == uncharged
+    o = BisOracle(gen_gnp(64, 0.1, seed=1))
+    wide = bitset.full_words(65)
+    for block in (SidesSubsampleBlock("t", [0], wide, 3, 1),
+                  SharedSubsampleBlock("t", [0], [0], 1, VertexSet.full(65),
+                                       3, 2, ("w",)),
+                  DenseBlock("t", wide[None], np.zeros_like(wide)[None])):
+        with pytest.raises(ValueError, match="2 words, not the 1 of n=64"):
+            o.submit(QueryPlan(64, [block]))
+        assert o.ledger.snapshot() == uncharged
 
 
 @settings(max_examples=40, deadline=None)
