@@ -3,7 +3,9 @@
 
 For each n, runs one command with run seed 1, each in a fresh
 interpreter with one BLAS/OpenMP thread, and prints its wall time, its
-own max RSS (from ``os.wait4``) and the SHA-256 of its report.  Equal
+own max RSS and minor page faults (from ``os.wait4``) and the SHA-256
+of its report.  The faults count the fresh pages a run touched, so they
+show how much a change reallocates.  Equal
 digests across two checkouts mean equal reports.  Standard library only.
 The modes:
 
@@ -50,8 +52,9 @@ def connectivity_argv(n: int) -> list:
 MODES = {"estimate": estimate_argv, "connectivity": connectivity_argv}
 
 
-def run(argv: list, env: dict) -> tuple[float, float, str, int]:
-    """(wall s, max RSS MiB, report SHA-256, exit code) of one child."""
+def run(argv: list, env: dict) -> tuple[float, float, int, str, int]:
+    """(wall s, max RSS MiB, minor page faults, report SHA-256, exit code)
+    of one child."""
     t0 = time.perf_counter()
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE)
     report = proc.stdout.read()
@@ -60,8 +63,8 @@ def run(argv: list, env: dict) -> tuple[float, float, str, int]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     proc.stdout.close()
     # ru_maxrss is in KiB on Linux
-    return (wall, usage.ru_maxrss / 1024, hashlib.sha256(report).hexdigest(),
-            proc.returncode)
+    return (wall, usage.ru_maxrss / 1024, usage.ru_minflt,
+            hashlib.sha256(report).hexdigest(), proc.returncode)
 
 
 def main() -> int:
@@ -76,11 +79,12 @@ def main() -> int:
     args = ap.parse_args()
     env = dict(os.environ, PYTHONPATH=args.src, **THREAD_ENV)
     failed = 0
-    print(f"{'n':>7}  {'wall_s':>8}  {'max_rss_mib':>11}  report_sha256")
+    print(f"{'n':>7}  {'wall_s':>8}  {'max_rss_mib':>11}  {'minflt':>9}  "
+          "report_sha256")
     for n in (int(x) for x in args.n.split(",")):
-        wall, rss, digest, code = run(MODES[args.mode](n), env)
+        wall, rss, faults, digest, code = run(MODES[args.mode](n), env)
         failed += code != 0
-        print(f"{n:>7}  {wall:>8.2f}  {rss:>11.1f}  {digest}"
+        print(f"{n:>7}  {wall:>8.2f}  {rss:>11.1f}  {faults:>9}  {digest}"
               + (f"  (exit {code})" if code else ""), flush=True)
     return 1 if failed else 0
 

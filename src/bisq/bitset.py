@@ -104,7 +104,8 @@ def random_planes(rng: np.random.Generator, shape) -> np.ndarray:
 
 def nested_rate_masks(rng: np.random.Generator, base: np.ndarray,
                       levels: int, reps: int,
-                      cols: np.ndarray | None = None) -> np.ndarray:
+                      cols: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Subsample masks of ``base`` at rates 2^-i, i = 0..levels-1.
 
     Returns an array of shape (reps, levels, w).  Level 0 is ``base``
@@ -112,21 +113,27 @@ def nested_rate_masks(rng: np.random.Generator, base: np.ndarray,
     element, so the marginal keep rate at level i is exactly 2^-i.  Masks
     are nested within a repetition and independent across repetitions.
 
-    The coin planes of levels 1..levels-1 are one ``random_planes`` draw
-    written into the output, and each level is then ANDed in place with
-    the level before it, so the only scratch is that draw.  ``cols``, an
-    array of word indices, keeps only those word columns, w = its size:
-    the whole draw is still made and then sliced, so the stream and every
-    kept word are those of the masks without ``cols``.  Full-range draws
-    concatenate, so consecutive calls on one generator give the row
-    blocks of one call.
+    The coin planes of levels 1..levels-1 are one ``random_planes`` draw,
+    copied level-major, so that each level is ANDed with the one before
+    it in one contiguous op; the result is a (reps, levels, w) view of
+    that level-major array, so ``[:, i]`` of it is contiguous.  Given
+    ``out``, a one-dimensional uint64 array of at least levels * reps * w
+    words, the planes are written into its head and the only scratch is
+    the draw.  ``cols``, an array of word indices, keeps only those word
+    columns, w = its size: the whole draw is still made and then sliced,
+    so the stream and every kept word are those of the masks without
+    ``cols``.  Full-range draws concatenate, so consecutive calls on one
+    generator give the row blocks of one call.
     """
-    cols = slice(None) if cols is None else cols
-    out = np.empty((reps, levels) + base[cols].shape, dtype=np.uint64)
-    out[:, 0] = base[cols]
+    kept = base if cols is None else base[cols]
+    size = levels * reps * kept.size
+    planes = (np.empty(size, dtype=np.uint64) if out is None
+              else out[:size]).reshape(levels, reps, kept.size)
+    planes[0] = kept
     if levels > 1:
-        out[:, 1:] = random_planes(rng, (reps, levels - 1,
-                                         base.size))[:, :, cols]
+        draw = random_planes(rng, (reps, levels - 1, base.size))
+        planes[1:] = (draw if cols is None
+                      else draw[:, :, cols]).transpose(1, 0, 2)
         for i in range(1, levels):
-            np.bitwise_and(out[:, i], out[:, i - 1], out=out[:, i])
-    return out
+            np.bitwise_and(planes[i], planes[i - 1], out=planes[i])
+    return planes.transpose(1, 0, 2)

@@ -20,7 +20,10 @@ in the graph's adjacency lists (``_supports``).  Evaluation is exact
 and equivalent to answering every materialized (L, R) row separately,
 which `iter_rows` exposes for verification.  A shared-plane block
 evaluates its repetitions in chunks drawn one after another from its
-one stream, so its scratch does not grow with the repetition count.
+one stream, so its scratch does not grow with the repetition count, and
+every chunk takes its arrays from one working set per thread
+(``_WorkingSet``) that all chunks and blocks reuse, so a chunk
+lands on pages that earlier chunks already touched.
 
 `BisOracle.submit` validates and charges a whole plan at once and
 returns its `Results`, which evaluate a block only when its result is
@@ -38,6 +41,7 @@ callers read what they need, so no subsample block builds its answers:
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -117,6 +121,7 @@ class DenseBlock:
 
     def validate(self, n: int) -> None:
         _check_words(self.tag, self.left, n)
+        _check_words(self.tag, self.right, n)
         bad = (self.left & self.right).any(axis=1)
         if bad.any():
             raise DisjointnessError(
@@ -161,19 +166,132 @@ def _row_bits(masks: np.ndarray, n: int) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _depth_slab(planes: np.ndarray) -> np.ndarray:
-    """Survival depths of nested (reps, levels, cols) planes, int8 of
-    shape (64 * cols, reps); row 64 * j + b is bit b of word column j.
+# bytes: a smaller working-set array is made afresh, since the heap
+# reuses its pages anyway and placing it would cost more than it saves
+_SMALL = 1 << 16
 
-    Level 0 holds every vertex, so depths start at 0 and levels 1.. are
-    added one at a time, rep-major; the sum is transposed once.
+
+class _WorkingSet(threading.local):
+    """One thread's reused scratch for the shared-plane kernel
+    (``_depth_slab``, ``_fold_maxima``, ``_add_histogram`` and the planes
+    that ``SharedSubsampleBlock._maxima`` draws).
+
+    A grow-only byte buffer, so that each chunk's arrays land on pages
+    the chunks before it already touched.  ``take`` places an array at
+    the lowest offset where it overlaps none of the arrays ``live`` that
+    the caller still reads, so the buffer holds only the largest set of
+    arrays in use at once (a slab, its gathers and their maxima), and
+    stays within four times ``bitset.SCRATCH_BYTES`` while one
+    repetition's coin draw fits in that.  An array taken from it is
+    valid until its bytes are taken again, at the latest by the next
+    chunk.  Arrays under ``_SMALL`` bytes are made afresh.
+
+    The buffer grows only in ``reserve``, between chunks, when no array
+    of it is in use; growing it while one is would keep the old buffer
+    alive beside the new.  An array that does not fit yet is made afresh
+    instead, and the offset it would have had is kept (``spill``) until
+    then, so placements, and with them the size the buffer grows to, do
+    not depend on the buffer's size.
+    """
+
+    def __init__(self):
+        self.buf = np.empty(0, dtype=np.uint8)
+        self.origin = self.buf.ctypes.data
+        self.need = 0
+        self.spill: dict[int, int] = {}
+
+    def reserve(self) -> None:
+        """Grow the buffer to the most bytes a chunk has asked for."""
+        self.spill.clear()
+        if self.buf.size < self.need:
+            self.buf = np.empty(0, dtype=np.uint8)   # freed before the new
+            self.buf = np.empty(self.need, dtype=np.uint8)
+            self.origin = self.buf.ctypes.data
+
+    def _span(self, a: np.ndarray) -> tuple[int, int]:
+        """The offsets of a's first and past its last byte in the buffer,
+        or those it would have had it fit; (0, 0) for other arrays."""
+        if not a.size:
+            return 0, 0
+        lo = a.ctypes.data
+        at = lo - self.origin
+        if not 0 <= at < self.buf.size:
+            at = self.spill.get(lo)
+            if at is None:
+                return 0, 0
+        return at, at + a.itemsize + sum((n - 1) * s for n, s in
+                                         zip(a.shape, a.strides))
+
+    def take(self, shape: tuple, dtype, live: tuple = ()) -> np.ndarray:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if size < _SMALL:
+            return np.empty(shape, dtype=dtype)
+        at = 0
+        for lo, hi in sorted(map(self._span, live)):
+            if at + size <= lo:
+                break
+            at = max(at, -(-hi // 64) * 64)        # cache-line aligned
+        self.need = max(self.need, at + size)
+        if at + size <= self.buf.size:
+            return np.ndarray(shape, dtype, self.buf, at)
+        out = np.empty(shape, dtype=dtype)
+        self.spill[out.ctypes.data] = at
+        return out
+
+
+_WORK = _WorkingSet()
+
+
+def _depth_slab(planes: np.ndarray,
+                rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Survival depths of nested (reps, levels, cols) planes at the slab
+    rows ``rows`` (every row if None), int8 of shape (rows.size, reps);
+    slab row 64 * j + b is bit b of word column j.
+
+    A vertex's depth is the deepest level whose plane holds it, and
+    nesting makes it held at level i iff its depth is at least i, so
+    binary digit j of the depth, the parity of the number of multiples
+    of 2^j in 1..depth, is the XOR of the planes at those multiples:
+    bit_length(levels - 1) unpacks make the rep-major depths.  Under a
+    third of the rows are picked and then transposed, more are all
+    transposed and then picked, whichever is faster.  The slab is taken
+    from this thread's working set (``_WorkingSet``).
     """
     reps, levels, cols = planes.shape
-    depth = np.zeros((reps, cols * bitset.WORD_BITS), dtype=np.int8)
-    for i in range(1, levels):
-        depth += np.unpackbits(planes[:, i].view(np.uint8), axis=1,
-                               bitorder="little").view(np.int8)
-    return np.ascontiguousarray(depth.T)
+    bits = cols * bitset.WORD_BITS
+    rows = np.arange(bits) if rows is None else rows
+    depth = _WORK.take((reps, bits), np.int8, (planes,))
+    digit = _WORK.take((reps, cols), np.uint64, (planes, depth))
+    depth.fill(0)
+    for j in reversed(range((levels - 1).bit_length())):
+        np.bitwise_xor.reduce(planes[:, 1 << j::1 << j], axis=1, out=digit)
+        place = np.unpackbits(digit.view(np.uint8), axis=1,
+                              bitorder="little")
+        depth += depth        # the higher digits move up a place
+        depth |= place.view(np.int8)
+        del place             # gone before the next digit is unpacked
+    # each transpose reads rows padded 8 bytes past their length, since
+    # from rows of a power-of-two stride it is 3-4x slower; each array
+    # is dropped once read, so that an array made afresh (see
+    # _WorkingSet) is freed as its bytes would be reused
+    if 3 * rows.size < bits:
+        # the pick's padding is 8 more copies of row 0
+        pick = _WORK.take((reps, rows.size + 8), np.int8, (depth,))
+        np.take(depth, np.concatenate((rows, np.zeros(8, rows.dtype))),
+                axis=1, out=pick, mode="clip")
+        del depth
+        slab = _WORK.take((rows.size, reps), np.int8, (pick,))
+        slab[...] = pick[:, :rows.size].T
+        return slab
+    padded = _WORK.take((reps, bits + 8), np.int8, (depth,))
+    padded[:, :bits] = depth
+    del depth
+    whole = _WORK.take((bits, reps), np.int8, (padded,))
+    whole[...] = padded[:, :bits].T
+    del padded
+    slab = _WORK.take((rows.size, reps), np.int8, (whole,))
+    np.take(whole, rows, axis=0, out=slab, mode="clip")
+    return slab
 
 
 def _rank_runs(k: np.ndarray, order: np.ndarray, rows: np.ndarray,
@@ -203,10 +321,21 @@ def _rank_runs(k: np.ndarray, order: np.ndarray, rows: np.ndarray,
 
 def _fold_maxima(slab: np.ndarray, runs: list, parts: int) -> np.ndarray:
     """Each part's max over its slab rows, int8 of shape (parts, reps),
-    parts in rank order; ``runs`` comes from ``_rank_runs``."""
-    acc = np.zeros((parts, slab.shape[1]), dtype=np.int8)
-    for m, at in runs:
-        np.maximum(acc[:m], slab[at].max(axis=1), out=acc[:m])
+    parts in rank order; ``runs`` comes from ``_rank_runs``, and its
+    first run holds every part.  The gathers and the maxima are taken
+    from this thread's working set."""
+    reps = slab.shape[1]
+    gathers = _WORK.take((max(at.size for _, at in runs) * reps,), np.int8,
+                         (slab,))
+    acc = _WORK.take((parts, reps), np.int8, (slab, gathers))
+    for i, (m, at) in enumerate(runs):
+        gather = gathers[:at.size * reps].reshape(at.shape + (reps,))
+        np.take(slab, at, axis=0, out=gather, mode="clip")
+        top = gather[:, 0] if at.shape[1] == 1 else gather.max(axis=1)
+        if i:
+            np.maximum(acc[:m], top, out=acc[:m])
+        else:
+            acc[...] = top
     return acc
 
 
@@ -214,21 +343,32 @@ def _add_histogram(hist: np.ndarray, acc: np.ndarray,
                    order: np.ndarray) -> None:
     """hist[order[j], v] += the number of entries of acc[j] equal to v,
     in place; one bincount per block of rows holding at most
-    ``bitset.SCRATCH_BYTES`` of int64 keys."""
+    ``bitset.SCRATCH_BYTES`` of int64 keys, taken from this thread's
+    working set."""
     levels = hist.shape[1]
     rows = max(1, bitset.SCRATCH_BYTES // (8 * acc.shape[1]))
+    space = _WORK.take((min(rows, acc.shape[0]) * acc.shape[1],), np.intp,
+                       (acc,))
     for lo in range(0, acc.shape[0], rows):
-        keys = acc[lo:lo + rows].astype(np.intp)
+        block = acc[lo:lo + rows]
+        keys = space[:block.size].reshape(block.shape)
+        keys[...] = block
         keys += np.arange(0, keys.shape[0] * levels, levels)[:, None]
         hist[order[lo:lo + rows]] += np.bincount(
             keys.ravel(), minlength=keys.shape[0] * levels).reshape(-1, levels)
 
 
 def _check_words(tag: str, words: np.ndarray, n: int) -> None:
-    """Refuse packed sets that are not ``word_count(n)`` words long."""
+    """Refuse packed sets that are not ``word_count(n)`` words long, or
+    that hold a vertex id of n or more (a set bit past n in the last
+    word)."""
     if words.shape[-1] != bitset.word_count(n):
         raise ValueError(f"block {tag!r}: sets of {words.shape[-1]} words, "
                          f"not the {bitset.word_count(n)} of n={n}")
+    if n % bitset.WORD_BITS and (
+            words[..., -1] >> np.uint64(n % bitset.WORD_BITS)).any():
+        raise ValueError(f"block {tag!r}: a set holds a vertex id of "
+                         f"n={n} or more")
 
 
 def _check_members(tag: str, members: np.ndarray, n: int) -> None:
@@ -276,7 +416,8 @@ class SharedSubsampleBlock:
     passes L as the one part with B = R.  A row of part p lies inside
     B \ left_p, so no row can overlap its left: ``validate`` refuses only
     a malformed block, one with a repeated or out-of-range member, an
-    out-of-range part id or a base that is not the plan's size.
+    out-of-range part id or a base that is not the plan's size or holds
+    an id past it.
 
     The planes, of shape (reps, levels, w), are nested subsamples of the
     whole vertex domain drawn from ``rng_for(*stream)`` (level 0 holds
@@ -296,8 +437,11 @@ class SharedSubsampleBlock:
     (``_maxima``) are histogrammed straight into per-level no-edge
     counts, which is what ``evaluate`` returns; the maxima themselves
     are never kept for all repetitions.  Supports come from the graph's
-    adjacency lists, so no array of (parts, w) words is built, and every
-    chunk array holds at most ``bitset.SCRATCH_BYTES``.
+    adjacency lists, so no array of (parts, w) words is built.  A
+    chunk's depths are built from their binary digits and transposed at
+    the support vertices only (``_depth_slab``), every chunk array
+    holds at most ``bitset.SCRATCH_BYTES``, and all of them come from
+    this thread's working set (``_WorkingSet``).
     """
 
     __slots__ = ("tag", "members", "part", "parts", "base", "reps", "levels",
@@ -345,9 +489,11 @@ class SharedSubsampleBlock:
         that no array of a chunk exceeds ``bitset.SCRATCH_BYTES``.  A
         chunk's planes are drawn from the block's one generator on the
         word columns holding a support vertex only (full-range draws
-        concatenate, so the chunks together are the whole draw), summed
-        into a vertex-major depth slab, and each support's maximum over
-        its slab rows is folded in by runs of ranks (``_rank_runs``).
+        concatenate, so the chunks together are the whole draw), made
+        into a vertex-major slab of the support vertices' depths, and
+        each support's maximum over its slab rows is folded in by runs of
+        ranks (``_rank_runs``).  acc lies in this thread's working set,
+        so it is valid until the next chunk is drawn.
         """
         part, ids = _supports(graph, self.members, self.part,
                               self.base.words)
@@ -363,18 +509,23 @@ class SharedSubsampleBlock:
         # depth slab or the maxima
         chunk = max(1, bitset.SCRATCH_BYTES // max(
             8 * self.levels * w, bitset.WORD_BITS * cols.size, order.size))
-        runs = _rank_runs(k, order, (np.cumsum(held) - 1)[col]
-                          * bitset.WORD_BITS + (ids & 63), chunk)
-        del part, ids, col
+        # the support vertices' slab rows, each once, and each support
+        # entry's index among them
+        rows, at = np.unique((np.cumsum(held) - 1)[col] * bitset.WORD_BITS
+                             + (ids & 63), return_inverse=True)
+        runs = _rank_runs(k, order, at, chunk)
+        del part, ids, col, at
         rng = rng_for(*self.stream)
         full = np.full(w, ~np.uint64(0))
+        words = self.levels * cols.size       # plane words per rep
         if cols.size == w:
             cols = None       # every column: the draw needs no slicing
-        # each chunk's planes and slab are temporaries, gone before its
-        # maxima are yielded
         for r0 in range(0, self.reps, chunk):
+            c = min(chunk, self.reps - r0)
+            _WORK.reserve()
             yield order, _fold_maxima(_depth_slab(bitset.nested_rate_masks(
-                rng, full, self.levels, min(chunk, self.reps - r0), cols)),
+                rng, full, self.levels, c, cols,
+                out=_WORK.take((words * c,), np.uint64)), rows),
                 runs, order.size)
 
     def evaluate(self, graph: Graph) -> np.ndarray:
@@ -434,13 +585,13 @@ class SidesSubsampleBlock:
     order, and its sides are those of ``side_masks``.  A row lies
     inside the domain, so no row can overlap its left: ``validate``
     refuses only a malformed block, one with a repeated or out-of-range
-    member or a base that is not the plan's size.  The masks, of shape
-    (reps, levels, w) with levels = ``params.ser_levels(|domain|)``, are
-    nested subsamples of the domain drawn from ``rng_for(seed,
-    "ser-plan")``; the block stores that seed, not the masks, and
-    ``draw_masks`` draws them afresh for each use.  Row for (level l,
-    rep r, side q) is masks[r, l] & side q; row index
-    l * reps * n_sides + r * n_sides + q.
+    member or a base that is not the plan's size or holds an id past it.
+    The masks, of shape (reps, levels, w) with levels =
+    ``params.ser_levels(|domain|)``, are nested subsamples of the domain
+    drawn from ``rng_for(seed, "ser-plan")``; the block stores that
+    seed, not the masks, and ``draw_masks`` draws them afresh for each
+    use.  Row for (level l, rep r, side q) is masks[r, l] & side q; row
+    index l * reps * n_sides + r * n_sides + q.
     Every single element recovery plan is one of these blocks.
 
     Answers depend only on the support S = Gamma(left) ∩ domain, and a

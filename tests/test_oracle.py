@@ -374,6 +374,63 @@ def test_depth_table_reads_every_level_of_the_planes(level):
     assert np.array_equal(depth >= level, held)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 17), st.integers(1, 4), st.integers(1, 9),
+       st.integers(0, 10 ** 6), st.booleans())
+@example(levels=1, w=2, reps=3, key=0, drawn=True)
+@example(levels=2, w=1, reps=1, key=1, drawn=False)
+@example(levels=3, w=3, reps=5, key=2, drawn=False)
+@example(levels=5, w=4, reps=2, key=3, drawn=False)
+@example(levels=9, w=2, reps=9, key=4, drawn=False)
+@example(levels=17, w=4, reps=7, key=5, drawn=False)
+def test_depth_slab_equals_the_per_level_sum(levels, w, reps, key, drawn):
+    # the digit-built slab against the depths summed a level at a time,
+    # on some word columns of a w-word domain and some of their bit rows,
+    # in random order; the digit count changes at levels 2, 3, 5, 9 and
+    # 17, and drawn planes rarely reach a depth past 10, so besides
+    # drawn ones the planes are those of random depths in 0..levels-1
+    rng = rng_for("depth-slab", key)
+    cols = rng.permutation(w)[:rng.integers(1, w + 1)]
+    bits = 64 * cols.size
+    if drawn:
+        planes = bitset.nested_rate_masks(
+            rng_for("slab-planes", key), np.full(w, ~np.uint64(0)), levels,
+            reps, cols)
+    else:
+        depth = rng.integers(0, levels, size=(reps, bits))
+        planes = np.stack([bitset.pack_bool(depth >= i)
+                           for i in range(levels)], axis=1)
+    expect = np.zeros((reps, bits), dtype=np.int64)
+    for i in range(1, levels):
+        expect += np.unpackbits(np.ascontiguousarray(planes[:, i]).view(
+            np.uint8), axis=1, bitorder="little")
+    rows = rng.permutation(bits)[:rng.integers(1, bits + 1)]
+    slab = _depth_slab(planes, rows)
+    assert slab.dtype == np.int8 and slab.shape == (rows.size, reps)
+    assert np.array_equal(slab, expect.T[rows])
+    assert np.array_equal(_depth_slab(planes), expect.T)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 16, 17])
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_shared_block_counts_at_the_digit_edges(monkeypatch, levels, chunk):
+    # one level has no binary digit (every depth is 0), two have one,
+    # sixteen four and seventeen five; the counts must equal the fresh
+    # answer sums whether the 7 reps come in chunks of 1, of 3 or whole
+    n, reps = 130, 7
+    g, block = _depth_kernel_case(n, 0.1, reps, levels, 2, levels)
+    w = bitset.word_count(n)
+    if chunk is not None:
+        # the coin draw, the depths or the maxima sets the chunk
+        monkeypatch.setattr(bitset, "SCRATCH_BYTES", chunk * max(
+            8 * levels * w, bitset.WORD_BITS * w, len(block.parts)))
+    counts = block.evaluate(g)
+    assert np.array_equal(counts, _fresh_counts(g, block))
+    assert (counts[0] == reps).all()         # the isolated vertex
+    if levels == 1:
+        assert (counts[1] == 0).all()        # the hub's support is held
+
+
 def _accumulated_masks(rng, base, levels, reps):
     # the draw with bitwise_and.accumulate and one & base, kept as the
     # reference for nested_rate_masks
@@ -480,9 +537,9 @@ def test_shared_block_chunks_give_the_eager_answers(monkeypatch, chunk,
     drawn = []
     draw = bitset.nested_rate_masks
 
-    def spy(rng, base, levels, reps, cols=None):
+    def spy(rng, base, levels, reps, cols=None, out=None):
         drawn.append(reps)
-        return draw(rng, base, levels, reps, cols)
+        return draw(rng, base, levels, reps, cols, out)
 
     monkeypatch.setattr(bitset, "nested_rate_masks", spy)
     counts = block.evaluate(g)
@@ -532,6 +589,68 @@ def test_shared_block_scratch_is_bounded():
     assert peaks[1] <= peaks[0] * 1.05
     plan = QueryPlan(n, [block])
     assert _scratch_peak(plan.validate) < 4 * block.members.nbytes + 4096
+
+
+def test_shared_block_working_set_is_bounded(monkeypatch):
+    # a fresh thread starts with an empty working set, so its first
+    # evaluate of the degree-sketch-sized block above grows it from
+    # nothing: that call, working set included, still peaks under 1 MiB,
+    # and since placements do not depend on the buffer's size the buffer
+    # grows once, before the second chunk, to the size it keeps; and
+    # after blocks of other shapes (one part on a support in a few word
+    # columns, as the NS plan; more levels; fewer reps than a chunk) the
+    # working set holds at most four times SCRATCH_BYTES
+    import threading
+    import tracemalloc
+    from bisq.oracle import _WORK, _WorkingSet
+
+    sizes = []
+    reserve = _WorkingSet.reserve
+
+    def spy(self):
+        reserve(self)
+        sizes.append(self.buf.size)
+
+    monkeypatch.setattr(_WorkingSet, "reserve", spy)
+
+    n = 1024
+    g = gen_gnp(n, 0.01, seed=4)
+    sketch = SharedSubsampleBlock("t", np.arange(1000), np.arange(1000),
+                                  1000, VertexSet.full(n), 1474, 11,
+                                  ("scratch",))
+    expect = sketch.evaluate(g)    # lazy imports and adjacency lists
+    others = [SharedSubsampleBlock("ns", [5], [0], 1, VertexSet.from_indices(
+                  n, np.arange(0, n, 7)), 5745, 13, ("ws", 1)),
+              _cells_block(n, [[1, 2], [3], [4, 5, 6]], None, 300, 17,
+                           ("ws", 2)),
+              _cells_block(n, [[v] for v in range(40)], None, 90, 5,
+                           ("ws", 3))]
+    seen = {}
+
+    def first_use():
+        seen["empty"] = _WORK.buf.size == 0 and _WORK.need == 0
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            seen["counts"] = sketch.evaluate(g)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        seen["sizes"] = sizes[:]
+        for block in others:
+            block.evaluate(g)
+        seen["held"] = _WORK.buf.size
+
+    worker = threading.Thread(target=first_use)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert seen["empty"]
+    assert np.array_equal(seen["counts"], expect)
+    assert seen["peak"] < 2 ** 20
+    assert len(seen["sizes"]) > 2 and seen["sizes"][0] == 0
+    assert len(set(seen["sizes"][1:])) == 1
+    assert 0 < seen["held"] <= 4 * bitset.SCRATCH_BYTES
 
 
 @settings(max_examples=25, deadline=None)
@@ -727,6 +846,30 @@ def test_plan_for_another_size_is_refused():
         with pytest.raises(ValueError, match="2 words, not the 1 of n=64"):
             o.submit(QueryPlan(64, [block]))
         assert o.ledger.snapshot() == uncharged
+
+
+@pytest.mark.parametrize("kind", ["dense", "shared", "sides"])
+def test_block_with_a_vertex_past_n_is_refused(kind):
+    # at n = 100 the second word holds ids 64..127: a set with bit 100
+    # on has the plan's word count but a vertex the graph lacks, and is
+    # refused before any charge, for a dense left or right mask and for
+    # either kind of subsample base; each block is otherwise well formed
+    n = 100
+    past = bitset.pack_indices(n, [1, 99])
+    past[-1] |= np.uint64(1) << np.uint64(n - 64)
+    one = bitset.pack_indices(n, [0])
+    blocks = {"dense": [DenseBlock("t", past[None], one[None]),
+                        DenseBlock("t", one[None], past[None])],
+              "shared": [SharedSubsampleBlock("t", [0], [0], 1,
+                                              VertexSet(n, past), 3, 2,
+                                              ("past",))],
+              "sides": [SidesSubsampleBlock("t", [0], past, 3, "past")]}
+    for block in blocks[kind]:
+        o = BisOracle(gen_gnp(n, 0.1, seed=1))
+        with pytest.raises(ValueError, match="vertex id of n=100 or more"):
+            o.submit(QueryPlan(n, [block]))
+        assert o.ledger.snapshot() == {"bis_count": 0, "batch_count": 0,
+                                       "round_count": 0, "phases": {}}
 
 
 @settings(max_examples=40, deadline=None)
