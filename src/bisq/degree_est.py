@@ -57,12 +57,6 @@ class DegreeTable:
     failed: np.ndarray       # all repetitions failed; d_hat holds sentinel n
     ns_failures: int = 0     # (repetition, cell) decodes that gave inf
 
-    def lookup(self, v: int) -> float:
-        i = int(np.searchsorted(self.vertices, v))
-        if i >= self.vertices.size or self.vertices[i] != v:
-            raise KeyError(f"vertex {v} not in table")
-        return float(self.d_hat[i])
-
 
 @dataclass
 class NeighborTable:

@@ -274,7 +274,8 @@ def estimate_edges(oracle: BisOracle, epsilon: float, seed,
 
 @dataclass
 class AnalysisOracle:
-    """Exact levels, boundary membership, and contributions from true degrees."""
+    """Exact levels and boundary membership from true degrees: the
+    reference that ``tests/test_edge_estimator.py`` checks against."""
     graph: Graph
     schedule: LevelSchedule
     m_bar: float

@@ -18,13 +18,14 @@ implicit vector, and every query is a single oracle call: the plan
 recovers a uniform member of Gamma(L) ∩ R.  Domain index k is the k-th
 member of R, and which sides hold it is a function of k alone
 (``oracle.side_masks``), so a plan stores only the seed of its masks.
-The certificate holds exactly where one support element survives, so the
-block's result is the pool itself, counted from survivors: the domain
-indices of the accepted repetitions, which ``NeighborRecovery.decode_pool``
-maps to vertices.  ``plan_ser`` builds
-the block over an abstract vector of length ``domain`` (no member ids
-and B = 0..domain-1, so index k is vertex k), and ``answer_plan`` gives
-its pool for a known vector through the block's own kernel.
+Domain indices live only in those sides.  The certificate holds exactly
+where one support element survives, so the block's result is the pool
+itself, read off the survivors: the certified vertices of the accepted
+repetitions, which ``NeighborRecovery.decode_pool`` returns as they
+are.  ``plan_ser`` builds the block over an abstract vector of length
+``domain`` (no member ids and B = 0..domain-1, so index k is vertex k),
+and ``answer_plan`` gives its pool for a known vector through the
+block's own kernel.
 """
 from __future__ import annotations
 
@@ -51,9 +52,10 @@ class NeighborRecovery:
 
     def decode_pool(self, pool: np.ndarray) -> np.ndarray:
         """Recovered vertices in scan order (independent uniform draws):
-        the domain's members at the indices of ``pool``, the block's
-        result (``SidesSubsampleBlock.pool``)."""
-        return bitset.members(self.block.domain())[pool]
+        ``pool``, the block's result (``SidesSubsampleBlock.pool``),
+        which already holds the certified vertices.  Kept as the one
+        decode step every caller runs, which perfbench traces."""
+        return pool
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,7 @@ class NeighborRecovery:
 @dataclass
 class SerOutcome:
     recovered: Optional[int]
-    pool: np.ndarray     # accepted domain indices, in scan order
+    pool: np.ndarray     # certified vertices (= domain indices), scan order
 
 
 def plan_ser(domain: int, delta: float, seed,
@@ -84,8 +86,9 @@ def plan_ser(domain: int, delta: float, seed,
 
 def answer_plan(plan: NeighborRecovery, x_words: np.ndarray) -> np.ndarray:
     """The plan's result for a known vector (test and simulation helper):
-    its recovery pool, with x itself as the support."""
-    return plan.block.pool(x_words & plan.block.domain())
+    its recovery pool, with x itself as the support.  An abstract plan's
+    left is empty, so its domain is its base."""
+    return plan.block.pool(x_words & plan.block.base)
 
 
 def decode_ser(plan: NeighborRecovery, pool: np.ndarray) -> SerOutcome:

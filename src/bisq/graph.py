@@ -64,9 +64,6 @@ class VertexSet:
     def difference(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self.n, self.words & ~other.words)
 
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.n, bitset.trim_tail(~self.words, self.n))
-
     def isdisjoint(self, other: "VertexSet") -> bool:
         return not bool((self.words & other.words).any())
 

@@ -35,8 +35,9 @@ callers read what they need, so no subsample block builds its answers:
   order;
 - a shared-plane block: its per-level no-edge counts, int64 of shape
   (parts, levels), which the degree sketch and the NS estimator decode;
-- a recovery block: its pool, the int64 domain indices its answers
-  certify, in scan order (``SidesSubsampleBlock.pool``).
+- a recovery block: its pool, the int64 vertex ids its answers
+  certify, in scan order (``SidesSubsampleBlock.pool``); domain indices
+  live only in its sides, and evaluating it never builds its domain.
 """
 from __future__ import annotations
 
@@ -602,11 +603,14 @@ class SidesSubsampleBlock:
     and two survivors have distinct domain indices, which differ in some
     bit, so that bit hits both sides.  The masks are nested, so the
     survivor count cannot rise with l, and the first level where it is 1
-    is the first certified level.  ``pool`` counts survivors per (rep,
-    level) on the word columns of S alone; ``evaluate`` finds S in the
-    graph's adjacency lists, as a shared-plane block finds its supports,
-    and the abstract SER plans (``element_recovery.answer_plan``) call
-    ``pool`` with a known support.
+    is the first certified level; its one survivor is the certified
+    vertex, so a pool holds vertex ids and domain indices live only in
+    the sides (``iter_rows``).  ``pool`` counts survivors per (rep,
+    level) on the word columns of S alone, sized by ``domain_size``
+    without building the domain; ``evaluate`` finds S in the graph's
+    adjacency lists, as a shared-plane block finds its supports, and the
+    abstract SER plans (``element_recovery.answer_plan``) call ``pool``
+    with a known support.
     """
 
     __slots__ = ("tag", "left", "base", "reps", "seed")
@@ -621,14 +625,21 @@ class SidesSubsampleBlock:
 
     def domain(self) -> np.ndarray:
         """The packed domain: base with the left's bits cleared, in a
-        copy of base's words."""
+        copy of base's words; only the reference rows (``iter_rows``,
+        ``draw_masks``) build it."""
         words = self.base.copy()
         np.bitwise_and.at(words, self.left >> 6, ~np.left_shift(
             np.uint64(1), (self.left & 63).astype(np.uint64)))
         return words
 
+    def domain_size(self) -> int:
+        r"""|B \ left|: the base's popcount less the left ids set in it."""
+        held = (self.base[self.left >> 6]
+                >> (self.left & 63).astype(np.uint64) & np.uint64(1))
+        return bitset.popcount(self.base) - int(np.count_nonzero(held))
+
     def n_queries(self) -> int:
-        return params.ser_queries(bitset.popcount(self.domain()), self.reps)
+        return params.ser_queries(self.domain_size(), self.reps)
 
     def draw_masks(self, cols: Optional[np.ndarray] = None) -> np.ndarray:
         """The (reps, levels, w) subsample masks, drawn inside the domain,
@@ -649,32 +660,30 @@ class SidesSubsampleBlock:
             graph, self.left, np.zeros_like(self.left), self.base)[1]))
 
     def pool(self, support: np.ndarray) -> np.ndarray:
-        """Domain indices recovered from the support words ``support`` (a
+        """Vertex ids recovered from the support words ``support`` (a
         subset of the domain), int64 in scan order.
 
         One entry per repetition with a certified level: the one survivor
         at its first such level.  Scan order is level-major (level 0, the
         densest subsample, first), repetitions ascending.  The masks are
-        drawn on the support's word columns only; the survivor is the one
-        set bit of its level's words, and its domain index is the number
-        of domain vertices below it.
+        drawn over the support, on its word columns only: the same
+        full-width draw from the same stream, and, the support lying
+        inside the domain, the domain's masks ANDed with the support.
+        The survivor is the one set bit of its level's words.
         """
         cols = np.flatnonzero(support)
         if not cols.size:
             return np.empty(0, dtype=np.int64)
-        held = self.draw_masks(cols)
-        held &= support[cols]
+        held = bitset.nested_rate_masks(
+            rng_for(self.seed, "ser-plan"), support,
+            params.ser_levels(self.domain_size()), self.reps, cols)
         single = np.bitwise_count(held).sum(axis=2) == 1    # (reps, levels)
         rep = np.flatnonzero(single.any(axis=1))
         level = single.argmax(axis=1)[rep]
         order = np.argsort(level, kind="stable")
         words = held[rep[order], level[order]]    # one nonzero word each
-        col = cols[words.argmax(axis=1)]
-        below = words.max(axis=1) - 1             # the bits under it
-        domain = self.domain()
-        counts = np.bitwise_count(domain).astype(np.int64)
-        return ((np.cumsum(counts) - counts)[col]
-                + np.bitwise_count(domain[col] & below))
+        return (cols[words.argmax(axis=1)] * bitset.WORD_BITS
+                + np.bitwise_count(words.max(axis=1) - np.uint64(1)))
 
     def iter_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         masks = self.draw_masks()
@@ -697,12 +706,6 @@ class QueryPlan:
 
     def size(self) -> int:
         return sum(b.n_queries() for b in self.blocks)
-
-    def phase_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for b in self.blocks:
-            out[b.tag] = out.get(b.tag, 0) + b.n_queries()
-        return out
 
     def validate(self) -> None:
         """Check every block against the plan's n."""
@@ -791,7 +794,7 @@ class BisOracle:
         block's answer array, a shared-plane block's (parts, levels)
         no-edge counts (the count at (p, i) is the number of repetitions
         whose row (p, r, i) answers 1) or a recovery block's pool of
-        certified domain indices; it is evaluated when read (see
+        certified vertices; it is evaluated when read (see
         `Results`), over the blocks the plan held at submit.  A plan
         built for another n, or with a block that does not fit its n, is
         refused before any charge.

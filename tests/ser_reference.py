@@ -4,7 +4,8 @@ A recovery block (``oracle.SidesSubsampleBlock``) evaluates to its pool
 from survivor counts.  The reference here is the certificate read the
 long way: the answers to every materialized row of ``iter_rows``, flat
 over (level, rep, side), bit-decoded as the paper's single element
-recovery states it.
+recovery states it into domain indices, which are then mapped to the
+domain's members.
 """
 import numpy as np
 
@@ -12,16 +13,19 @@ from bisq import BisOracle, VertexSet, bitset, params
 
 
 def reference_pool(block, answers) -> np.ndarray:
-    """Domain indices certified by the row answers, int64 in scan order.
+    """Vertices certified by the row answers, int64 in scan order.
 
     Per (level, rep): accepted when the whole side and verify hit and
     every index bit hits on exactly one side; the index is assembled from
     the one-bit sides that hit and must lie in the domain.  A repetition
     keeps its first accepting level.  Scan order is level-major,
-    repetitions ascending.
+    repetitions ascending.  The result is the domain's members at the
+    accepted indices (the indices themselves for an abstract plan, whose
+    domain is 0..domain-1).
     """
-    domain = np.setdiff1d(bitset.members(
-        block.base, bitset.WORD_BITS * block.base.size), block.left).size
+    members = np.setdiff1d(bitset.members(
+        block.base, bitset.WORD_BITS * block.base.size), block.left)
+    domain = members.size
     bits = params.ser_bits(domain)
     ans = np.asarray(answers).reshape(params.ser_levels(domain), block.reps,
                                       2 * bits + 2)
@@ -39,7 +43,7 @@ def reference_pool(block, answers) -> np.ndarray:
     reps_idx = np.nonzero(accept.any(axis=0))[0]
     levels_idx = accept.argmax(axis=0)[reps_idx]
     order = np.lexsort((reps_idx, levels_idx))
-    return index[levels_idx[order], reps_idx[order]]
+    return members[index[levels_idx[order], reps_idx[order]]]
 
 
 def fresh_row_answers(graph, block) -> list[int]:

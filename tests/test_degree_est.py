@@ -16,7 +16,7 @@ def test_isolated_vertex_estimate_zero():
     o = BisOracle(g)
     table = estimate_degrees(o, VertexSet.from_indices(8, [0]), 0.25, seed=1,
                              constants=FAST_C)
-    assert table.lookup(0) == 0.0
+    assert table.vertices.tolist() == [0] and table.d_hat[0] == 0.0
 
 
 def test_star_center_estimate():
@@ -25,7 +25,8 @@ def test_star_center_estimate():
     o = BisOracle(g)
     table = estimate_degrees(o, VertexSet.from_indices(n, [0]), 0.25, seed=2,
                              constants=FAST_C)
-    est = table.lookup(0)
+    assert table.vertices.tolist() == [0]
+    est = table.d_hat[0]
     assert 0.75 * (n - 1) <= est <= n - 1
 
 

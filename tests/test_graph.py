@@ -262,7 +262,6 @@ def test_vertex_set_matches_python_sets(n, data):
     assert set((A & B).members().tolist()) == a & b
     assert set((A | B).members().tolist()) == a | b
     assert set(A.difference(B).members().tolist()) == a - b
-    assert set(A.complement().members().tolist()) == set(range(n)) - a
     assert len(A) == len(a)
     assert A.isdisjoint(B) == a.isdisjoint(b)
 

@@ -705,7 +705,7 @@ def test_sides_block_matches_single_queries(n, p, reps, few, seed):
         assert pool.dtype == np.int64
         assert pool.tolist() == reference_pool(block, answers).tolist()
     assert pools[0].size == pools[4].size == 0
-    assert pools[5].size and not pools[5].any()   # domain 1: index 0
+    assert pools[5].size and (pools[5] == one).all()   # domain 1: {one}
 
 
 def test_subsample_rows_lie_inside_base():
@@ -898,6 +898,63 @@ def test_sides_block_left_overlapping_base_is_the_block_over_the_rest(
         assert np.array_equal(gl, wl) and np.array_equal(gr, wr)
     assert pools[0].tolist() == reference_pool(
         got, fresh_row_answers(g, got)).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.sampled_from(
+    ["inside", "outside", "straddling", "empty"]), st.integers(0, 10 ** 6))
+def test_sides_domain_size_is_the_domain_popcount(n, kind, seed):
+    # |B \ left| by arithmetic equals the popcount of the built domain,
+    # for a left inside the base, outside it, across it, or empty
+    rng = rng_for("domain-size", seed)
+    ids = rng.permutation(n)
+    cut = int(rng.integers(0, n + 1))
+    base_ids, rest = ids[:cut], ids[cut:]
+    pick = {"inside": base_ids, "outside": rest, "straddling": ids,
+            "empty": ids[:0]}[kind]
+    left = pick[rng.random(pick.size) < rng.random()]
+    if kind == "straddling" and base_ids.size and rest.size:
+        left = np.union1d(left, [base_ids[0], rest[0]])
+    block = SidesSubsampleBlock("s", left, bitset.pack_indices(n, base_ids),
+                                1, ("size", seed))
+    assert block.domain_size() == bitset.popcount(block.domain())
+    assert block.domain_size() == len(set(base_ids.tolist())
+                                      - set(left.tolist()))
+
+
+def test_recovery_evaluate_path_never_builds_the_domain(monkeypatch):
+    # submit (n_queries), evaluate, decode_pool and answer_plan give the
+    # same sizes and pools with domain() unavailable: only the reference
+    # rows (iter_rows, draw_masks) build the domain
+    from bisq.element_recovery import (answer_plan, build_neighbor_recovery,
+                                       plan_ser)
+
+    n = 150
+    g = gen_gnp(n, 0.08, seed=3)
+    full = VertexSet.full(n)
+    recs = [build_neighbor_recovery(np.array([v]), full.difference(
+        VertexSet.from_indices(n, [v])).words, 6, ("spy", v))
+        for v in range(0, n, 7)]
+    recs.append(build_neighbor_recovery(
+        np.arange(20), bitset.pack_indices(n, range(10, 90)), 6, "spy"))
+    abstract = plan_ser(100, delta=0.2, seed="spy-abstract")
+    x = bitset.pack_indices(100, [3, 64, 65, 99])
+
+    def run():
+        o = BisOracle(g)
+        plan = QueryPlan(n, [r.block for r in recs])
+        results = o.submit(plan)
+        pools = [r.decode_pool(p).tolist() for r, p in zip(recs, results)]
+        return (o.ledger.bis_count, plan.size(), abstract.block.n_queries(),
+                pools, answer_plan(abstract, x).tolist())
+
+    def spy(self):
+        raise AssertionError("the evaluate path built a domain")
+
+    want = run()
+    monkeypatch.setattr(SidesSubsampleBlock, "domain", spy)
+    assert run() == want
+    assert sum(map(len, want[3])) > 0 and want[4]
 
 
 def test_or_query_via_bis():
